@@ -43,6 +43,7 @@ import time
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core.constraints import (
     html_request_load,
     local_processing_load,
@@ -205,6 +206,15 @@ def kernel_results(save_artifact, save_timings):
                 outcome = first["batched"][1]
                 results[wname]["offload_rounds"] = outcome.rounds
                 results[wname]["offload_messages"] = outcome.messages
+                # L2-swap activity of one more (untimed) batched run:
+                # swaps tried, swaps made, victim tables built
+                swap_reg = obs.MetricsRegistry()
+                with obs.use_registry(swap_reg):
+                    fn(partition_all(m2), cost, "batched")
+                for key in ("swap_attempts", "swaps", "swap_rankings"):
+                    results[wname][f"offload_{key}"] = int(
+                        swap_reg.counters.get(f"offload.{key}", 0)
+                    )
             totals["scalar"] += best["scalar"]
             totals["batched"] += best["batched"]
             rows.append(

@@ -85,8 +85,9 @@ class VectorLazyHeap:
     decision the scalar heap makes, so the reserve drops them whenever a
     merge or refill touches them anyway — the multiset of *live*
     entries, and hence the pop sequence, is untouched.  OFF_LOADING
-    reanimates keys (``_try_make_room`` un-marks victims) and therefore
-    must not pass it.
+    reanimates keys — its L2 swap deallocates victim objects and turns
+    their local marks remote again (``offload._try_make_room``) — and
+    therefore must not pass it.
 
     ``pop_round`` performs one full ``pop_valid`` equivalent: given the
     current fresh-score array ``f`` and aliveness mask, it returns the
@@ -1096,8 +1097,14 @@ def absorb_extra_workload_batched(
     allow_swap: bool = True,
     counters: dict | None = None,
 ) -> float:
-    """Batched twin of ``offload.absorb_extra_workload``."""
-    from repro.core.offload import _try_make_room
+    """Batched twin of ``offload.absorb_extra_workload``.
+
+    The L2 swap's victim table is built lazily at the first blocked
+    candidate and kept while the loop leaves the server untouched; any
+    mutation (an accepted mark, a new replica, a successful swap) drops
+    it, so the next blocked candidate ranks the new state afresh.
+    """
+    from repro.core.offload import _rank_victims, _tally, _try_make_room
 
     if alloc.ctx.n_streams > 2:
         raise NotImplementedError(
@@ -1166,6 +1173,7 @@ def absorb_extra_workload_batched(
         dirty[sl.start : sl.stop] = True
 
     absorbed = 0.0
+    victims = None  # the server's ranked swap victims, while still valid
     while len(heap) and absorbed < target - _TOL and cpu_slack > _TOL:
         popped = heap.pop_round(f, alive, _TOL, dirty, rescore)
         if popped is None:
@@ -1186,18 +1194,25 @@ def absorb_extra_workload_batched(
             if not allow_new_replicas:
                 continue
             if size > space + _TOL:
+                if not allow_swap:
+                    continue
+                if victims is None:
+                    victims = _rank_victims(alloc, server_id)
+                    _tally(counters, "swap_rankings")
+                _tally(counters, "swap_attempts")
                 remaining = target - absorbed
                 ok, freed_sizes, flip_c, flip_o, flip_pages = _try_make_room(
                     alloc,
                     server_id,
+                    victims,
                     size - space,
                     min(w, remaining),
                     LB,
                     RB,
-                    allow_swap,
                 )
                 if not ok:
-                    continue  # the scalar path defers, never to revisit
+                    continue  # a refused candidate is never revisited
+                _tally(counters, "swaps")
                 for sz in freed_sizes:
                     space += sz
                 # un-marked entries become poppable again through any
@@ -1221,4 +1236,5 @@ def absorb_extra_workload_batched(
             alive[key] = False
         absorbed += w
         cpu_slack -= w
+        victims = None  # this server's marks (and maybe replicas) moved
     return absorbed

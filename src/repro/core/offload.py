@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.allocation import Allocation, ReverseIndex
+from repro.core.allocation import Allocation
 from repro.core.constraints import (
     local_processing_load,
     repository_load,
@@ -203,76 +203,131 @@ def _candidate_workload(alloc: Allocation, kind: str, e: int) -> float:
     return float(ctx.opt_freq_weight[e])
 
 
+@dataclass(frozen=True)
+class _VictimTable:
+    """One server's L2-swap victims, ranked once per server state.
+
+    ``objects``/``sizes`` list the stored objects in deallocation order;
+    ``freed[c]`` / ``lost[c]`` are the bytes freed and the local-mark
+    workload lost by deallocating the first ``c`` of them (both start at
+    ``0.0``, so each array has one more element than ``objects``).
+    """
+
+    objects: np.ndarray
+    sizes: np.ndarray
+    freed: np.ndarray
+    lost: np.ndarray
+
+    def prefix(self, need: float, gain: float) -> int | None:
+        """Victims to deallocate for a net-positive trade, or ``None``.
+
+        The shortest ranked prefix freeing at least ``need`` bytes; the
+        trade is refused when no prefix frees enough or the prefix's
+        lost workload reaches ``gain``.
+        """
+        c = int(self.freed.searchsorted(need))
+        if c == len(self.freed) or self.lost[c] >= gain:
+            return None
+        return c
+
+
+def _rank_victims(alloc: Allocation, server_id: int) -> _VictimTable:
+    """Rank every object stored at ``server_id`` as a swap victim.
+
+    Each replica's ``w_lost`` — the workload its local marks carry — is
+    one order-preserving ``np.bincount`` over the server's context
+    groups: compulsory entries first, then optional ones, each grouped
+    by ``(object, entry)`` ascending, with weight ``0.0`` where the
+    entry is remote.  Every sum therefore accumulates the same terms in
+    the same order as a per-entry Python loop, bit for bit.  Victims are
+    ordered by ``(w_lost / size, object)``: cheapest workload per byte
+    first, object id breaking ties.
+    """
+    m = alloc.model
+    ctx = alloc.ctx
+    reps = alloc.replicas[server_id]
+    objects = np.fromiter(reps, dtype=np.intp, count=len(reps))
+    ce = ctx.comp_group(server_id)[0]
+    oe = ctx.opt_group(server_id)[0]
+    w_lost = np.bincount(
+        np.concatenate((ctx.comp_objects[ce], ctx.opt_objects[oe])),
+        weights=np.concatenate(
+            (
+                np.where(alloc.comp_local[ce], ctx.comp_freq[ce], 0.0),
+                np.where(alloc.opt_local[oe], ctx.opt_freq_weight[oe], 0.0),
+            )
+        ),
+        minlength=len(m.sizes),
+    )[objects]
+    sizes = m.sizes[objects]
+    order = np.lexsort((objects, w_lost / sizes))
+    sizes = sizes[order]
+    return _VictimTable(
+        objects=objects[order],
+        sizes=sizes,
+        freed=np.concatenate(([0.0], np.cumsum(sizes))),
+        lost=np.concatenate(([0.0], np.cumsum(w_lost[order]))),
+    )
+
+
+#: Registry counters of the L2 swap, emitted as ``offload.<name>``:
+#: swaps tried, swaps made, and victim tables built.
+_SWAP_COUNTERS = ("swap_attempts", "swaps", "swap_rankings")
+
+
+def _tally(counters: dict | None, key: str) -> None:
+    if counters is not None:
+        counters[key] = counters.get(key, 0) + 1
+
+
 def _try_make_room(
     alloc: Allocation,
     server_id: int,
+    table: _VictimTable,
     need: float,
     gain: float,
     local_bytes: np.ndarray,
     remote_bytes: np.ndarray,
-    allow_swap: bool,
 ) -> tuple[bool, list[float], list[int], list[int], list[int]]:
     """Free ``need`` bytes by deallocating stored objects whose marks
     shed less workload than ``gain`` would add (net positive trade).
 
-    Shared by the scalar and batched absorption kernels — the victim
-    ranking (``victims.sort()`` over ``(w_lost/size, k, size, w_lost)``
-    tuples) is fully deterministic, so both paths choose identical
-    victims.  Returns ``(ok, freed_sizes, flipped_comp_entries,
+    ``table`` is :func:`_rank_victims` of the server's *current* marks
+    and replicas.  Ranking is the expensive part and does not depend on
+    ``need`` or ``gain``, so the batched kernel keeps one table across
+    consecutive blocked candidates and rebuilds it only after it mutates
+    the server (an accepted mark, a new replica or a successful swap);
+    the scalar kernel ranks afresh on every call.  A query is one
+    ``searchsorted`` over the table's prefix sums, so both kernels choose
+    identical victims.  Returns ``(ok, freed_sizes, flipped_comp_entries,
     flipped_opt_entries, flipped_pages)``; on failure nothing is
     mutated.
     """
+    c = table.prefix(need, gain)
+    if c is None:
+        return False, [], [], [], []
     m = alloc.model
-    if not allow_swap:
-        return False, [], [], [], []
-    # cached per-model reverse index (previously threaded in by callers)
-    rev = ReverseIndex.for_model(m)
-    ctx = alloc.ctx
-    victims: list[tuple[float, int, float, float]] = []
-    for k in alloc.replicas[server_id]:
-        k = int(k)
-        size = float(m.sizes[k])
-        w_lost = 0.0
-        marks = alloc.mark_count(server_id, k)
-        if marks:
-            # workload carried by this object's local marks
-            comp_e, opt_e = rev.entries_for(server_id, k)
-            for e2 in comp_e:
-                if alloc.comp_local[e2]:
-                    w_lost += float(ctx.comp_freq[e2])
-            for e2 in opt_e:
-                if alloc.opt_local[e2]:
-                    w_lost += _candidate_workload(alloc, "opt", int(e2))
-        victims.append((w_lost / size, k, size, w_lost))
-    victims.sort()
-    freed, lost, chosen = 0.0, 0.0, []
-    for _, k, size, w_lost in victims:
-        if freed >= need:
-            break
-        chosen.append((k, size, w_lost))
-        freed += size
-        lost += w_lost
-    if freed < need or lost >= gain:
-        return False, [], [], [], []
+    ce, c_start, c_count = alloc.ctx.comp_group(server_id)
+    oe, o_start, o_count = alloc.ctx.opt_group(server_id)
     freed_sizes: list[float] = []
     flip_comp: list[int] = []
     flip_opt: list[int] = []
     flip_pages: list[int] = []
-    for k, size, _ in chosen:
-        comp_e, opt_e = rev.entries_for(server_id, k)
-        for e2 in comp_e:
+    for k, size in zip(table.objects[:c].tolist(), table.sizes[:c].tolist()):
+        lo = int(c_start[k])
+        for e2 in ce[lo : lo + int(c_count[k])].tolist():
             if alloc.comp_local[e2]:
                 j = int(m.comp_pages[e2])
                 alloc.set_comp_local(e2, False)
-                sz = float(m.sizes[k])
-                local_bytes[j] -= sz
-                remote_bytes[j] += sz
-                flip_comp.append(int(e2))
+                local_bytes[j] -= size
+                remote_bytes[j] += size
+                flip_comp.append(e2)
                 flip_pages.append(j)
-        for e2 in opt_e:
+        lo = int(o_start[k])
+        for e2 in oe[lo : lo + int(o_count[k])].tolist():
             if alloc.opt_local[e2]:
                 alloc.set_opt_local(e2, False)
-                flip_opt.append(int(e2))
+                flip_opt.append(e2)
         alloc.replicas[server_id].discard(k)
         freed_sizes.append(size)
     return True, freed_sizes, flip_comp, flip_opt, flip_pages
@@ -302,7 +357,9 @@ def absorb_extra_workload(
     allow_swap:
         Enable the paper's last-resort swap: deallocating stored objects
         whose marks carry less workload than a blocked candidate would
-        add, when that trade is a net workload gain.
+        add, when that trade is a net workload gain.  A recording
+        registry receives ``offload.swap_attempts``, ``offload.swaps``
+        and ``offload.swap_rankings`` (victim tables built).
     kernel:
         ``"batched"`` (default) scores candidates with the vectorised
         engine of :mod:`repro.core.fast_restoration`; ``"scalar"`` keeps
@@ -317,27 +374,42 @@ def absorb_extra_workload(
             "model the repository tier as uncapacitated)"
         )
     if kernel == "batched":
-        # local import keeps the scalar path importable without NumPy
-        # fanciness and avoids a module-level cycle
-        from repro.core.fast_restoration import absorb_extra_workload_batched
-
-        rescore: dict[str, int] = {}
-        absorbed = absorb_extra_workload_batched(
-            alloc,
-            cost,
-            server_id,
-            target,
-            allow_new_replicas=allow_new_replicas,
-            allow_swap=allow_swap,
-            counters=rescore,
+        # local import avoids a module-level cycle
+        from repro.core.fast_restoration import (
+            absorb_extra_workload_batched as absorb,
         )
-        reg = get_registry()
-        if reg.enabled and rescore:
-            reg.count("offload.rescore_batches", rescore.get("batches", 0))
-            reg.count(
-                "offload.rescored_candidates", rescore.get("candidates", 0)
-            )
-        return absorbed
+    else:
+        absorb = _absorb_scalar
+    counters: dict[str, int] = {}
+    absorbed = absorb(
+        alloc,
+        cost,
+        server_id,
+        target,
+        allow_new_replicas=allow_new_replicas,
+        allow_swap=allow_swap,
+        counters=counters,
+    )
+    reg = get_registry()
+    if reg.enabled:
+        if "batches" in counters:
+            reg.count("offload.rescore_batches", counters["batches"])
+            reg.count("offload.rescored_candidates", counters["candidates"])
+        for key in _SWAP_COUNTERS:
+            reg.count(f"offload.{key}", counters.get(key, 0))
+    return absorbed
+
+
+def _absorb_scalar(
+    alloc: Allocation,
+    cost: CostModel,
+    server_id: int,
+    target: float,
+    allow_new_replicas: bool,
+    allow_swap: bool,
+    counters: dict[str, int],
+) -> float:
+    """The reference lazy-heap absorption loop (``kernel="scalar"``)."""
     if target <= _TOL:
         return 0.0
     m = alloc.model
@@ -375,19 +447,21 @@ def absorb_extra_workload(
         heapq.heappush(heap, (score("opt", int(e)), next(counter), ("opt", int(e))))
 
     def try_make_room(need: float, gain: float) -> bool:
-        """Free ``need`` bytes by deallocating stored objects whose marks
-        shed less workload than ``gain`` would add (net positive trade)."""
+        """The L2 swap against a fresh victim ranking (never cached)."""
         nonlocal space
+        _tally(counters, "swap_rankings")
+        _tally(counters, "swap_attempts")
         ok, freed_sizes, _, _, _ = _try_make_room(
-            alloc, server_id, need, gain,
-            local_bytes, remote_bytes, allow_swap,
+            alloc, server_id, _rank_victims(alloc, server_id), need, gain,
+            local_bytes, remote_bytes,
         )
+        if ok:
+            _tally(counters, "swaps")
         for size in freed_sizes:
             space += size
         return ok
 
     absorbed = 0.0
-    deferred: list[tuple[float, int, tuple[str, int]]] = []
     while heap and absorbed < target - _TOL and cpu_slack > _TOL:
         s, _, (kind, e) = heapq.heappop(heap)
         is_local = alloc.comp_local[e] if kind == "comp" else alloc.opt_local[e]
@@ -409,8 +483,9 @@ def absorb_extra_workload(
             if size > space + _TOL:
                 # L2-style swap: make room if the trade gains workload
                 remaining = target - absorbed
-                if not try_make_room(size - space, min(w, remaining)):
-                    deferred.append((s, next(counter), (kind, e)))
+                if not allow_swap or not try_make_room(
+                    size - space, min(w, remaining)
+                ):
                     continue
             space -= size
         if kind == "comp":

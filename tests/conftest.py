@@ -147,3 +147,37 @@ def small_model(small_params: WorkloadParams) -> SystemModel:
 @pytest.fixture(scope="session")
 def small_trace(small_model, small_params):
     return generate_trace(small_model, small_params, seed=1)
+
+
+@pytest.fixture(scope="session")
+def l2_swap_world():
+    """``(model, allocation)`` just before OFF_LOADING, in the shape where
+    L2 servers must swap: the small preset with storage at 0.6 of the
+    unconstrained replica bytes, processing at 0.8 of the all-local
+    load, and ``C(R)`` at 0.9 of the repository load left after
+    restoration.  Copy the allocation before mutating it."""
+    from repro.core.allocation import transplant_allocation
+    from repro.core.constraints import repository_load
+    from repro.core.partition import partition_all
+    from repro.core.policy import RepositoryReplicationPolicy
+    from repro.experiments.scaling import (
+        clone_with_capacities,
+        processing_capacities_for_fraction,
+        storage_capacities_for_fraction,
+    )
+
+    model = generate_workload(
+        WorkloadParams.small().with_(storage_capacity=math.inf), seed=0
+    )
+    storage = storage_capacities_for_fraction(model, partition_all(model), 0.6)
+    processing = processing_capacities_for_fraction(model, 0.8)
+    restored = RepositoryReplicationPolicy().run(
+        clone_with_capacities(model, storage=storage, processing=processing)
+    )
+    constrained = clone_with_capacities(
+        model,
+        storage=storage,
+        processing=processing,
+        repo_capacity=0.9 * repository_load(restored.allocation),
+    )
+    return constrained, transplant_allocation(restored.allocation, constrained)

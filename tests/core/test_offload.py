@@ -22,6 +22,7 @@ from repro.core.offload import (
     plan_offload_round,
 )
 from repro.core.partition import partition_all
+from repro.obs.registry import MetricsRegistry, use_registry
 from tests.conftest import build_micro_model
 
 
@@ -241,3 +242,30 @@ class TestOffloadRepository:
         rep = evaluate_constraints(alloc)
         assert rep.storage_ok
         assert rep.local_ok
+
+
+class TestL2Swap:
+    """OFF_LOADING where L2 servers must swap victims out to absorb."""
+
+    @staticmethod
+    def _negotiate(world, kernel):
+        model, base = world
+        alloc = base.copy()
+        reg = MetricsRegistry()
+        with use_registry(reg):
+            outcome = offload_repository(
+                alloc, CostModel(model), OffloadConfig(), kernel=kernel
+            )
+        return alloc, outcome, reg.counters
+
+    def test_kernels_identical_through_swaps(self, l2_swap_world):
+        a, out_a, counters = self._negotiate(l2_swap_world, "scalar")
+        b, out_b, _ = self._negotiate(l2_swap_world, "batched")
+        assert counters["offload.swaps"] >= 1
+        assert np.array_equal(a.comp_local, b.comp_local)
+        assert np.array_equal(a.opt_local, b.opt_local)
+        assert a.replicas == b.replicas
+        assert out_a == out_b
+        b.check_invariants()
+        report = evaluate_constraints(b)
+        assert report.local_ok and report.storage_ok

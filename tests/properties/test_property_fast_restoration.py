@@ -237,3 +237,27 @@ def test_offload_kernels_identical(model, frac):
         _with_capacities(model, repo=repo),
         lambda a, c, k: offload_repository(a, c, OffloadConfig(), kernel=k),
     )
+
+
+@given(
+    system_models(max_pages=12, max_objects=20),
+    st.floats(0.2, 0.9),
+    st.floats(0.05, 0.95),
+)
+@settings(max_examples=80, deadline=None)
+def test_offload_kernels_identical_through_swaps(model, storage_frac, frac):
+    """OFF_LOADING after storage restoration, where full servers absorb
+    only by swapping — the path the unconstrained arm above never
+    reaches, and the one where the batched kernel reuses its ranked
+    victim table across blocked candidates."""
+    ref = partition_all(model)
+    caps = model.html_bytes_by_server() + storage_frac * ref.stored_bytes_all()
+
+    def phase(alloc, cost, kernel):
+        restore_storage_capacity(alloc, cost, kernel=kernel)
+        repo = max(frac * repository_load(alloc), 1e-6)
+        return offload_repository(
+            alloc, cost, OffloadConfig(), capacity=repo, kernel=kernel
+        )
+
+    _assert_same_decisions(_with_capacities(model, storage=caps), phase)
