@@ -102,6 +102,7 @@ def main(argv: list[str]) -> int:
             "--cov=repro.core.context",
             "--cov=repro.core.shard",
             "--cov=repro.core.shm",
+            "--cov=repro.simulation.lru_sim",
             "--cov=repro.dynamic.incremental",
             "--cov=repro.baselines.closest",
             "--cov=repro.experiments.extension_streams",

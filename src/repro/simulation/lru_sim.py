@@ -17,20 +17,25 @@ Consequences the paper highlights:
 * LRU adapts to the realised request stream rather than to frequency
   estimates, which is its advantage at small cache sizes.
 
-The replay is two-pass: a sequential pass over each server's requests
-resolves every download to hit/miss (pure dict work), then the shared
-vectorised measurement core (:func:`repro.simulation.engine.
-simulate_partition_masks`) prices the resulting local/remote split.
+The replay is two-pass.  The first pass resolves every download to
+hit/miss one server at a time: NumPy lays the server's accesses out in
+trace order (each request's compulsory objects, then its optional
+downloads), and the cache's :meth:`~LruCache.replay` walks that stream
+in one inlined loop over Python lists.  The second pass hands the
+resulting local/remote split to the shared vectorised measurement core
+(:func:`repro.simulation.engine.simulate_partition_masks`) for pricing.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import OrderedDict
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
+from repro.obs.registry import get_registry
 from repro.simulation.engine import expand_ragged, simulate_partition_masks
 from repro.simulation.metrics import SimulationResult
 from repro.simulation.perturbation import PAPER_PERTURBATION, PerturbationModel
@@ -43,14 +48,15 @@ __all__ = ["LruCache", "GreedyDualSizeCache", "LruStats", "simulate_lru"]
 class LruCache:
     """A byte-budgeted LRU cache of multimedia objects.
 
-    ``access`` is the single entry point: it reports whether the object
-    was a hit, refreshes its recency (on hit) or inserts it (on miss),
-    and evicts least-recently-used objects until the budget holds.
-    Objects larger than the whole budget are never cached.
+    :meth:`replay` is the engine: it walks a stream of accesses, reports
+    which were hits, refreshes recency (on hit) or inserts (on miss), and
+    evicts least-recently-used objects until the budget holds.  Objects
+    larger than the whole budget are never cached.  :meth:`access` is a
+    one-element replay.
     """
 
     def __init__(self, capacity_bytes: float):
-        if capacity_bytes < 0:
+        if not capacity_bytes >= 0:
             raise ValueError(f"capacity must be >= 0, got {capacity_bytes}")
         self.capacity = float(capacity_bytes)
         self._entries: OrderedDict[int, float] = OrderedDict()
@@ -68,39 +74,62 @@ class LruCache:
     def access(self, object_id: int, size: float, cost: float | None = None) -> bool:
         """Record an access; return ``True`` on hit.
 
-        A hit with a *different* size (an updated object) adjusts the
-        accounted bytes and may trigger evictions.  ``cost`` is accepted
-        for interface parity with the cost-aware caches and ignored.
+        ``cost`` is accepted for interface parity with the cost-aware
+        caches and ignored.
         """
-        if object_id in self._entries:
-            old = self._entries[object_id]
-            self._entries.move_to_end(object_id)
-            self.hits += 1
-            if size != old:
-                self._entries[object_id] = size
-                self.used += size - old
-                self._evict_to_fit(keep=object_id)
-            return True
-        self.misses += 1
-        if size <= self.capacity:
-            self._entries[object_id] = size
-            self.used += size
-            self._evict_to_fit()
-        return False
+        return bool(self.replay((object_id,), (size,))[0])
 
-    def _evict_to_fit(self, keep: int | None = None) -> None:
-        while self.used > self.capacity and self._entries:
-            key = next(iter(self._entries))
-            if key == keep:
-                if len(self._entries) == 1:
-                    # the refreshed object alone exceeds the budget
-                    self.used -= self._entries.pop(key)
-                    self.evictions += 1
-                    return
-                self._entries.move_to_end(key)
+    def replay(
+        self,
+        objects: Sequence[int],
+        sizes: Sequence[float],
+        costs: Sequence[float] | None = None,
+    ) -> bytearray:
+        """Access ``objects[t]`` with size ``sizes[t]`` for each ``t`` in
+        order; return the hit flags (1 = hit) as a ``bytearray``.
+
+        A hit with a *different* size (an updated object) re-accounts its
+        bytes and evicts least-recently-used objects; the refreshed object
+        goes only if it alone exceeds the budget.  ``costs`` is ignored
+        (see :meth:`access`).  The loop is inlined over the cache's bound
+        methods with the byte count in a local, and hits are counted from
+        the flags once at the end; state carries over between calls.
+        """
+        entries = self._entries
+        get = entries.get
+        move_to_end = entries.move_to_end
+        popitem = entries.popitem
+        capacity = self.capacity
+        used = self.used
+        evictions = 0
+        flags = bytearray(len(objects))
+        t = -1
+        for k, size in zip(objects, sizes):
+            t += 1
+            old = get(k)
+            if old is not None:
+                move_to_end(k)
+                flags[t] = 1
+                if size == old:
+                    continue
+                # k is now the most recent entry, so the evictions below
+                # reach it only once it alone exceeds the budget
+                entries[k] = size
+                used += size - old
+            elif size <= capacity:
+                entries[k] = size
+                used += size
+            else:
                 continue
-            self.used -= self._entries.pop(key)
-            self.evictions += 1
+            while used > capacity and entries:
+                used -= popitem(last=False)[1]
+                evictions += 1
+        hits = flags.count(1)
+        self.used = used
+        self.hits += hits
+        self.misses += len(flags) - hits
+        self.evictions += evictions
+        return flags
 
     @property
     def hit_rate(self) -> float:
@@ -123,12 +152,13 @@ class GreedyDualSizeCache:
     size the credit becomes uniform and GDS provably degenerates to LRU
     (with the standard recency tie-break), a property the tests pin.
 
-    The class mirrors :class:`LruCache`'s ``access`` interface so
-    :func:`simulate_lru` accepts either via its ``cache_factory`` hook.
+    The class mirrors :class:`LruCache`'s ``access`` and ``replay``
+    interface so :func:`simulate_lru` accepts either via its
+    ``cache_factory`` hook.
     """
 
     def __init__(self, capacity_bytes: float):
-        if capacity_bytes < 0:
+        if not capacity_bytes >= 0:
             raise ValueError(f"capacity must be >= 0, got {capacity_bytes}")
         self.capacity = float(capacity_bytes)
         self._credit: dict[int, float] = {}
@@ -216,6 +246,23 @@ class GreedyDualSizeCache:
                 self.evictions += 1
         return False
 
+    def replay(
+        self,
+        objects: Sequence[int],
+        sizes: Sequence[float],
+        costs: Sequence[float] | None = None,
+    ) -> bytearray:
+        """:meth:`access` each ``(objects[t], sizes[t], costs[t])`` in
+        order; return the hit flags (1 = hit) as a ``bytearray``."""
+        if costs is not None:
+            costs = np.asarray(costs, dtype=float).tolist()
+        access = self.access
+        flags = bytearray(len(objects))
+        for t, (k, size) in enumerate(zip(objects, sizes)):
+            if access(k, size, None if costs is None else costs[t]):
+                flags[t] = 1
+        return flags
+
     @property
     def hit_rate(self) -> float:
         """Fraction of accesses that hit."""
@@ -274,7 +321,14 @@ def simulate_lru(
     cache_factory:
         Cache class constructed per server with one positional byte
         budget — :class:`LruCache` (default, the paper's baseline) or
-        :class:`GreedyDualSizeCache`.
+        :class:`GreedyDualSizeCache`.  Instances must provide
+        ``replay(objects, sizes, costs) -> bytearray``: access the
+        objects in order and return one hit flag per access.  ``objects``
+        and ``sizes`` arrive as Python lists; ``costs`` is a float array
+        of each download's miss penalty ``Ovhd(R,S_i) + Size/B(R,S_i)``,
+        left unconverted so a cost-blind cache pays nothing for it.
+        Instances also expose ``hits``, ``misses``, ``evictions`` and
+        ``used``.
 
     Returns
     -------
@@ -285,6 +339,12 @@ def simulate_lru(
     budgets = np.broadcast_to(
         np.asarray(cache_bytes, dtype=float), (m.n_servers,)
     )
+    bad = np.flatnonzero(~(budgets >= 0))
+    if len(bad):
+        i = int(bad[0])
+        raise ValueError(
+            f"cache_bytes for server {i} must be >= 0, got {budgets[i]}"
+        )
     if not 0.0 <= local_service_prob <= 1.0:
         raise ValueError(
             f"local_service_prob must be in [0, 1], got {local_service_prob}"
@@ -292,50 +352,50 @@ def simulate_lru(
 
     caches = [cache_factory(budgets[i]) for i in range(m.n_servers)]
 
-    owner, entries = expand_ragged(trace.page_of_request, m.comp_indptr)
+    owner, entries = trace.comp_expansion(m.comp_indptr)
     pair_local = np.zeros(len(entries), dtype=bool)
     opt_local = np.zeros(trace.n_optional_downloads, dtype=bool)
 
-    # group the trace's optional downloads by owning request for ordering
-    opt_by_owner: dict[int, list[int]] = {}
-    for idx, r in enumerate(trace.opt_owner):
-        opt_by_owner.setdefault(int(r), []).append(idx)
-
-    # pair ranges per request (entries are laid out in request order)
-    counts = m.comp_indptr[trace.page_of_request + 1] - m.comp_indptr[
-        trace.page_of_request
-    ]
+    # pair ranges per request (pairs are laid out in request order)
+    counts = np.diff(m.comp_indptr)[trace.page_of_request]
     pair_starts = np.concatenate(([0], np.cumsum(counts)))
+    # optional downloads grouped by server, then by owning request; the
+    # stable sort keeps one request's downloads in trace order
+    opt_server = trace.server_of_request[trace.opt_owner]
+    opt_order = np.lexsort((trace.opt_owner, opt_server))
+    opt_bounds = np.searchsorted(
+        opt_server[opt_order], np.arange(m.n_servers + 1)
+    )
 
-    sizes = m.sizes
-    comp_objects = m.comp_objects
-    opt_objects = m.opt_objects
-
-    for i in range(m.n_servers):
-        cache = caches[i]
-        repo_ovhd = float(m.server_repo_overhead[i])
-        repo_spb = 1.0 / float(m.server_repo_rate[i])
-        for r in trace.requests_for_server(i):
-            r = int(r)
-            lo, hi = int(pair_starts[r]), int(pair_starts[r + 1])
-            for p in range(lo, hi):
-                k = int(comp_objects[entries[p]])
-                size_k = float(sizes[k])
-                hit = cache.access(k, size_k, cost=repo_ovhd + size_k * repo_spb)
-                if hit and (
-                    local_service_prob >= 1.0
-                    or rng.random() < local_service_prob
-                ):
-                    pair_local[p] = True
-            for d in opt_by_owner.get(r, ()):
-                k = int(opt_objects[trace.opt_entries[d]])
-                size_k = float(sizes[k])
-                hit = cache.access(k, size_k, cost=repo_ovhd + size_k * repo_spb)
-                if hit and (
-                    local_service_prob >= 1.0
-                    or rng.random() < local_service_prob
-                ):
-                    opt_local[d] = True
+    reg = get_registry()
+    with reg.span("simulate-lru"):
+        for i, cache in enumerate(caches):
+            # server i's accesses in trace order: each request's
+            # compulsory pairs, then its optional downloads
+            _, pairs = expand_ragged(trace.requests_for_server(i), pair_starts)
+            opts = opt_order[opt_bounds[i] : opt_bounds[i + 1]]
+            opt_owner = trace.opt_owner[opts]
+            at = np.searchsorted(owner[pairs], opt_owner, side="right")
+            objects = np.insert(
+                m.comp_objects[entries[pairs]],
+                at,
+                m.opt_objects[trace.opt_entries[opts]],
+            )
+            opt_at = at + np.arange(len(opts))
+            size = m.sizes[objects]
+            cost = float(m.server_repo_overhead[i]) + size * (
+                1.0 / float(m.server_repo_rate[i])
+            )
+            hit = np.frombuffer(
+                cache.replay(objects.tolist(), size.tolist(), cost), dtype=bool
+            )
+            if local_service_prob < 1.0:
+                # an overloaded server serves each hit locally only with
+                # this probability: one draw per hit in access order
+                served = np.flatnonzero(hit)
+                hit[served] = rng.random(len(served)) < local_service_prob
+            pair_local[pairs] = np.delete(hit, opt_at)
+            opt_local[opts] = hit[opt_at]
 
     result = simulate_partition_masks(
         trace,
@@ -351,4 +411,8 @@ def simulate_lru(
         evictions=sum(c.evictions for c in caches),
         final_bytes_by_server=np.array([c.used for c in caches]),
     )
+    if reg.enabled:
+        reg.count("simulation.lru_accesses", stats.hits + stats.misses)
+        reg.count("simulation.lru_hits", stats.hits)
+        reg.count("simulation.lru_evictions", stats.evictions)
     return result, stats

@@ -57,6 +57,31 @@ class TestGreedyDualSizeCache:
         with pytest.raises(ValueError):
             GreedyDualSizeCache(-1)
 
+    def test_nan_capacity_rejected(self):
+        with pytest.raises(ValueError, match="capacity"):
+            GreedyDualSizeCache(float("nan"))
+
+    def test_replay_matches_accesses(self):
+        rng = np.random.default_rng(1)
+        objects = rng.integers(0, 30, 400).tolist()
+        sizes = rng.integers(1, 40, 400).astype(float).tolist()
+        costs = (2.0 + 0.5 * np.array(sizes)).tolist()
+        one = GreedyDualSizeCache(150)
+        expected = bytearray(
+            one.access(k, s, cost=c) for k, s, c in zip(objects, sizes, costs)
+        )
+        other = GreedyDualSizeCache(150)
+        flags = other.replay(objects[:123], sizes[:123], np.array(costs[:123]))
+        flags += other.replay(objects[123:], sizes[123:], costs[123:])
+        assert flags == expected
+        assert (other.hits, other.misses, other.evictions, other.used) == (
+            one.hits,
+            one.misses,
+            one.evictions,
+            one.used,
+        )
+        assert other._credit == one._credit
+
     def test_hit_rate(self):
         c = GreedyDualSizeCache(100)
         c.access(1, 10)

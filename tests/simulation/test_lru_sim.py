@@ -49,6 +49,10 @@ class TestLruCache:
         with pytest.raises(ValueError):
             LruCache(-1)
 
+    def test_nan_capacity_rejected(self):
+        with pytest.raises(ValueError, match="capacity"):
+            LruCache(float("nan"))
+
     def test_hit_rate(self):
         c = LruCache(100)
         c.access(1, 10)
@@ -133,6 +137,20 @@ class TestSimulateLru:
         trace = generate_trace(small_model, small_params, seed=2)
         with pytest.raises(ValueError, match="local_service_prob"):
             simulate_lru(trace, cache_bytes=1.0, local_service_prob=1.5)
+
+    @pytest.mark.parametrize("bad", [float("nan"), -1.0])
+    def test_bad_budget_rejected_naming_server(
+        self, small_model, small_params, bad
+    ):
+        trace = generate_trace(
+            small_model, small_params, seed=2, requests_per_server=10
+        )
+        budgets = np.full(small_model.n_servers, 1e7)
+        budgets[2] = bad
+        with pytest.raises(ValueError, match="server 2"):
+            simulate_lru(trace, cache_bytes=budgets)
+        with pytest.raises(ValueError, match="server 0"):
+            simulate_lru(trace, cache_bytes=bad)
 
     def test_extra_redirect_overhead_hurts(self, small_model, small_params):
         trace = generate_trace(small_model, small_params, seed=2)
