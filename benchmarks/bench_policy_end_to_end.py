@@ -35,6 +35,12 @@ delta-protocol bytes next to the full-state-protocol baseline — and
 asserts the **≥10× reduction** the worker-resident delta rounds are
 for (paper scale; recorded, not gated, at smaller scales).
 
+Every record also carries a per-layer ledger from one more (untimed)
+shared run under a recording registry: each phase's span seconds, the
+greedy actions taken (evictions, switches, absorptions), the candidates
+each restoration loop rescored, microseconds per action, and
+``os.cpu_count()`` of the machine that produced it.
+
 Capacities are set to the fractions (storage 0.6, processing 0.6,
 repository 0.7 of the unconstrained footprint) that force all four
 phases to run — an unconstrained model is partition-only and would not
@@ -49,6 +55,7 @@ import time
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core.context import rebuild_contexts
 from repro.core.partition import partition_all
 from repro.core.policy import RepositoryReplicationPolicy
@@ -98,6 +105,55 @@ REBUILD_REPEATS = 1 if SCALE == "paper" else REPEATS
 
 def _median(times: list[float]) -> float:
     return float(np.median(times))
+
+
+#: Policy phase span -> ledger key prefix.
+_PHASES = {
+    "partition": "partition",
+    "storage-restoration": "storage",
+    "processing-restoration": "processing",
+    "off-loading": "offload",
+}
+
+#: Ledger action counts: key -> registry counter.
+_ACTIONS = {
+    "storage_evictions": "restoration.storage.evictions",
+    "processing_switches": "restoration.processing.switches",
+    "offload_absorptions": "offload.absorptions",
+}
+
+
+def _phase_ledger(policy, model) -> dict:
+    """Where one (untimed) shared run spends its time, layer by layer.
+
+    A recording registry supplies each policy phase's span seconds, the
+    greedy actions taken (evictions, switches, absorptions), the
+    candidates each restoration phase rescored, and microseconds per
+    action.  Keys end in ``_s``/``_us``/counts, never ``_seconds``, so
+    the trajectory headline keeps them.
+    """
+    registry = obs.MetricsRegistry()
+    with obs.use_registry(registry):
+        policy.run(model)
+    spans = registry.phase_seconds()
+    counters = registry.counters
+    out: dict = {"policy_s": spans.get("policy", 0.0)}
+    for span, key in _PHASES.items():
+        out[f"{key}_s"] = spans.get(f"policy/{span}", 0.0)
+    for key, counter in _ACTIONS.items():
+        n = int(counters.get(counter, 0))
+        out[key] = n
+        phase = key.split("_")[0]
+        out[f"{phase}_us_per_action"] = 1e6 * out[f"{phase}_s"] / n if n else 0.0
+    for phase, prefix in (
+        ("storage", "restoration.storage"),
+        ("processing", "restoration.processing"),
+        ("offload", "offload"),
+    ):
+        out[f"{phase}_rescored"] = int(
+            counters.get(f"{prefix}.rescored_candidates", 0)
+        )
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -154,6 +210,7 @@ def e2e_results(bench_config, save_timings):
 
     shared = timed(REPEATS, rebuild=False)
     rebuild = timed(REBUILD_REPEATS, rebuild=True)
+    ledger = _phase_ledger(policy, fresh())
 
     # --- sharded arm: same run, per-server shards on a process pool ---
     shards = min(SHARD_COUNT, model.n_servers)
@@ -204,6 +261,8 @@ def e2e_results(bench_config, save_timings):
     results = {
         "seed": SEED,
         "scale": SCALE,
+        "cpu_count": os.cpu_count(),
+        **ledger,
         "repeats": REPEATS,
         "rebuild_repeats": REBUILD_REPEATS,
         "fractions": {

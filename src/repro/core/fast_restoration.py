@@ -1,38 +1,28 @@
 """Batched greedy-restoration engines (the ``kernel="batched"`` path).
 
-The Section 4.2 greedy loops (storage restoration, processing
-restoration, and OFF_LOADING's server-side absorption) are specified in
-:mod:`repro.core.restoration` / :mod:`repro.core.offload` as scalar
-reference implementations built on a lazily-revalidated ``heapq``: every
-candidate action is pushed with its score, and each pop recomputes the
-candidate's score against current state — stale entries are reinserted,
-fresh ones accepted.  At paper scale one restoration run performs ~10^6
-heap operations and ~10^6 scalar Eq. 3-5 evaluations.
+The Section 4.2 greedy loops — storage restoration, processing
+restoration and OFF_LOADING's server-side absorption — each take, step
+after step, the candidate action whose fresh score (objective damage per
+unit) is lowest, ties going to the lowest candidate key.
+:mod:`repro.core.restoration` and :mod:`repro.core.offload` hold the
+scalar references of that rule; this module runs the same loops on flat
+NumPy arrays and makes the **same decisions bit for bit** — every
+eviction, switch and absorption happens for the same candidate with the
+same score.
 
-This module re-implements those loops on flat NumPy arrays while
-producing **bit-identical decision sequences** — every eviction, switch
-and absorption happens for the same candidate with the same score and
-the same tie-break as the scalar path.  Two ideas make that possible:
+Two pieces make a step cheap:
 
-1. **Dirty-slice rescoring.**  Fresh scores live in a dense ``f`` array
-   indexed by candidate key.  An action only perturbs the scores of
-   candidates touching the mutated pages, so the engines track a dirty
-   set and recompute exactly that slice in bulk (one fused Eq. 3-5
-   pipeline + one ``np.bincount`` segment sum whose in-order
-   accumulation replays the scalar per-candidate ``+=`` fold
-   term-for-term).
+1. **Dirty-set rescoring.**  An action only moves the byte totals of the
+   pages it touches, so only candidates with a term on those pages score
+   differently afterwards.  Each step collects that dirty set, dedupes it
+   with ``np.unique`` and rescores it in one fused Eq. 3-5 pipeline plus
+   one ``np.bincount`` segment sum whose in-order accumulation replays
+   the scalar per-candidate ``+=`` fold term for term.
 
-2. **A closed form for one lazy pop** (:class:`VectorLazyHeap`).
-   Between two state changes the fresh scores are fixed, so one whole
-   ``pop_valid`` call — including every dead pop, stale reinsert and
-   revalidation along the way — collapses to ``W = min(A, B)`` where
-   ``A`` is the first entry in ``(score, counter)`` order that is alive
-   and revalidates (``f[k] <= stored + tol``), and ``B`` is the
-   minimum-``f`` stale-but-alive entry before ``A`` (first occurrence
-   on ties; it wins only if strictly below ``A``'s stored score because
-   its reinsert counter is newer).  Entries before the winner are
-   consumed: dead ones dropped, stale ones reinserted with fresh scores
-   in scan order — exactly what the scalar loop does one pop at a time.
+2. **An argmin picker** (:class:`ArgminPicker`).  A score vector aligned
+   with the server's candidates in ascending key order, dead candidates
+   at ``+inf``: ``np.argmin`` returns the first minimum, which is the
+   lowest key among the best scores.
 
 See DESIGN.md Appendix D for the full argument.
 """
@@ -51,7 +41,7 @@ from repro.core.fast_partition import (
 from repro.core.partition import partition_page, partition_page_streams
 
 __all__ = [
-    "VectorLazyHeap",
+    "ArgminPicker",
     "restore_storage_batched",
     "restore_processing_batched",
     "absorb_extra_workload_batched",
@@ -60,359 +50,61 @@ __all__ = [
 #: kept in lockstep with ``restoration._TOL`` / ``offload._TOL``
 _TOL = 1e-9
 
-_REFILL = object()  # internal sentinel: scan exhausted the active array
 
+class ArgminPicker:
+    """Exact argmin over one server's candidates, ties to the lowest key.
 
-class VectorLazyHeap:
-    """Array-backed priority queue replicating ``_LazyHeap`` semantics.
-
-    Entries are ``(score, counter, key)`` with a monotonically increasing
-    counter as the tie-break, exactly like the scalar heap.  The entries
-    are split into a small sorted *active* prefix (everything with score
-    ``<= tau``) scanned vectorised, and a *reserve* holding the tail
-    (score ``> tau``).  The reserve is log-structured: pushes land in a
-    small unsorted buffer, full buffers become sorted runs, and runs of
-    similar size are merged so at most ``O(log n)`` exist — refilling the
-    active array then peels only the run *fronts* (the globally smallest
-    entries are always within the first ``target`` of each run), keeping
-    every reserve operation amortised instead of rescanning the whole
-    tail.
-
-    ``purge_dead``, when given, is a live reference to the engine's
-    by-key aliveness mask under the contract that **death is permanent**
-    (storage evictions and processing switches never resurrect a key).
-    Dead entries can never be accepted and are invisible to every
-    decision the scalar heap makes, so the reserve drops them whenever a
-    merge or refill touches them anyway — the multiset of *live*
-    entries, and hence the pop sequence, is untouched.  OFF_LOADING
-    reanimates keys — its L2 swap deallocates victim objects and turns
-    their local marks remote again (``offload._try_make_room``) — and
-    therefore must not pass it.
-
-    ``pop_round`` performs one full ``pop_valid`` equivalent: given the
-    current fresh-score array ``f`` and aliveness mask, it returns the
-    same ``(fresh_score, key)`` the scalar loop would return, consumes
-    the same entries, and performs the same stale reinserts with the
-    same counter ordering (see the module docstring for the
-    ``W = min(A, B)`` argument).  The optional ``dirty``/``rescore``
-    hooks refresh stale slices of ``f`` lazily, chunk by chunk, as the
-    scan reaches them — candidates the scan never touches are never
-    rescored, exactly like the scalar heap's revalidate-on-pop.
+    ``keys`` lists the candidates in ascending order; every one starts
+    alive at score ``+inf`` until :meth:`set` scores it.  A dead
+    candidate is pinned at ``+inf``, so one ``np.argmin`` over the
+    persistent score vector is one selection — no per-step gather.
+    Keys outside the candidate list map to a trailing sentinel slot that
+    is never alive and never selected.
     """
 
-    def __init__(
-        self, active_target: int = 1024, purge_dead: np.ndarray | None = None
-    ):
-        self._s = np.empty(0, dtype=np.float64)
-        self._c = np.empty(0, dtype=np.int64)
-        self._k = np.empty(0, dtype=np.int64)
-        self._h = 0  # consumed prefix of the active arrays
-        self._tau = np.inf  # active/reserve score boundary
-        self._buf: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        self._buf_n = 0  # entries sitting in the unsorted buffer
-        self._runs: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        self._count = 0  # next push counter (scalar ``itertools.count``)
-        self._n = 0  # unconsumed entries
-        self._target = int(active_target)
-        self._spill_at = 4 * self._target
-        self._buf_max = 32 * self._target
-        self._purge = purge_dead
+    def __init__(self, keys: np.ndarray, n_keys: int):
+        n = len(keys)
+        self.keys = keys
+        self.pos = np.full(n_keys, n, dtype=np.intp)
+        self.pos[keys] = np.arange(n)
+        self._score = np.full(n + 1, np.inf)
+        self.alive = np.zeros(n + 1, dtype=bool)
+        self.alive[:n] = True
+        self._view = self._score[:n]
 
-    def __len__(self) -> int:
-        return self._n
+    def live(self, keys: np.ndarray) -> np.ndarray:
+        """The members of ``keys`` that are live candidates."""
+        return keys[self.alive[self.pos[keys]]]
 
-    # ------------------------------------------------------------------
-    # insertion
-    # ------------------------------------------------------------------
-    def push_batch(self, scores: np.ndarray, keys: np.ndarray) -> None:
-        """Push entries in order; counters are assigned in input order."""
-        scores = np.asarray(scores, dtype=np.float64)
-        keys = np.asarray(keys, dtype=np.int64)
-        self._push_raw(scores, keys, skip=-1)
+    def set(self, keys: np.ndarray, scores: np.ndarray) -> None:
+        """Install fresh scores for live candidates ``keys``."""
+        self._score[self.pos[keys]] = scores
 
-    def _push_raw(self, scores: np.ndarray, keys: np.ndarray, skip: int) -> None:
-        """Insert a batch; ``skip >= 0`` consumes that row's counter but
-        drops the entry (an accepted winner leaves the heap, yet its
-        reinsert slot still advanced the scalar counter)."""
-        n = len(scores)
-        if n == 0:
-            return
-        counters = np.arange(self._count, self._count + n, dtype=np.int64)
-        self._count += n
-        if skip >= 0:
-            keep = np.ones(n, dtype=bool)
-            keep[skip] = False
-            scores = scores[keep]
-            counters = counters[keep]
-            keys = keys[keep]
-            n -= 1
-            if n == 0:
-                return
-        # stable sort by score: equal scores keep input (= counter) order,
-        # so the batch itself ends up in (score, counter) order
-        order = np.argsort(scores, kind="stable")
-        scores = scores[order]
-        counters = counters[order]
-        keys = keys[order]
-        self._n += n
-        if np.isinf(self._tau):
-            lo = n
-        else:
-            lo = int(np.searchsorted(scores, self._tau, side="right"))
-        if lo < n:
-            self._buf.append((scores[lo:], counters[lo:], keys[lo:]))
-            self._buf_n += n - lo
-            if self._buf_n >= self._buf_max:
-                self._flush_buf()
-        if lo > 0:
-            self._merge_active(scores[:lo], counters[:lo], keys[:lo])
-            self._maybe_spill()
+    def kill(self, pos) -> None:
+        """Retire the candidates at positions ``pos`` (int or array)."""
+        self.alive[pos] = False
+        self._score[pos] = np.inf
 
-    def _drop_dead(self, s, c, k):
-        """Filter a reserve slice through the permanent-death mask."""
-        keep = self._purge[k]
-        if not keep.all():
-            self._n -= len(k) - int(np.count_nonzero(keep))
-            return s[keep], c[keep], k[keep]
-        return s, c, k
+    def revive(self, pos: np.ndarray) -> None:
+        """Re-admit the candidates at positions ``pos``; the caller
+        rescores them."""
+        self.alive[pos] = True
 
-    def _flush_buf(self) -> None:
-        """Sort the push buffer into one reserve run (amortised)."""
-        if not self._buf:
-            return
-        if len(self._buf) == 1:
-            bs, bc, bk = self._buf[0]
-        else:
-            bs = np.concatenate([t[0] for t in self._buf])
-            bc = np.concatenate([t[1] for t in self._buf])
-            bk = np.concatenate([t[2] for t in self._buf])
-        self._buf = []
-        self._buf_n = 0
-        if self._purge is not None:
-            bs, bc, bk = self._drop_dead(bs, bc, bk)
-            if not len(bk):
-                return
-        # the concatenated buffer is counter-ordered between batches and
-        # (score, counter)-ordered within each, so a stable sort on score
-        # alone yields exact (score, counter) order — no lexsort needed
-        order = np.argsort(bs, kind="stable")
-        self._runs.append((bs[order], bc[order], bk[order]))
-        self._balance_runs()
-
-    def _balance_runs(self) -> None:
-        """Merge similar-sized runs so at most O(log n) exist.  Each
-        entry takes part in O(log n) merges over its reserve lifetime."""
-        runs = self._runs
-        while len(runs) >= 2 and len(runs[-2][0]) <= 2 * len(runs[-1][0]):
-            s2, c2, k2 = runs.pop()
-            s1, c1, k1 = runs.pop()
-            s = np.concatenate((s1, s2))
-            c = np.concatenate((c1, c2))
-            k = np.concatenate((k1, k2))
-            if self._purge is not None:
-                s, c, k = self._drop_dead(s, c, k)
-            # timsort gallops through the two pre-sorted halves in ~O(n);
-            # ties keep concat order, which is only wrong if a tie block
-            # mixes the halves with inverted counters — detect exactly
-            # that and fall back to the full (score, counter) lexsort
-            order = np.argsort(s, kind="stable")
-            ms, mc = s[order], c[order]
-            if np.any((ms[1:] == ms[:-1]) & (mc[1:] < mc[:-1])):
-                order = np.lexsort((c, s))
-                ms, mc = s[order], c[order]
-            runs.append((ms, mc, k[order]))
-
-    def _merge_active(self, bs, bc, bk) -> None:
-        h = self._h
-        rs, rc, rk = self._s[h:], self._c[h:], self._k[h:]
-        # new entries have strictly larger counters than every existing
-        # one, so on score ties they sort after: side="right"
-        pos = np.searchsorted(rs, bs, side="right")
-        tgt = pos + np.arange(len(bs))
-        total = len(rs) + len(bs)
-        out_s = np.empty(total, dtype=np.float64)
-        out_c = np.empty(total, dtype=np.int64)
-        out_k = np.empty(total, dtype=np.int64)
-        mask = np.ones(total, dtype=bool)
-        mask[tgt] = False
-        out_s[tgt] = bs
-        out_c[tgt] = bc
-        out_k[tgt] = bk
-        out_s[mask] = rs
-        out_c[mask] = rc
-        out_k[mask] = rk
-        self._s, self._c, self._k = out_s, out_c, out_k
-        self._h = 0
-
-    def _maybe_spill(self) -> None:
-        """Move the active tail to a reserve chunk when it outgrows the
-        merge-friendly size (keeps per-push merge cost bounded)."""
-        h = self._h
-        if len(self._s) - h <= self._spill_at:
-            return
-        v = float(self._s[h + self._target - 1])
-        cut = h + int(np.searchsorted(self._s[h:], v, side="right"))
-        if cut >= len(self._s):
-            return
-        # the active tail is already (score, counter)-sorted: a run as-is
-        self._runs.append(
-            (self._s[cut:].copy(), self._c[cut:].copy(), self._k[cut:].copy())
-        )
-        self._balance_runs()
-        self._s = self._s[h:cut].copy()
-        self._c = self._c[h:cut].copy()
-        self._k = self._k[h:cut].copy()
-        self._h = 0
-        self._tau = v  # reserve invariant: every reserve entry is > tau
-
-    def _has_reserve(self) -> bool:
-        return bool(self._buf_n or self._runs)
-
-    def _refill(self) -> None:
-        """Pull the globally smallest reserve entries into the active
-        array.  Every run is sorted, so the ``target`` smallest reserve
-        entries all sit within the first ``target`` of each run: one
-        ``np.partition`` over those fronts finds the pivot and each run
-        hands over its ``<= pivot`` prefix (ties included), preserving
-        the tau invariant exactly without touching the runs' tails."""
-        T = self._target
-        self._flush_buf()
-        runs = self._runs
-        if not runs:
-            self._tau = np.inf  # reserve empty: future pushes go active
-            return
-        if len(runs) == 1:
-            cat = runs[0][0][:T]
-        else:
-            cat = np.concatenate([r[0][:T] for r in runs])
-        if len(cat) > T:
-            v = float(np.partition(cat, T - 1)[T - 1])
-        else:
-            v = np.inf
-        parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        rest: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        for s, c, k in runs:
-            cnt = (
-                len(s)
-                if np.isinf(v)
-                else int(np.searchsorted(s, v, side="right"))
-            )
-            if cnt:
-                parts.append((s[:cnt], c[:cnt], k[:cnt]))
-            if cnt < len(s):
-                rest.append((s[cnt:], c[cnt:], k[cnt:]))
-        self._runs = rest
-        if len(parts) == 1:
-            ts, tc, tk = parts[0]
-        else:
-            ts = np.concatenate([p[0] for p in parts])
-            tc = np.concatenate([p[1] for p in parts])
-            tk = np.concatenate([p[2] for p in parts])
-        if self._purge is not None:
-            ts, tc, tk = self._drop_dead(ts, tc, tk)
-        order = np.argsort(ts, kind="stable")
-        ms, mc = ts[order], tc[order]
-        if np.any((ms[1:] == ms[:-1]) & (mc[1:] < mc[:-1])):
-            order = np.lexsort((tc, ts))
-        # every taken entry is > old tau, so appending keeps (s, c) order
-        self._s = np.concatenate((self._s[self._h :], ts[order]))
-        self._c = np.concatenate((self._c[self._h :], tc[order]))
-        self._k = np.concatenate((self._k[self._h :], tk[order]))
-        self._h = 0
-        self._tau = v
-
-    # ------------------------------------------------------------------
-    # extraction
-    # ------------------------------------------------------------------
-    def pop_round(
-        self,
-        f: np.ndarray,
-        alive: np.ndarray,
-        tol: float = _TOL,
-        dirty: np.ndarray | None = None,
-        rescore=None,
-    ) -> tuple[float, int] | None:
-        """One scalar ``pop_valid`` equivalent against fresh scores ``f``
-        and aliveness mask ``alive`` (both indexed by key).
-
-        ``dirty``/``rescore``: optional lazy-refresh hooks.  ``dirty`` is
-        a by-key staleness mask; as the scan reaches a chunk, the fresh
-        scores of its dirty alive keys are recomputed in one
-        ``rescore(keys)`` call and the flags cleared — the batched
-        mirror of the scalar heap recomputing a candidate's score the
-        moment it pops."""
-        while True:
-            out = self._scan(f, alive, tol, dirty, rescore)
-            if out is not _REFILL:
-                return out
-            self._refill()
-
-    def _scan(self, f, alive, tol, dirty, rescore):
-        s, k, h = self._s, self._k, self._h
-        n = len(s)
-        # A = first alive entry whose fresh score revalidates
-        a_idx = -1
-        pos = h
-        chunk = 128
-        while pos < n:
-            end = min(n, pos + chunk)
-            kk = k[pos:end]
-            ok = alive[kk]
-            if ok.any():
-                if dirty is not None:
-                    dm = dirty[kk] & ok
-                    if dm.any():
-                        sel = kk[dm]
-                        f[sel] = rescore(sel)
-                        dirty[sel] = False
-                acc = ok & (f[kk] <= s[pos:end] + tol)
-                nz = acc.nonzero()[0]
-                if len(nz):
-                    a_idx = pos + int(nz[0])
-                    break
-            pos = end
-            chunk = min(chunk * 4, 1 << 16)
-        if a_idx < 0 and self._has_reserve():
-            return _REFILL  # the scalar scan would keep popping
-        hi = a_idx if a_idx >= 0 else n
-        ks = k[h:hi]
-        al = alive[ks]
-        st = al.nonzero()[0]  # stale-but-alive prefix entries
-        fB = None
-        if len(st):
-            fs = f[ks[st]]
-            b = int(np.argmin(fs))  # first occurrence wins ties
-            fB = float(fs[b])
-        if a_idx >= 0 and (fB is None or not (fB < float(s[a_idx]))):
-            # A wins (a reinserted B at fB == s_A has a newer counter and
-            # would pop after A — strict inequality is the exact boundary)
-            kA = int(k[a_idx])
-            out = (float(f[kA]), kA)
-            self._n -= a_idx + 1 - h
-            self._h = a_idx + 1
-            if len(st):
-                # prefix stale entries were reinserted before A popped
-                self._push_raw(fs, ks[st].astype(np.int64), skip=-1)
-            return out
-        if fB is not None:
-            # B wins: the scalar loop pops every entry with score <= fB
-            # (their counters predate B's reinsert), reinserting the
-            # stale ones, then accepts B's reinserted entry
-            ss = s[h:hi]
-            cut = int(np.searchsorted(ss, fB, side="right"))
-            within = st[st < cut]
-            vals = f[ks[within]]
-            keys2 = ks[within].astype(np.int64)
-            bpos = int(np.searchsorted(within, st[b]))
-            kB = int(keys2[bpos])
-            self._n -= cut
-            self._h = h + cut
-            self._push_raw(vals, keys2, skip=bpos)
-            return (fB, kB)
-        # every remaining entry is dead and the reserve is empty
-        self._n -= n - h
-        self._h = n
-        return None
+    def pick(self) -> tuple[float, int] | None:
+        """``(score, key)`` of the live candidate with the lowest
+        ``(score, key)``, or ``None`` when none is left."""
+        if not len(self._view):
+            return None
+        i = int(self._view.argmin())
+        s = float(self._view[i])
+        if s == np.inf:
+            # every live candidate scores +inf (or none is left): the
+            # lowest live key wins, as in the scalar (score, key) order
+            live = self.alive[:-1].nonzero()[0]
+            if not len(live):
+                return None
+            i = int(live[0])
+        return s, int(self.keys[i])
 
 
 # ----------------------------------------------------------------------
@@ -438,28 +130,11 @@ def _expand(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndar
     return idx, owner
 
 
-def _group_by_object(
-    entry_ids: np.ndarray, objects: np.ndarray, n_objects: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Group a server's flat entries by object id.
-
-    Returns (entries sorted by object — ascending entry id within each
-    object, matching ``ReverseIndex`` —, per-object start, per-object
-    count)."""
-    order = np.argsort(objects, kind="stable")
-    grouped_entries = entry_ids[order]
-    grouped_objs = objects[order]
-    starts = np.zeros(n_objects, dtype=np.intp)
-    counts = np.zeros(n_objects, dtype=np.intp)
-    if len(grouped_objs):
-        edge = np.empty(len(grouped_objs), dtype=bool)
-        edge[0] = True
-        np.not_equal(grouped_objs[1:], grouped_objs[:-1], out=edge[1:])
-        first = np.flatnonzero(edge)
-        uniq = grouped_objs[first]
-        starts[uniq] = first
-        counts[uniq] = np.diff(np.append(first, len(grouped_objs)))
-    return grouped_entries, starts, counts
+def _page_entries(indptr: np.ndarray, pages) -> np.ndarray:
+    """Every compulsory entry of ``pages`` (page order, ascending within)."""
+    pages = np.asarray(pages, dtype=np.intp)
+    starts = indptr[pages]
+    return _expand(starts, indptr[pages + 1] - starts)[0]
 
 
 def _bump(counters: dict | None, n: int) -> None:
@@ -600,12 +275,14 @@ def restore_storage_batched(
     amortise: bool = True,
     batch_min_pages: int = 8,
     counters: dict | None = None,
+    decisions: list | None = None,
 ):
     """Batched twin of ``restoration._restore_storage_one_server``.
 
     Produces the identical eviction sequence, statistics and final
-    allocation (including ``replicas`` set mutation history — flips go
-    through the per-entry setters in the scalar order).
+    allocation (flips go through the per-entry setters in the scalar
+    order).  ``decisions``, when given, receives one ``(object, score)``
+    pair per eviction.
     """
     # deferred: restoration imports this module lazily for dispatch
     from repro.core.restoration import InfeasibleError, StorageRestorationStats
@@ -648,221 +325,130 @@ def restore_storage_batched(
     comp_objects = m.comp_objects
     comp_indptr = m.comp_indptr
 
-    n_obj = len(m.sizes)
-    f = np.zeros(n_obj)
-    replica_mask = np.zeros(n_obj, dtype=bool)
-    # evicted objects never return: dead reserve entries may be purged
-    heap = VectorLazyHeap(purge_dead=replica_mask)
     replicas = alloc.replicas[server_id]
-    dirty = np.zeros(n_obj, dtype=bool)
+    keys = np.sort(np.fromiter(replicas, dtype=np.intp, count=len(replicas)))
+    picker = ArgminPicker(keys, len(m.sizes))
 
-    init_keys = np.fromiter(replicas, dtype=np.intp, count=len(replicas))
-    replica_mask[init_keys] = True
-    vals = scorer.flush(init_keys, comp_local, opt_local, LB, RBs, amortise)
-    _bump(counters, len(init_keys))
-    f[init_keys] = vals
-    heap.push_batch(vals, init_keys)
+    def rescore(objs: np.ndarray) -> None:
+        """Fresh scores for the live replicas among ``objs``."""
+        objs = picker.live(objs)
+        if len(objs):
+            picker.set(
+                objs,
+                scorer.flush(objs, comp_local, opt_local, LB, RBs, amortise),
+            )
+            _bump(counters, len(objs))
+
+    rescore(keys)
 
     allowed_mask = np.zeros(len(comp_objects), dtype=bool)
-    rows = alloc.ctx.comp_group(server_id)[0]
-    allowed_mask[rows] = np.isin(comp_objects[rows], init_keys)
+    rows = ctx.comp_group(server_id)[0]
+    allowed_mask[rows] = np.isin(comp_objects[rows], keys)
 
-    def rescore(keys: np.ndarray) -> np.ndarray:
-        """Scan-time refresh of candidates whose pages changed without a
-        repartition push (the scalar path rescores them lazily on pop)."""
-        vals = scorer.flush(keys, comp_local, opt_local, LB, RBs, amortise)
-        _bump(counters, len(keys))
-        return vals
+    def apply_marks(j: int, marks: np.ndarray, streams=None) -> None:
+        """Install page ``j``'s re-partitioned marks.
 
-    def flush_batch(keys: list[int]) -> None:
-        """Recompute + push fresh scores (the scalar post-change pushes)."""
-        karr = np.asarray(keys, dtype=np.intp)
-        vals = scorer.flush(karr, comp_local, opt_local, LB, RBs, amortise)
-        _bump(counters, len(karr))
-        f[karr] = vals
-        heap.push_batch(vals, karr)
-
-    def prepare_repartition(j: int, marks: np.ndarray, streams=None):
-        """Diff ``marks`` against the current page state without mutating
-        anything.  Page slices are disjoint, so every page of one
-        eviction can be diffed up front — the state each diff sees is
-        the same one the scalar interleaved flip/diff sequence sees.
-
-        At k>2 ``streams`` is the page's re-partitioned stream vector; a
-        remote entry that merely hops streams counts as a change (its
-        page's stream totals shift) but does not enter the stale set —
-        matching the scalar ``apply_repartition``.
+        Flips run in ascending entry order through the per-entry setter,
+        accumulating the byte totals one move at a time — the scalar
+        float-op sequence exactly.  At k>2 ``streams`` is the page's
+        re-partitioned stream vector; a remote entry that merely hops
+        streams shifts the page's stream totals, so it counts as a
+        change.
         """
         sl = m.comp_slice(j)
+        start = sl.start
         marks = np.asarray(marks, dtype=bool)
-        cur = comp_local[sl.start : sl.stop]
-        diff = cur != marks
-        offs = diff.nonzero()[0]
-        hops = False
-        if streams is not None:
-            hops = bool(
-                np.any(
-                    ~cur
-                    & ~marks
-                    & (comp_stream[sl.start : sl.stop] != streams)
-                )
-            )
-        if not len(offs) and not hops:
-            return None  # scalar: ``changed`` stays False, nothing pushed
-        objs_page = comp_objects[sl.start : sl.stop]
-        # stale set built with the scalar insertion sequence (ascending
-        # offsets, flipped-or-still-marked); iteration below replays the
-        # scalar's hash-order walk, so it must stay a real set
-        stale = set(objs_page[(diff | marks).nonzero()[0]].tolist())
-        push_keys = [k2 for k2 in stale if k2 in replicas]
-        return (
-            j,
-            sl.start,
-            offs,
-            objs_page[offs],
-            marks[offs],
-            stale,
-            push_keys,
-            marks if streams is not None else None,
-            streams,
-        )
-
-    def apply_flips(plan) -> None:
-        j, start, offs, flip_objs, flip_new, stale, _, marks_page, streams_page = plan
-        if streams_page is None:
-            # flips in ascending entry order through the per-entry
-            # setter, accumulating the byte totals one move at a time —
-            # the scalar float-op sequence exactly
+        cur = comp_local[start : sl.stop]
+        if streams is None:
+            offs = (cur != marks).nonzero()[0]
+            if not len(offs):
+                return
             lb = LB[j]
             rb = RB[j]
-            for off, k2, newv in zip(
-                offs.tolist(), flip_objs.tolist(), flip_new.tolist()
-            ):
-                size2 = sizes_list[k2]
+            for off, newv in zip(offs.tolist(), marks[offs].tolist()):
+                size2 = sizes_list[int(comp_objects[start + off])]
+                alloc.set_comp_local(start + off, newv)
                 if newv:
-                    alloc.set_comp_local(start + off, True)
                     lb += size2
                     rb -= size2
                 else:
-                    alloc.set_comp_local(start + off, False)
                     lb -= size2
                     rb += size2
             LB[j] = lb
             RB[j] = rb
         else:
-            # k>2: one ascending walk interleaving mark flips and stream
-            # hops, replaying the scalar ``apply_repartition`` loop
+            hops = ~cur & ~marks & (comp_stream[start : sl.stop] != streams)
+            if not (np.any(cur != marks) or hops.any()):
+                return
+            # one ascending walk interleaving mark flips and stream
+            # hops, replaying the scalar ``_repartition_page`` loop
             lb = LB[j]
-            for off in range(len(marks_page)):
+            for off in range(len(marks)):
                 e = start + off
-                newv = bool(marks_page[off])
+                newv = bool(marks[off])
                 if bool(comp_local[e]) != newv:
-                    k2 = int(comp_objects[e])
-                    size2 = sizes_list[k2]
+                    size2 = sizes_list[int(comp_objects[e])]
                     if newv:
                         r_old = int(comp_stream[e])
                         alloc.set_comp_local(e, True)
                         lb += size2
                         RBs[r_old - 1][j] -= size2
                     else:
-                        r = int(streams_page[off])
+                        r = int(streams[off])
                         alloc.set_comp_local(e, False)
                         comp_stream[e] = r
                         lb -= size2
                         RBs[r - 1][j] += size2
                 elif not newv:
                     r_old = int(comp_stream[e])
-                    r = int(streams_page[off])
+                    r = int(streams[off])
                     if r_old != r:
-                        k2 = int(comp_objects[e])
-                        size2 = sizes_list[k2]
+                        size2 = sizes_list[int(comp_objects[e])]
                         RBs[r_old - 1][j] -= size2
                         RBs[r - 1][j] += size2
                         comp_stream[e] = r
             LB[j] = lb
         stats.repartitioned_pages += 1
-        # the pushed entries carry full fresh scores, so pending dirt on
-        # these candidates is settled
-        dirty[np.fromiter(stale, dtype=np.intp, count=len(stale))] = False
 
-    def repartition_flipped(pages: list[int]) -> None:
+    def repartition(pages: list[int]) -> None:
+        """Re-run PARTITION on ``pages`` restricted to the remaining
+        replicas.  Per-page PARTITION reads no other page's marks, so
+        the batched kernel may solve every page up front; it only pays
+        off once the page set amortises its fixed NumPy dispatch."""
         if len(pages) >= batch_min_pages:
             if n_rem > 1:
-                batch_marks, batch_streams, _, _ = partition_pages_multipath(
+                bm, bs, _, _ = partition_pages_multipath(
                     m, page_ids=pages, allowed_mask=allowed_mask
                 )
-                plans = []
                 for j in pages:
                     sl = m.comp_slice(j)
-                    plans.append(
-                        prepare_repartition(
-                            j, batch_marks[sl], batch_streams[sl]
-                        )
-                    )
+                    apply_marks(j, bm[sl], bs[sl])
             else:
-                batch_marks, _, _ = partition_pages_batched(
+                bm, _, _ = partition_pages_batched(
                     m, page_ids=pages, allowed_mask=allowed_mask
                 )
-                plans = [
-                    prepare_repartition(j, batch_marks[m.comp_slice(j)])
-                    for j in pages
-                ]
+                for j in pages:
+                    apply_marks(j, bm[m.comp_slice(j)])
         elif n_rem > 1:
-            plans = []
             for j in pages:
                 pm, ps, _, _ = partition_page_streams(m, j, allowed=replicas)
-                plans.append(prepare_repartition(j, pm, ps))
+                apply_marks(j, pm, ps)
         else:
-            plans = [
-                prepare_repartition(j, partition_page(m, j, allowed=replicas)[0])
-                for j in pages
-            ]
-        plans = [p for p in plans if p is not None]
-        if not plans:
-            return
-        # A pushed candidate scores identically whether computed right
-        # after its own page's flips or after every page's: a key absent
-        # from the other pages' stale sets holds no local marks there, so
-        # their byte-total changes never enter its Eq. 3-5 sum.  When the
-        # per-page push-key sets are disjoint the pushes therefore fuse
-        # into one batch (concatenated in page order — same counters);
-        # on overlap, fall back to the scalar flip/push interleave.
-        disjoint = True
-        if len(plans) > 1:
-            seen: set[int] = set()
-            for plan in plans:
-                for k2 in plan[6]:
-                    if k2 in seen:
-                        disjoint = False
-                        break
-                    seen.add(k2)
-                if not disjoint:
-                    break
-        if disjoint:
-            for plan in plans:
-                apply_flips(plan)
-            all_keys = [k2 for plan in plans for k2 in plan[6]]
-            if all_keys:
-                flush_batch(all_keys)
-        else:
-            for plan in plans:
-                apply_flips(plan)
-                if plan[6]:
-                    flush_batch(plan[6])
+            for j in pages:
+                apply_marks(j, partition_page(m, j, allowed=replicas)[0])
 
     while used > capacity + _TOL:
-        popped = heap.pop_round(f, replica_mask, _TOL, dirty, rescore)
-        if popped is None:
+        picked = picker.pick()
+        if picked is None:
             raise InfeasibleError(
                 f"server {server_id}: storage constraint unrestorable "
                 f"(used {used:.0f} B > capacity {capacity:.0f} B with no "
                 "replicas left)"
             )
-        delta, k = popped
+        delta, k = picked
         size = sizes_list[k]
         comp_e = scorer.comp_entries(k)
-        marked = comp_local[comp_e]
-        flip_e = comp_e[marked]
+        flip_e = comp_e[comp_local[comp_e]]
         flip_pages = m.comp_pages[flip_e]
         flipped_pages = flip_pages.tolist()
         if n_rem == 1:
@@ -890,7 +476,7 @@ def restore_storage_batched(
         for e in opt_e[opt_local[opt_e]].tolist():
             alloc.set_opt_local(e, False)
         replicas.discard(k)
-        replica_mask[k] = False
+        picker.kill(picker.pos[k])
         if len(comp_e):
             allowed_mask[comp_e] = False
         used -= size
@@ -898,15 +484,16 @@ def restore_storage_batched(
         stats.bytes_freed += size
         stats.objective_delta += delta * size if amortise else delta
         stats.evicted_objects.append((server_id, k))
+        if decisions is not None:
+            decisions.append((k, delta))
         if flipped_pages:
-            # candidates still marked on the touched pages now score
-            # differently; repartition pushes fresh entries for changed
-            # pages, flush_dirty covers the unchanged ones before the
-            # next pop
-            starts = comp_indptr[flip_pages]
-            ents, _ = _expand(starts, comp_indptr[flip_pages + 1] - starts)
-            dirty[comp_objects[ents[comp_local[ents]]]] = True
-            repartition_flipped(flipped_pages)
+            # Paper: re-partition the affected pages with the replicas
+            # left.  Every replica marked local on one of them, before
+            # or after the re-partition, now scores against moved totals.
+            ents = _page_entries(comp_indptr, flip_pages)
+            was_local = comp_local[ents]
+            repartition(flipped_pages)
+            rescore(np.unique(comp_objects[ents[was_local | comp_local[ents]]]))
     return stats
 
 
@@ -918,8 +505,14 @@ def restore_processing_batched(
     cost: CostModel,
     server_id: int,
     counters: dict | None = None,
+    decisions: list | None = None,
 ):
-    """Batched twin of ``restoration._restore_processing_one_server``."""
+    """Batched twin of ``restoration._restore_processing_one_server``.
+
+    Candidates are the server's local compulsory entries (key ``e``) and
+    local optional entries (key ``NC + e``).  ``decisions``, when given,
+    receives one ``(key, score)`` pair per switch.
+    """
     from repro.core.restoration import InfeasibleError, ProcessingRestorationStats
 
     m = alloc.model
@@ -950,11 +543,6 @@ def restore_processing_batched(
         RB = RBs[0]
     comp_stream = alloc.comp_stream
     NC = len(m.comp_objects)
-    n_keys = NC + len(m.opt_objects)
-    f = np.zeros(n_keys)
-    alive = np.zeros(n_keys, dtype=bool)
-    # switched downloads never come back: dead entries may be purged
-    heap = VectorLazyHeap(purge_dead=alive)
 
     def comp_scores(entries: np.ndarray) -> np.ndarray:
         j = ctx.comp_pages[entries]
@@ -1001,14 +589,10 @@ def restore_processing_batched(
         return out
 
     ec = (alloc.comp_local & (ctx.comp_server == server_id)).nonzero()[0]
-    vc = comp_scores(ec)
     eo = (alloc.opt_local & (ctx.opt_server == server_id)).nonzero()[0]
-    vo = opt_scores(eo)
-    f[ec] = vc
-    f[NC + eo] = vo
-    alive[ec] = True
-    alive[NC + eo] = True
-    heap.push_batch(np.concatenate((vc, vo)), np.concatenate((ec, NC + eo)))
+    picker = ArgminPicker(np.concatenate((ec, NC + eo)), NC + len(m.opt_objects))
+    picker.set(ec, comp_scores(ec))
+    picker.set(NC + eo, opt_scores(eo))
 
     tol = max(_TOL, 1e-9 * max(capacity, html_load, 1.0))
     switches_since_resync = 0
@@ -1020,8 +604,8 @@ def restore_processing_batched(
             load = float(local_processing_load(alloc)[server_id])
             if load <= capacity + tol:
                 break
-        popped = heap.pop_round(f, alive, _TOL)
-        if popped is None:
+        picked = picker.pick()
+        if picked is None:
             load = float(local_processing_load(alloc)[server_id])
             if load <= capacity + tol:
                 break
@@ -1030,7 +614,8 @@ def restore_processing_batched(
                 f"(load {load:.2f} req/s > capacity {capacity:.2f} req/s "
                 "with no local downloads left)"
             )
-        amortised, key = popped
+        amortised, key = picked
+        picker.kill(picker.pos[key])
         if key < NC:
             e = key
             j = int(m.comp_pages[e])
@@ -1053,26 +638,21 @@ def restore_processing_batched(
                 comp_stream[e] = best + 1
                 LB[j] -= size
                 RBs[best][j] += size
-            alive[e] = False
-            # every other local candidate of this page is now stale; the
-            # scalar loop pushes each sibling with a fresh score (one
-            # ``heap.push`` per sibling, ascending entry order) — one
-            # batched push replicates scores and counter order exactly
+            # the page's other local entries now score against new totals
             sl = m.comp_slice(j)
             sib = sl.start + alloc.comp_local[sl.start : sl.stop].nonzero()[0]
             if len(sib):
-                vs = comp_scores(sib)
-                f[sib] = vs
-                heap.push_batch(vs, sib)
+                picker.set(sib, comp_scores(sib))
         else:
             e = key - NC
             k = int(m.opt_objects[e])
             shed = float(ctx.opt_freq_weight[e])
             alloc.set_opt_local(e, False)
-            alive[key] = False
         stats.switches += 1
         stats.load_shed += shed
         stats.objective_delta += amortised * shed
+        if decisions is not None:
+            decisions.append((key, amortised))
         load -= shed
         switches_since_resync += 1
         if alloc.mark_count(server_id, k) == 0 and k in alloc.replicas[server_id]:
@@ -1096,13 +676,22 @@ def absorb_extra_workload_batched(
     allow_new_replicas: bool = True,
     allow_swap: bool = True,
     counters: dict | None = None,
+    decisions: list | None = None,
 ) -> float:
-    """Batched twin of ``offload.absorb_extra_workload``.
+    """Batched twin of ``offload._absorb_scalar``.
+
+    Candidates are the server's remote entries at entry (keys ``e`` and
+    ``NC + e``).  A refused candidate is retired for good; CPU slack only
+    shrinks, so every candidate heavier than the slack is retired in bulk
+    by a ``searchsorted`` cut over the weight-descending order.  A
+    successful swap re-admits the absorbed entries it un-marks.
 
     The L2 swap's victim table is built lazily at the first blocked
     candidate and kept while the loop leaves the server untouched; any
     mutation (an accepted mark, a new replica, a successful swap) drops
     it, so the next blocked candidate ranks the new state afresh.
+    ``decisions``, when given, receives one ``(key, score)`` pair per
+    absorption.
     """
     from repro.core.offload import _rank_victims, _tally, _try_make_room
 
@@ -1124,11 +713,8 @@ def absorb_extra_workload_batched(
     LB = cost.local_mo_bytes(alloc)
     RB = cost.remote_mo_bytes(alloc)
     NC = len(m.comp_objects)
-    n_keys = NC + len(m.opt_objects)
-    f = np.zeros(n_keys)
-    alive = np.zeros(n_keys, dtype=bool)
-    dirty = np.zeros(n_keys, dtype=bool)
-    heap = VectorLazyHeap()
+    comp_indptr = m.comp_indptr
+    replicas = alloc.replicas[server_id]
 
     def comp_scores(entries: np.ndarray) -> np.ndarray:
         j = ctx.comp_pages[entries]
@@ -1155,41 +741,41 @@ def absorb_extra_workload_batched(
         return out
 
     ec = ((~alloc.comp_local) & (ctx.comp_server == server_id)).nonzero()[0]
-    vc = comp_scores(ec)
     eo = ((~alloc.opt_local) & (ctx.opt_server == server_id)).nonzero()[0]
-    vo = opt_scores(eo)
-    f[ec] = vc
-    f[NC + eo] = vo
-    alive[ec] = True
-    alive[NC + eo] = True
-    heap.push_batch(np.concatenate((vc, vo)), np.concatenate((ec, NC + eo)))
+    picker = ArgminPicker(np.concatenate((ec, NC + eo)), NC + len(m.opt_objects))
+    picker.set(ec, comp_scores(ec))
+    picker.set(NC + eo, opt_scores(eo))
+    weight = np.concatenate((ctx.comp_freq[ec], ctx.opt_freq_weight[eo]))
+    # a weightless candidate sheds nothing: refused whenever it is picked
+    picker.kill((weight <= 0).nonzero()[0])
+    by_weight = np.argsort(-weight, kind="stable")
+    neg_weight = -weight[by_weight]
+    n_heavy = 0
 
-    # opt move-local deltas don't depend on the byte totals, so only
-    # comp keys ever get dirty; the scan rescore sees compulsory entries
-    rescore = comp_scores
+    def retire_heavy() -> None:
+        """Retire every candidate heavier than the CPU slack left."""
+        nonlocal n_heavy
+        cut = int(neg_weight.searchsorted(-(cpu_slack + _TOL)))
+        if cut > n_heavy:
+            picker.kill(by_weight[n_heavy:cut])
+            n_heavy = cut
 
-    def mark_page_dirty(j: int) -> None:
-        sl = m.comp_slice(j)
-        dirty[sl.start : sl.stop] = True
-
+    retire_heavy()
     absorbed = 0.0
     victims = None  # the server's ranked swap victims, while still valid
-    while len(heap) and absorbed < target - _TOL and cpu_slack > _TOL:
-        popped = heap.pop_round(f, alive, _TOL, dirty, rescore)
-        if popped is None:
+    while absorbed < target - _TOL and cpu_slack > _TOL:
+        picked = picker.pick()
+        if picked is None:
             break
-        _, key = popped
-        if key < NC:
-            e = key
-            w = float(ctx.comp_freq[e])
-        else:
-            e = key - NC
-            w = float(ctx.opt_freq_weight[e])
-        if w <= 0 or w > cpu_slack + _TOL:
-            continue  # consumed, but duplicates may still be accepted later
+        score, key = picked
+        # accepted or refused, the candidate leaves the set
+        picker.kill(picker.pos[key])
+        w = float(weight[picker.pos[key]])
+        e = key if key < NC else key - NC
         k = int(m.comp_objects[e] if key < NC else m.opt_objects[e])
-        stored = k in alloc.replicas[server_id]
-        if not stored:
+        unmarked: list[int] = []
+        dirty_pages: list[int] = []
+        if k not in replicas:
             size = float(m.sizes[k])
             if not allow_new_replicas:
                 continue
@@ -1211,17 +797,12 @@ def absorb_extra_workload_batched(
                     RB,
                 )
                 if not ok:
-                    continue  # a refused candidate is never revisited
+                    continue  # a failed swap retires its candidate
                 _tally(counters, "swaps")
                 for sz in freed_sizes:
                     space += sz
-                # un-marked entries become poppable again through any
-                # duplicate heap entries, exactly like the scalar
-                # ``is_local`` check would let them through
-                alive[flip_c] = True
-                alive[NC + np.asarray(flip_o, dtype=np.intp)] = True
-                for jj in flip_pages:
-                    mark_page_dirty(jj)
+                unmarked = flip_c + [NC + e2 for e2 in flip_o]
+                dirty_pages = flip_pages
             space -= size
         if key < NC:
             j = int(m.comp_pages[e])
@@ -1229,12 +810,32 @@ def absorb_extra_workload_batched(
             alloc.set_comp_local(e, True)
             LB[j] += size_k
             RB[j] -= size_k
-            alive[e] = False
-            mark_page_dirty(j)  # sibling candidates of this page are stale
+            dirty_pages.append(j)
         else:
             alloc.set_opt_local(e, True)
-            alive[key] = False
         absorbed += w
         cpu_slack -= w
+        _tally(counters, "absorptions")
         victims = None  # this server's marks (and maybe replicas) moved
+        if decisions is not None:
+            decisions.append((key, score))
+        if unmarked:
+            # absorbed candidates the swap turned remote again are back
+            # in play, unless they no longer fit the slack
+            p = picker.pos[np.asarray(unmarked, dtype=np.intp)]
+            p = p[p < len(weight)]
+            p = p[weight[p] <= cpu_slack + _TOL]
+            picker.revive(p)
+            back_opt = picker.keys[p]
+            back_opt = back_opt[back_opt >= NC]
+            if len(back_opt):
+                picker.set(back_opt, opt_scores(back_opt - NC))
+        retire_heavy()
+        if dirty_pages:
+            # the touched pages' live candidates score against new totals
+            ents = picker.live(
+                _page_entries(comp_indptr, np.unique(dirty_pages))
+            )
+            if len(ents):
+                picker.set(ents, comp_scores(ents))
     return absorbed

@@ -39,7 +39,6 @@ actors with message accounting.
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,6 +53,7 @@ from repro.core.constraints import (
 from repro.core.cost_model import CostModel
 from repro.core.context import engine_kernel
 from repro.core.partition import Kernel, resolve_kernel
+from repro.core.restoration import _pop_current
 from repro.obs.registry import get_registry
 
 __all__ = [
@@ -196,11 +196,38 @@ def _proportional_shares(
 # ----------------------------------------------------------------------
 # server-side absorption
 # ----------------------------------------------------------------------
-def _candidate_workload(alloc: Allocation, kind: str, e: int) -> float:
+def _candidate_workload(alloc: Allocation, key: int) -> float:
+    """Requests/second absorbed by marking candidate ``key`` local
+    (``e`` for compulsory entry ``e``, ``NC + e`` for optional ``e``)."""
     ctx = alloc.ctx
-    if kind == "comp":
-        return float(ctx.comp_freq[e])
-    return float(ctx.opt_freq_weight[e])
+    nc = len(ctx.comp_freq)
+    if key < nc:
+        return float(ctx.comp_freq[key])
+    return float(ctx.opt_freq_weight[key - nc])
+
+
+def _absorb_score(
+    alloc: Allocation,
+    cost: CostModel,
+    key: int,
+    local_bytes: np.ndarray,
+    remote_bytes: np.ndarray,
+) -> float:
+    """Objective damage of marking candidate ``key`` local, per
+    request/second it absorbs (``inf`` when it absorbs nothing)."""
+    m = alloc.model
+    w = _candidate_workload(alloc, key)
+    if w <= 0:
+        return np.inf
+    nc = len(m.comp_objects)
+    if key >= nc:
+        return cost.optional_entry_delta(key - nc, to_local=True) / w
+    j = int(m.comp_pages[key])
+    size = float(m.sizes[m.comp_objects[key]])
+    lb, rb = local_bytes[j], remote_bytes[j]
+    old = cost.page_time_from_bytes(j, lb, rb)
+    new = cost.page_time_from_bytes(j, lb + size, rb - size)
+    return cost.alpha1 * m.frequencies[j] * (new - old) / w
 
 
 @dataclass(frozen=True)
@@ -270,9 +297,10 @@ def _rank_victims(alloc: Allocation, server_id: int) -> _VictimTable:
     )
 
 
-#: Registry counters of the L2 swap, emitted as ``offload.<name>``:
-#: swaps tried, swaps made, and victim tables built.
-_SWAP_COUNTERS = ("swap_attempts", "swaps", "swap_rankings")
+#: Registry counters of server-side absorption, emitted as
+#: ``offload.<name>``: candidates absorbed, L2 swaps tried, swaps made,
+#: and victim tables built.
+_ABSORB_COUNTERS = ("absorptions", "swap_attempts", "swaps", "swap_rankings")
 
 
 def _tally(counters: dict | None, key: str) -> None:
@@ -359,12 +387,14 @@ def absorb_extra_workload(
         whose marks carry less workload than a blocked candidate would
         add, when that trade is a net workload gain.  A recording
         registry receives ``offload.swap_attempts``, ``offload.swaps``
-        and ``offload.swap_rankings`` (victim tables built).
+        and ``offload.swap_rankings`` (victim tables built), next to
+        ``offload.absorptions`` (candidates marked local).
     kernel:
         ``"batched"`` (default) scores candidates with the vectorised
-        engine of :mod:`repro.core.fast_restoration`; ``"scalar"`` keeps
-        the reference lazy-heap loop.  Both produce bit-identical
-        absorption sequences.
+        engine of :mod:`repro.core.fast_restoration` (one ``np.argmin``
+        per step); ``"scalar"`` keeps the reference ``heapq`` loop.  Both
+        take the live candidate with the lowest ``(fresh score, key)``
+        and produce bit-identical absorption sequences.
     """
     kernel = engine_kernel(resolve_kernel(kernel))
     if alloc.ctx.n_streams > 2:
@@ -395,7 +425,7 @@ def absorb_extra_workload(
         if "batches" in counters:
             reg.count("offload.rescore_batches", counters["batches"])
             reg.count("offload.rescored_candidates", counters["candidates"])
-        for key in _SWAP_COUNTERS:
+        for key in _ABSORB_COUNTERS:
             reg.count(f"offload.{key}", counters.get(key, 0))
     return absorbed
 
@@ -409,7 +439,16 @@ def _absorb_scalar(
     allow_swap: bool,
     counters: dict[str, int],
 ) -> float:
-    """The reference lazy-heap absorption loop (``kernel="scalar"``)."""
+    """The reference absorption loop (``kernel="scalar"``).
+
+    Candidates are the server's remote entries at entry, keyed ``e`` for
+    compulsory entry ``e`` and ``NC + e`` for optional entry ``e``; each
+    step takes the live one with the lowest ``(fresh score, key)``.  A
+    refused candidate — weightless, heavier than the CPU slack, needing
+    a replica it may not create, or blocked by a failed swap — is
+    retired for good.  A successful swap re-admits the absorbed
+    candidates it turns remote again.
+    """
     if target <= _TOL:
         return 0.0
     m = alloc.model
@@ -420,86 +459,93 @@ def _absorb_scalar(
 
     local_bytes = cost.local_mo_bytes(alloc)
     remote_bytes = cost.remote_mo_bytes(alloc)
-
-    def page_time(j: int, lb: float, rb: float) -> float:
-        return cost.page_time_from_bytes(j, lb, rb)
-
-    def score(kind: str, e: int) -> float:
-        w = _candidate_workload(alloc, kind, e)
-        if w <= 0:
-            return np.inf
-        if kind == "comp":
-            j = int(m.comp_pages[e])
-            size = float(m.sizes[m.comp_objects[e]])
-            old = page_time(j, local_bytes[j], remote_bytes[j])
-            new = page_time(j, local_bytes[j] + size, remote_bytes[j] - size)
-            raw = cost.alpha1 * m.frequencies[j] * (new - old)
-        else:
-            raw = cost.optional_entry_delta(e, to_local=True)
-        return raw / w
-
     ctx = alloc.ctx
-    counter = itertools.count()
-    heap: list[tuple[float, int, tuple[str, int]]] = []
-    for e in ((~alloc.comp_local) & (ctx.comp_server == server_id)).nonzero()[0]:
-        heapq.heappush(heap, (score("comp", int(e)), next(counter), ("comp", int(e))))
-    for e in ((~alloc.opt_local) & (ctx.opt_server == server_id)).nonzero()[0]:
-        heapq.heappush(heap, (score("opt", int(e)), next(counter), ("opt", int(e))))
+    nc = len(m.comp_objects)
 
-    def try_make_room(need: float, gain: float) -> bool:
-        """The L2 swap against a fresh victim ranking (never cached)."""
-        nonlocal space
-        _tally(counters, "swap_rankings")
-        _tally(counters, "swap_attempts")
-        ok, freed_sizes, _, _, _ = _try_make_room(
-            alloc, server_id, _rank_victims(alloc, server_id), need, gain,
-            local_bytes, remote_bytes,
-        )
-        if ok:
-            _tally(counters, "swaps")
-        for size in freed_sizes:
-            space += size
-        return ok
+    heap: list[tuple[float, int]] = []
+    current: dict[int, float] = {}
+
+    def push(key: int) -> None:
+        score = _absorb_score(alloc, cost, key, local_bytes, remote_bytes)
+        current[key] = score
+        heapq.heappush(heap, (score, key))
+
+    candidate = np.zeros(nc + len(m.opt_objects), dtype=bool)
+    live = candidate.copy()
+    for e in ((~alloc.comp_local) & (ctx.comp_server == server_id)).nonzero()[0]:
+        candidate[e] = live[e] = True
+        push(int(e))
+    for e in ((~alloc.opt_local) & (ctx.opt_server == server_id)).nonzero()[0]:
+        candidate[nc + e] = live[nc + e] = True
+        push(nc + int(e))
+
+    def rescore_pages(pages: list[int]) -> None:
+        for j in set(pages):
+            sl = m.comp_slice(j)
+            for e in range(sl.start, sl.stop):
+                if live[e]:
+                    push(e)
 
     absorbed = 0.0
-    while heap and absorbed < target - _TOL and cpu_slack > _TOL:
-        s, _, (kind, e) = heapq.heappop(heap)
-        is_local = alloc.comp_local[e] if kind == "comp" else alloc.opt_local[e]
-        if is_local:
-            continue
-        fresh = score(kind, e)
-        if fresh > s + _TOL:
-            heapq.heappush(heap, (fresh, next(counter), (kind, e)))
-            continue
-        w = _candidate_workload(alloc, kind, e)
+    while absorbed < target - _TOL and cpu_slack > _TOL:
+        popped = _pop_current(heap, current, live.__getitem__)
+        if popped is None:
+            break
+        _, key = popped
+        live[key] = False  # accepted or refused, it leaves the set
+        w = _candidate_workload(alloc, key)
         if w <= 0 or w > cpu_slack + _TOL:
             continue
-        k = int(m.comp_objects[e] if kind == "comp" else m.opt_objects[e])
-        stored = k in alloc.replicas[server_id]
-        if not stored:
+        e = key if key < nc else key - nc
+        k = int(m.comp_objects[e] if key < nc else m.opt_objects[e])
+        dirty_pages: list[int] = []
+        unmarked: list[int] = []
+        if k not in alloc.replicas[server_id]:
             size = float(m.sizes[k])
             if not allow_new_replicas:
                 continue
             if size > space + _TOL:
-                # L2-style swap: make room if the trade gains workload
-                remaining = target - absorbed
-                if not allow_swap or not try_make_room(
-                    size - space, min(w, remaining)
-                ):
+                # L2-style swap: make room if the trade gains workload,
+                # against a fresh victim ranking (never cached)
+                if not allow_swap:
                     continue
+                _tally(counters, "swap_rankings")
+                _tally(counters, "swap_attempts")
+                ok, freed_sizes, flip_c, flip_o, flip_pages = _try_make_room(
+                    alloc,
+                    server_id,
+                    _rank_victims(alloc, server_id),
+                    size - space,
+                    min(w, target - absorbed),
+                    local_bytes,
+                    remote_bytes,
+                )
+                if not ok:
+                    continue
+                _tally(counters, "swaps")
+                for sz in freed_sizes:
+                    space += sz
+                unmarked = flip_c + [nc + e2 for e2 in flip_o]
+                dirty_pages = flip_pages
             space -= size
-        if kind == "comp":
+        if key < nc:
             j = int(m.comp_pages[e])
             size_k = float(m.sizes[k])
             alloc.set_comp_local(e, True)
             local_bytes[j] += size_k
             remote_bytes[j] -= size_k
-            # sibling candidates of this page are now stale; they will be
-            # revalidated on pop (scores only shift, keys stay valid)
+            dirty_pages.append(j)
         else:
             alloc.set_opt_local(e, True)
         absorbed += w
         cpu_slack -= w
+        _tally(counters, "absorptions")
+        for key2 in unmarked:
+            if candidate[key2]:
+                live[key2] = True
+                if key2 >= nc:
+                    push(key2)
+        rescore_pages(dirty_pages)
     return absorbed
 
 

@@ -20,18 +20,22 @@ new workload and the required one").  An object left with no local mark
 anywhere on the server is deallocated, freeing storage too.  Iterate
 until Eq. 8 holds.
 
-Both loops use a lazily-revalidated min-heap: candidate scores are pushed
-eagerly, and on pop the score is recomputed against current state —
-stale entries are reinserted with their fresh score.  Whenever an action
-changes a page's stream totals, fresh scores for every candidate touching
-that page are pushed, so the heap always contains an up-to-date entry for
-every candidate.
+Both loops are an **exact argmin**: every step takes the live candidate
+with the lowest ``(fresh score, key)`` — ties go to the lowest key (the
+object id for storage; ``e`` for a compulsory entry and ``NC + e`` for an
+optional one in processing).  An action only moves the byte totals of
+the pages it touches, so after each step exactly the candidates with a
+term on those pages (the *dirty set*) are rescored before the next
+selection.  The scalar reference below keeps the scores in a plain
+``heapq`` of ``(score, key)``, pushing again on every rescore and
+discarding a popped entry whose key is dead or whose score is no longer
+current; the batched engine of :mod:`repro.core.fast_restoration` makes
+the same decisions with one ``np.argmin`` per step.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -40,10 +44,6 @@ import numpy as np
 from repro.core.allocation import Allocation, ReverseIndex
 from repro.core.constraints import local_processing_load
 from repro.core.cost_model import CostModel
-from repro.core.fast_partition import (
-    partition_pages_batched,
-    partition_pages_multipath,
-)
 from repro.core.context import engine_kernel
 from repro.core.partition import (
     Kernel,
@@ -272,36 +272,116 @@ def _eviction_delta(
     return delta
 
 
-class _LazyHeap:
-    """Min-heap with lazy revalidation of scores.
+def _pop_current(heap: list, current: dict, alive) -> tuple[float, int] | None:
+    """Pop the lowest ``(score, key)`` entry of ``heap`` that is still
+    current: its key ``alive`` and its score the key's ``current`` one.
 
-    Entries are ``(score, tiebreak, key)``.  ``pop_valid`` recomputes the
-    score via ``rescore``; if the fresh score exceeds the stored one the
-    entry is reinserted, otherwise the key is returned.  Keys may appear
-    multiple times; ``alive`` filters out retired keys.
+    Every rescore pushes a fresh entry and overwrites ``current``, so the
+    first current entry popped is the exact argmin over live candidates.
     """
+    while heap:
+        score, key = heapq.heappop(heap)
+        if alive(key) and current[key] == score:
+            return score, key
+    return None
 
-    def __init__(self):
-        self._heap: list[tuple[float, int, object]] = []
-        self._counter = itertools.count()
 
-    def push(self, score: float, key: object) -> None:
-        heapq.heappush(self._heap, (score, next(self._counter), key))
+def _evict_replica(
+    alloc: Allocation,
+    state: _PageState,
+    server_id: int,
+    object_id: int,
+    rev: ReverseIndex,
+) -> list[int]:
+    """Deallocate ``object_id`` at ``server_id``, moving its local marks
+    to the repository; return the pages whose downloads moved."""
+    m = alloc.model
+    size = float(m.sizes[object_id])
+    comp_e, opt_e = rev.entries_for(server_id, object_id)
+    flipped: list[int] = []
+    for e in comp_e:
+        if alloc.comp_local[e]:
+            j = int(m.comp_pages[e])
+            alloc.set_comp_local(e, False)
+            if state.k > 2:
+                r = state.best_stream(j, size)
+                alloc.comp_stream[e] = r
+                state.move_remote(j, size, r)
+            else:
+                state.move_remote(j, size)
+            flipped.append(j)
+    for e in opt_e:
+        if alloc.opt_local[e]:
+            alloc.set_opt_local(e, False)
+    alloc.replicas[server_id].discard(object_id)
+    return flipped
 
-    def pop_valid(self, rescore, alive) -> tuple[float, object] | None:
-        while self._heap:
-            score, _, key = heapq.heappop(self._heap)
-            if not alive(key):
-                continue
-            fresh = rescore(key)
-            if fresh > score + _TOL:
-                self.push(fresh, key)
-                continue
-            return fresh, key
-        return None
 
-    def __len__(self) -> int:
-        return len(self._heap)
+def _repartition_page(
+    alloc: Allocation, state: _PageState, server_id: int, j: int
+) -> bool:
+    """Re-run PARTITION on page ``j`` restricted to the server's replica
+    set and install its marks; return whether anything changed.
+
+    At k>2 a remote entry that merely changed stream still shifts the
+    page's stream totals, so it counts as a change.
+    """
+    m = alloc.model
+    allowed = alloc.replicas[server_id]
+    if state.k > 2:
+        marks, streams, _, _ = partition_page_streams(m, j, allowed=allowed)
+    else:
+        marks, _, _ = partition_page(m, j, allowed=allowed)
+        streams = None
+    sl = m.comp_slice(j)
+    changed = False
+    for off in range(sl.stop - sl.start):
+        e = sl.start + off
+        new = bool(marks[off])
+        if bool(alloc.comp_local[e]) != new:
+            size = float(m.sizes[m.comp_objects[e]])
+            if new:
+                if streams is not None:
+                    state.move_local(j, size, int(alloc.comp_stream[e]))
+                    alloc.set_comp_local(e, True)
+                else:
+                    alloc.set_comp_local(e, True)
+                    state.move_local(j, size)
+            else:
+                alloc.set_comp_local(e, False)
+                if streams is not None:
+                    r = int(streams[off])
+                    alloc.comp_stream[e] = r
+                    state.move_remote(j, size, r)
+                else:
+                    state.move_remote(j, size)
+            changed = True
+        elif (
+            not new
+            and streams is not None
+            and int(alloc.comp_stream[e]) != int(streams[off])
+        ):
+            # remote entry hopping streams: totals shift on both
+            size = float(m.sizes[m.comp_objects[e]])
+            old_r = int(alloc.comp_stream[e])
+            r = int(streams[off])
+            state.stream_bytes[old_r - 1][j] -= size
+            state.stream_bytes[r - 1][j] += size
+            alloc.comp_stream[e] = r
+            changed = True
+    return changed
+
+
+def _local_objects(alloc: Allocation, pages: Iterable[int]) -> set[int]:
+    """Objects marked local on any of ``pages``."""
+    m = alloc.model
+    out: set[int] = set()
+    for j in pages:
+        sl = m.comp_slice(j)
+        for e in range(sl.start, sl.stop):
+            if alloc.comp_local[e]:
+                out.add(int(m.comp_objects[e]))
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -313,7 +393,6 @@ def _restore_storage_one_server(
     state: _PageState,
     server_id: int,
     amortise: bool = True,
-    kernel: Kernel = "batched",
 ) -> StorageRestorationStats:
     m = alloc.model
     # one O(E) reverse-index build (cached per model) shared by every score
@@ -333,129 +412,21 @@ def _restore_storage_one_server(
             f"exceeds storage capacity ({capacity:.0f} B)"
         )
 
-    heap = _LazyHeap()
+    replicas = alloc.replicas[server_id]
+    heap: list[tuple[float, int]] = []
+    current: dict[int, float] = {}
 
-    def score(k: int) -> float:
-        raw = _eviction_delta(cost, alloc, state, server_id, int(k), rev)
-        if not amortise:
-            return raw
-        return raw / float(m.sizes[int(k)])
+    def push(k: int) -> None:
+        raw = _eviction_delta(cost, alloc, state, server_id, k, rev)
+        score = raw / float(m.sizes[k]) if amortise else raw
+        current[k] = score
+        heapq.heappush(heap, (score, k))
 
-    for k in alloc.replicas[server_id]:
-        heap.push(score(k), k)
-
-    # The batched kernel takes ``allowed`` as a flat per-entry mask;
-    # maintain it incrementally (replicas only shrink during restoration,
-    # so clearing the victim's entries after each eviction keeps it
-    # exact).
-    allowed_mask: np.ndarray | None = None
-    if kernel == "batched":
-        allowed_mask = np.zeros(len(m.comp_objects), dtype=bool)
-        rows = alloc.ctx.comp_group(server_id)[0]
-        stored = alloc.replicas[server_id]
-        replica_arr = np.fromiter(stored, dtype=np.intp, count=len(stored))
-        allowed_mask[rows] = np.isin(m.comp_objects[rows], replica_arr)
-
-    def repartition_flipped(pages: list[int]) -> None:
-        """Re-run PARTITION for the pages an eviction touched, restricted
-        to the server's remaining replica set.
-
-        Both branches produce bit-identical marks (differential property
-        suite); the batch kernel only pays off once the flip set is large
-        enough to amortize its fixed NumPy dispatch cost, so small sets
-        take the scalar greedy even under ``kernel="batched"``.
-        """
-        multipath = state.k > 2
-        if kernel == "batched" and len(pages) >= _BATCH_MIN_PAGES:
-            if multipath:
-                batch_marks, batch_streams, _, _ = partition_pages_multipath(
-                    m, page_ids=pages, allowed_mask=allowed_mask
-                )
-                for j in pages:
-                    sl = m.comp_slice(j)
-                    apply_repartition(
-                        j, batch_marks[sl], batch_streams[sl]
-                    )
-            else:
-                batch_marks, _, _ = partition_pages_batched(
-                    m, page_ids=pages, allowed_mask=allowed_mask
-                )
-                for j in pages:
-                    apply_repartition(j, batch_marks[m.comp_slice(j)])
-        else:
-            for j in pages:
-                if multipath:
-                    marks, streams, _, _ = partition_page_streams(
-                        m, j, allowed=alloc.replicas[server_id]
-                    )
-                    apply_repartition(j, marks, streams)
-                else:
-                    marks, _, _ = partition_page(
-                        m, j, allowed=alloc.replicas[server_id]
-                    )
-                    apply_repartition(j, marks)
-
-    def apply_repartition(
-        j: int, marks: np.ndarray, streams: np.ndarray | None = None
-    ) -> None:
-        """Install page ``j``'s re-partitioned marks, refreshing state.
-
-        At k>2 ``streams`` carries the per-entry owning remote stream; a
-        remote entry that merely changed stream still shifts the page's
-        stream totals, so it counts as a change.
-        """
-        sl = m.comp_slice(j)
-        stale: set[int] = set()
-        changed = False
-        for off in range(sl.stop - sl.start):
-            e = sl.start + off
-            new = bool(marks[off])
-            k = int(m.comp_objects[e])
-            if bool(alloc.comp_local[e]) != new:
-                size = float(m.sizes[k])
-                if new:
-                    if streams is not None:
-                        state.move_local(j, size, int(alloc.comp_stream[e]))
-                        alloc.set_comp_local(e, True)
-                    else:
-                        alloc.set_comp_local(e, True)
-                        state.move_local(j, size)
-                else:
-                    alloc.set_comp_local(e, False)
-                    if streams is not None:
-                        r = int(streams[off])
-                        alloc.comp_stream[e] = r
-                        state.move_remote(j, size, r)
-                    else:
-                        state.move_remote(j, size)
-                changed = True
-                stale.add(k)
-            elif new:
-                # still marked local: its eviction delta shifts with the
-                # page's new stream totals
-                stale.add(k)
-            elif streams is not None and int(alloc.comp_stream[e]) != int(
-                streams[off]
-            ):
-                # remote entry hopping streams: totals shift on both
-                size = float(m.sizes[k])
-                old_r = int(alloc.comp_stream[e])
-                r = int(streams[off])
-                state.stream_bytes[old_r - 1][j] -= size
-                state.stream_bytes[r - 1][j] += size
-                alloc.comp_stream[e] = r
-                changed = True
-        if changed:
-            stats.repartitioned_pages += 1
-            replicas = alloc.replicas[server_id]
-            for k in stale:
-                if k in replicas:
-                    heap.push(score(k), k)
+    for k in replicas:
+        push(int(k))
 
     while used > capacity + _TOL:
-        popped = heap.pop_valid(
-            rescore=score, alive=lambda k: k in alloc.replicas[server_id]
-        )
+        popped = _pop_current(heap, current, replicas.__contains__)
         if popped is None:
             raise InfeasibleError(
                 f"server {server_id}: storage constraint unrestorable "
@@ -463,37 +434,26 @@ def _restore_storage_one_server(
                 "replicas left)"
             )
         delta, k = popped
-        k = int(k)
         size = float(m.sizes[k])
-        # flip marks to remote, updating page stream totals
-        comp_e, opt_e = rev.entries_for(server_id, k)
-        flipped_pages: list[int] = []
-        for e in comp_e:
-            if alloc.comp_local[e]:
-                j = int(m.comp_pages[e])
-                alloc.set_comp_local(e, False)
-                if state.k > 2:
-                    r = state.best_stream(j, size)
-                    alloc.comp_stream[e] = r
-                    state.move_remote(j, size, r)
-                else:
-                    state.move_remote(j, size)
-                flipped_pages.append(j)
-        for e in opt_e:
-            if alloc.opt_local[e]:
-                alloc.set_opt_local(e, False)
-        alloc.replicas[server_id].discard(k)
-        if allowed_mask is not None and comp_e:
-            allowed_mask[list(comp_e)] = False
+        flipped_pages = _evict_replica(alloc, state, server_id, k, rev)
         used -= size
         stats.evictions += 1
         stats.bytes_freed += size
         stats.objective_delta += delta * size if amortise else delta
         stats.evicted_objects.append((server_id, k))
-        # Paper: after each deallocation, try to reduce the retrieval time
-        # of the affected pages using objects that are stored but unmarked.
         if flipped_pages:
-            repartition_flipped(flipped_pages)
+            # Paper: after each deallocation, try to reduce the retrieval
+            # time of the affected pages using objects that are stored but
+            # unmarked.  Every replica marked local on one of those pages,
+            # before or after the re-partition, scores against moved totals.
+            dirty = _local_objects(alloc, flipped_pages)
+            for j in flipped_pages:
+                if _repartition_page(alloc, state, server_id, j):
+                    stats.repartitioned_pages += 1
+            dirty |= _local_objects(alloc, flipped_pages)
+            for k2 in dirty:
+                if k2 in replicas:
+                    push(k2)
     return stats
 
 
@@ -527,10 +487,10 @@ def restore_storage_capacity(
     kernel:
         ``"batched"`` (default) runs the whole greedy loop on the
         vectorised engine of :mod:`repro.core.fast_restoration` (bulk
-        dirty-slice rescoring + array-backed lazy heap); ``"scalar"``
-        keeps this module's per-candidate reference loop.  Results are
-        bit-identical either way — same evictions, same order, same
-        stats.
+        dirty-set rescoring + one ``np.argmin`` per eviction);
+        ``"scalar"`` keeps this module's per-candidate reference loop.
+        Results are bit-identical either way — same evictions, same
+        order, same stats.
 
     Raises
     ------
@@ -562,8 +522,7 @@ def restore_storage_capacity(
             for i in server_list:
                 stats.merge(
                     _restore_storage_one_server(
-                        alloc, cost, state, i, amortise=amortise,
-                        kernel=kernel,
+                        alloc, cost, state, i, amortise=amortise
                     )
                 )
     if reg.enabled:
@@ -590,16 +549,58 @@ def restore_storage_capacity(
 # ----------------------------------------------------------------------
 # processing restoration (Eq. 8)
 # ----------------------------------------------------------------------
-def _candidate_load(alloc: Allocation, key: tuple[str, int]) -> float:
-    """Requests/second shed by switching candidate ``key`` to remote."""
+def _candidate_load(alloc: Allocation, key: int) -> float:
+    """Requests/second shed by switching candidate ``key`` to remote
+    (``e`` for compulsory entry ``e``, ``NC + e`` for optional ``e``)."""
     m = alloc.model
-    kind, e = key
-    if kind == "comp":
-        return float(m.frequencies[m.comp_pages[e]])
+    nc = len(m.comp_objects)
+    if key < nc:
+        return float(m.frequencies[m.comp_pages[key]])
+    e = key - nc
     j = int(m.opt_pages[e])
     return float(
         m.frequencies[j] * m.optional_rate_scale[j] * m.opt_probs[e]
     )
+
+
+def _switch_score(
+    alloc: Allocation, cost: CostModel, state: _PageState, key: int
+) -> float:
+    """Objective damage of switching candidate ``key`` to the repository,
+    per request/second it sheds (``inf`` when it sheds nothing)."""
+    m = alloc.model
+    shed = _candidate_load(alloc, key)
+    if shed <= 0:
+        return np.inf
+    nc = len(m.comp_objects)
+    if key < nc:
+        j = int(m.comp_pages[key])
+        size = float(m.sizes[m.comp_objects[key]])
+        old = state.page_time(j)
+        new = state.page_time_if_moved_remote(j, size)
+        return cost.alpha1 * m.frequencies[j] * (new - old) / shed
+    return cost.optional_entry_delta(key - nc, to_local=False) / shed
+
+
+def _switch_remote(alloc: Allocation, state: _PageState, key: int) -> int:
+    """Switch candidate ``key``'s download to the repository (at k>2, to
+    the stream that ends up shortest); return its object id."""
+    m = alloc.model
+    nc = len(m.comp_objects)
+    if key >= nc:
+        alloc.set_opt_local(key - nc, False)
+        return int(m.opt_objects[key - nc])
+    j = int(m.comp_pages[key])
+    k = int(m.comp_objects[key])
+    size = float(m.sizes[k])
+    alloc.set_comp_local(key, False)
+    if state.k > 2:
+        r = state.best_stream(j, size)
+        alloc.comp_stream[key] = r
+        state.move_remote(j, size, r)
+    else:
+        state.move_remote(j, size)
+    return k
 
 
 def _restore_processing_one_server(
@@ -625,34 +626,25 @@ def _restore_processing_one_server(
             f"alone exceeds processing capacity ({capacity:.2f} req/s)"
         )
 
-    heap = _LazyHeap()
+    nc = len(m.comp_objects)
+    heap: list[tuple[float, int]] = []
+    current: dict[int, float] = {}
 
-    def score(key: tuple[str, int]) -> float:
-        kind, e = key
-        shed = _candidate_load(alloc, key)
-        if shed <= 0:
-            return np.inf
-        if kind == "comp":
-            j = int(m.comp_pages[e])
-            size = float(m.sizes[m.comp_objects[e]])
-            old = state.page_time(j)
-            new = state.page_time_if_moved_remote(j, size)
-            raw = cost.alpha1 * m.frequencies[j] * (new - old)
-        else:
-            raw = cost.optional_entry_delta(e, to_local=False)
-        return raw / shed
+    def push(key: int) -> None:
+        score = _switch_score(alloc, cost, state, key)
+        current[key] = score
+        heapq.heappush(heap, (score, key))
 
-    def alive(key: tuple[str, int]) -> bool:
-        kind, e = key
+    def alive(key: int) -> bool:
         return bool(
-            alloc.comp_local[e] if kind == "comp" else alloc.opt_local[e]
+            alloc.comp_local[key] if key < nc else alloc.opt_local[key - nc]
         )
 
     ctx = alloc.ctx
     for e in (alloc.comp_local & (ctx.comp_server == server_id)).nonzero()[0]:
-        heap.push(score(("comp", int(e))), ("comp", int(e)))
+        push(int(e))
     for e in (alloc.opt_local & (ctx.opt_server == server_id)).nonzero()[0]:
-        heap.push(score(("opt", int(e))), ("opt", int(e)))
+        push(nc + int(e))
 
     # Absolute tolerance scaled to the capacity: the running ``load``
     # accumulates one floating subtraction per switch, and a fraction-0
@@ -672,7 +664,7 @@ def _restore_processing_one_server(
             load = float(local_processing_load(alloc)[server_id])
             if load <= capacity + tol:
                 break
-        popped = heap.pop_valid(rescore=score, alive=alive)
+        popped = _pop_current(heap, current, alive)
         if popped is None:
             # no candidates left: re-verify against the exact load before
             # declaring infeasibility (the accumulator may overestimate)
@@ -685,29 +677,14 @@ def _restore_processing_one_server(
                 "with no local downloads left)"
             )
         amortised, key = popped
-        kind, e = key
         shed = _candidate_load(alloc, key)
-        if kind == "comp":
-            e = int(e)
-            j = int(m.comp_pages[e])
-            k = int(m.comp_objects[e])
-            size = float(m.sizes[k])
-            alloc.set_comp_local(e, False)
-            if state.k > 2:
-                r = state.best_stream(j, size)
-                alloc.comp_stream[e] = r
-                state.move_remote(j, size, r)
-            else:
-                state.move_remote(j, size)
-            # every other local candidate of this page is now stale
-            sl = m.comp_slice(j)
+        k = _switch_remote(alloc, state, key)
+        if key < nc:
+            # the page's other local entries now score against new totals
+            sl = m.comp_slice(int(m.comp_pages[key]))
             for e2 in range(sl.start, sl.stop):
-                if e2 != e and alloc.comp_local[e2]:
-                    heap.push(score(("comp", e2)), ("comp", e2))
-        else:
-            e = int(e)
-            k = int(m.opt_objects[e])
-            alloc.set_opt_local(e, False)
+                if alloc.comp_local[e2]:
+                    push(e2)
         stats.switches += 1
         stats.load_shed += shed
         stats.objective_delta += amortised * shed
@@ -736,8 +713,8 @@ def restore_processing_capacity(
     """Restore Eq. 8 in place; return accounting statistics.
 
     ``kernel="batched"`` (default) runs the vectorised engine of
-    :mod:`repro.core.fast_restoration`; ``"scalar"`` keeps the reference
-    loop.  Decision sequences, stats and final allocations are
+    :mod:`repro.core.fast_restoration` (one ``np.argmin`` per switch);
+    ``"scalar"`` keeps the reference loop.  Decision sequences, stats and final allocations are
     bit-identical either way.  ``servers`` restricts the sweep to an
     explicit subset (mutually exclusive with ``server_id``); see
     :func:`restore_storage_capacity`.

@@ -13,6 +13,7 @@ from repro.core.constraints import (
     storage_used,
 )
 from repro.core.cost_model import CostModel
+from repro.core.fast_restoration import absorb_extra_workload_batched
 from repro.core.offload import (
     OffloadConfig,
     ServerStatus,
@@ -22,6 +23,13 @@ from repro.core.offload import (
     plan_offload_round,
 )
 from repro.core.partition import partition_all
+from repro.core.types import (
+    ObjectSpec,
+    PageSpec,
+    RepositorySpec,
+    ServerSpec,
+    SystemModel,
+)
 from repro.obs.registry import MetricsRegistry, use_registry
 from tests.conftest import build_micro_model
 
@@ -269,3 +277,83 @@ class TestL2Swap:
         b.check_invariants()
         report = evaluate_constraints(b)
         assert report.local_ok and report.storage_ok
+
+
+def _single_object_pages(sizes, freqs, local, storage=math.inf, slack=math.inf):
+    """One server (8 B/s local, 2 B/s repository, overheads 1 s / 2 s);
+    page ``p`` holds 8 B of HTML and the single compulsory object ``p``
+    (entry ``p``) at frequency ``freqs[p]``.  Pages in ``local`` are
+    marked local; CPU capacity leaves ``slack`` req/s free.  Marking
+    page ``p`` local scores 2 * (0.125 - 0.5) * sizes[p] = -0.75 *
+    sizes[p], so bigger objects are absorbed first."""
+    load = sum(freqs) + sum(freqs[p] for p in local)
+    model = SystemModel(
+        [
+            ServerSpec(
+                server_id=0,
+                storage_capacity=storage,
+                processing_capacity=load + slack,
+                rate=8.0,
+                overhead=1.0,
+                repo_rate=2.0,
+                repo_overhead=2.0,
+            )
+        ],
+        RepositorySpec(),
+        [
+            PageSpec(
+                page_id=p, server=0, html_size=8, frequency=f, compulsory=(p,)
+            )
+            for p, f in enumerate(freqs)
+        ],
+        [ObjectSpec(object_id=p, size=s) for p, s in enumerate(sizes)],
+    )
+    return model, Allocation(model, comp_local=np.isin(np.arange(len(sizes)), local))
+
+
+@pytest.mark.parametrize("kernel", ["scalar", "batched"])
+class TestAbsorptionRefusals:
+    """A refused candidate is retired for good; a successful swap
+    re-admits the absorbed candidates it turns remote again."""
+
+    def _absorb(self, kernel, model, alloc, target=10.0):
+        cost = CostModel(model)
+        if kernel == "scalar":
+            return absorb_extra_workload(alloc, cost, 0, target, kernel=kernel), None
+        log: list = []
+        got = absorb_extra_workload_batched(alloc, cost, 0, target, decisions=log)
+        return got, log
+
+    def test_heavier_than_slack_never_absorbed(self, kernel):
+        # page 0 scores best but carries 4 req/s against 3 of slack
+        model, alloc = _single_object_pages([100, 10], [4.0, 1.0], [], slack=3.0)
+        absorbed, log = self._absorb(kernel, model, alloc)
+        assert absorbed == 1.0
+        assert alloc.comp_local.tolist() == [False, True]
+        assert log is None or log == [(1, -7.5)]
+
+    def test_failed_swap_retires_candidate(self, kernel):
+        # page 0 (0.25 req/s) cannot outweigh stored object 2 (0.5 req/s),
+        # so its swap fails; page 1's swap then evicts object 2 and frees
+        # room enough for object 0 — which stays retired
+        model, alloc = _single_object_pages(
+            [100, 10, 200], [0.25, 2.0, 0.5], [2], storage=24 + 200 + 5
+        )
+        absorbed, log = self._absorb(kernel, model, alloc)
+        assert absorbed == 2.0
+        assert alloc.comp_local.tolist() == [False, True, False]
+        assert alloc.replicas[0] == {1}
+        assert log is None or log == [(1, -7.5)]
+
+    def test_successful_swap_readmits_unmarked(self, kernel):
+        # page 0 fills the free 100 B; page 1's swap evicts object 0
+        # (cheapest per byte) and turns page 0 remote again; re-admitted,
+        # page 0 wins once more by swapping out object 2
+        model, alloc = _single_object_pages(
+            [100, 10, 20], [1.0, 2.0, 0.5], [2], storage=24 + 20 + 100
+        )
+        absorbed, log = self._absorb(kernel, model, alloc)
+        assert absorbed == 4.0
+        assert alloc.comp_local.tolist() == [True, True, False]
+        assert alloc.replicas[0] == {0, 1}
+        assert log is None or log == [(0, -75.0), (1, -7.5), (0, -75.0)]

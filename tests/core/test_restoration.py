@@ -12,11 +12,22 @@ from repro.core.constraints import (
     storage_used,
 )
 from repro.core.cost_model import CostModel
+from repro.core.fast_restoration import (
+    restore_processing_batched,
+    restore_storage_batched,
+)
 from repro.core.partition import partition_all
 from repro.core.restoration import (
     InfeasibleError,
     restore_processing_capacity,
     restore_storage_capacity,
+)
+from repro.core.types import (
+    ObjectSpec,
+    PageSpec,
+    RepositorySpec,
+    ServerSpec,
+    SystemModel,
 )
 from tests.conftest import build_micro_model
 
@@ -301,3 +312,90 @@ class TestEndToEndRestoration:
         rep = evaluate_constraints(alloc)
         assert rep.storage_ok and rep.local_ok
         alloc.check_invariants()
+
+
+class TestAmortisationFlag:
+    def test_raw_criterion_restores_too(self):
+        m, alloc, cost = _constrained_partition(storage=(700.0, 900.0))
+        stats = restore_storage_capacity(alloc, cost, amortise=False)
+        assert evaluate_constraints(alloc).storage_ok
+        assert stats.evictions > 0
+
+    def test_amortised_no_worse_on_micro(self):
+        m = build_micro_model(storage=(700.0, 900.0))
+        cost = CostModel(m)
+        a = partition_all(m)
+        restore_storage_capacity(a, cost, amortise=True)
+        b = partition_all(m)
+        restore_storage_capacity(b, cost, amortise=False)
+        assert cost.D(a) <= cost.D(b) + 1e-9
+
+
+def _remote_bound_pages(pages, sizes, local, storage=math.inf, processing=math.inf):
+    """One server (8 B/s local, 2 B/s repository, overheads 1 s / 2 s)
+    hosting ``pages`` — ``(frequency, compulsory objects)`` pairs with
+    8 B of HTML each — with the entries of ``local`` objects marked
+    local.  Every figure is a binary fraction, so equal Eq. 3-5 deltas
+    come out bit-identical."""
+    model = SystemModel(
+        [
+            ServerSpec(
+                server_id=0,
+                storage_capacity=storage,
+                processing_capacity=processing,
+                rate=8.0,
+                overhead=1.0,
+                repo_rate=2.0,
+                repo_overhead=2.0,
+            )
+        ],
+        RepositorySpec(),
+        [
+            PageSpec(page_id=j, server=0, html_size=8, frequency=f, compulsory=objs)
+            for j, (f, objs) in enumerate(pages)
+        ],
+        [ObjectSpec(object_id=k, size=s) for k, s in enumerate(sizes)],
+    )
+    return model, Allocation(model, comp_local=np.isin(model.comp_objects, local))
+
+
+@pytest.mark.parametrize("kernel", ["scalar", "batched"])
+class TestLowestKeyTieBreak:
+    """Equal scores go to the lowest candidate key.  Ties are common:
+    an object local on two remote-bound pages scores α₁·spb_R·size on
+    both, whatever the pages' frequencies."""
+
+    def test_processing_switches_lowest_entry_first(self, kernel):
+        # object 0 is local on both pages; switching either entry costs
+        # 2 * 0.5 * 100 = 100 per request shed.  Entry 0 (page 0, one
+        # request/s) goes first and sheds too little, so entry 2 (page 1)
+        # follows; the opposite tie-break would stop after entry 2.
+        model, alloc = _remote_bound_pages(
+            [(1.0, (0, 1)), (2.0, (0, 1))], [100, 1000], local=[0],
+            processing=4.5,
+        )
+        cost = CostModel(model)
+        if kernel == "batched":
+            log: list = []
+            restore_processing_batched(alloc, cost, 0, decisions=log)
+            assert log == [(0, 100.0), (2, 100.0)]
+        else:
+            restore_processing_capacity(alloc, cost, kernel=kernel)
+        assert not alloc.comp_local.any()
+        assert alloc.replicas[0] == set()
+
+    def test_storage_evicts_lowest_object_first(self, kernel):
+        # objects 0 and 1 (100 B each) sit on twin remote-bound pages:
+        # both evictions cost 2 * 0.5 * 100 / 100 = 1 per byte
+        model, alloc = _remote_bound_pages(
+            [(1.0, (0, 2)), (1.0, (1, 3))], [100, 100, 1000, 1000],
+            local=[0, 1], storage=16 + 150,
+        )
+        cost = CostModel(model)
+        if kernel == "batched":
+            log: list = []
+            restore_storage_batched(alloc, cost, 0, decisions=log)
+            assert log == [(0, 1.0)]
+        else:
+            restore_storage_capacity(alloc, cost, kernel=kernel)
+        assert alloc.replicas[0] == {1}
