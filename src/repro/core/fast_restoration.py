@@ -14,8 +14,8 @@ Two pieces make a step cheap:
 
 1. **Dirty-set rescoring.**  An action only moves the byte totals of the
    pages it touches, so only candidates with a term on those pages score
-   differently afterwards.  Each step collects that dirty set, dedupes it
-   with ``np.unique`` and rescores it in one fused Eq. 3-5 pipeline plus
+   differently afterwards.  Each step collects that dirty set as arrays,
+   dedupes it and rescores it in one fused Eq. 3-5 pipeline plus
    one ``np.bincount`` segment sum whose in-order accumulation replays
    the scalar per-candidate ``+=`` fold term for term.
 
@@ -76,6 +76,15 @@ class ArgminPicker:
         """The members of ``keys`` that are live candidates."""
         return keys[self.alive[self.pos[keys]]]
 
+    def live_distinct(self, keys: np.ndarray) -> np.ndarray:
+        """The distinct live candidates among ``keys``, ascending — a
+        mask over the candidate list, cheaper than ``np.unique`` on a
+        long key list full of repeats."""
+        hit = np.zeros(len(self.alive), dtype=bool)
+        hit[self.pos[keys]] = True
+        hit &= self.alive
+        return self.keys[hit[:-1].nonzero()[0]]
+
     def set(self, keys: np.ndarray, scores: np.ndarray) -> None:
         """Install fresh scores for live candidates ``keys``."""
         self._score[self.pos[keys]] = scores
@@ -120,13 +129,14 @@ def _expand(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndar
             np.arange(s0, s0 + c0, dtype=np.intp),
             np.zeros(c0, dtype=np.intp),
         )
-    total = int(counts.sum())
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(ends) else 0
     owner = np.repeat(np.arange(len(counts), dtype=np.intp), counts)
     if total == 0:
         return np.empty(0, dtype=np.intp), owner
-    cum = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    within = np.arange(total, dtype=np.intp) - np.repeat(cum, counts)
-    idx = np.repeat(np.asarray(starts, dtype=np.intp), counts) + within
+    # row r's entries are starts[r] + (position - first position of r)
+    idx = np.arange(total, dtype=np.intp)
+    idx += np.repeat(np.asarray(starts, dtype=np.intp) - (ends - counts), counts)
     return idx, owner
 
 
@@ -331,7 +341,7 @@ def restore_storage_batched(
 
     def rescore(objs: np.ndarray) -> None:
         """Fresh scores for the live replicas among ``objs``."""
-        objs = picker.live(objs)
+        objs = picker.live_distinct(objs)
         if len(objs):
             picker.set(
                 objs,
@@ -493,7 +503,7 @@ def restore_storage_batched(
             ents = _page_entries(comp_indptr, flip_pages)
             was_local = comp_local[ents]
             repartition(flipped_pages)
-            rescore(np.unique(comp_objects[ents[was_local | comp_local[ents]]]))
+            rescore(comp_objects[ents[was_local | comp_local[ents]]])
     return stats
 
 
@@ -833,9 +843,9 @@ def absorb_extra_workload_batched(
         retire_heavy()
         if dirty_pages:
             # the touched pages' live candidates score against new totals
-            ents = picker.live(
-                _page_entries(comp_indptr, np.unique(dirty_pages))
-            )
+            if len(dirty_pages) > 1:
+                dirty_pages = np.unique(dirty_pages)
+            ents = picker.live(_page_entries(comp_indptr, dirty_pages))
             if len(ents):
                 picker.set(ents, comp_scores(ents))
     return absorbed
