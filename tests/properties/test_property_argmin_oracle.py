@@ -26,14 +26,38 @@ from repro.core.fast_restoration import (
 )
 from repro.core.partition import partition_all
 from repro.core.restoration import restore_storage_capacity
-from repro.core.types import SystemModel
+from repro.core.types import StreamTopology, SystemModel
 from tests.oracles.argmin_greedy import (
     absorption_oracle,
     processing_oracle,
     storage_oracle,
 )
 from tests.properties.strategies import mesh_models, system_models
-from tests.properties.test_property_fast_restoration import _with_capacities
+
+
+def _with_capacities(model, storage=None, processing=None):
+    """``model`` with per-server capacity overrides, keeping its stream
+    topology (so the mesh models stay k-stream)."""
+    servers = [
+        dataclasses.replace(
+            s,
+            storage_capacity=(
+                s.storage_capacity if storage is None else float(storage[i])
+            ),
+            processing_capacity=(
+                s.processing_capacity if processing is None else float(processing[i])
+            ),
+        )
+        for i, s in enumerate(model.servers)
+    ]
+    topology = None
+    if model.n_streams > 2:
+        topology = StreamTopology(
+            rates=model.stream_rates, overheads=model.stream_overheads
+        )
+    return SystemModel(
+        servers, model.repository, model.pages, model.objects, topology=topology
+    )
 
 
 def _assert_same_state(a, b):
@@ -44,7 +68,11 @@ def _assert_same_state(a, b):
         assert a.replicas[i] == b.replicas[i]
 
 
-@given(mesh_models(), st.floats(0.0, 1.0), st.booleans())
+#: k=2 models and k-stream replica meshes in about equal measure
+_models = st.one_of(system_models(), mesh_models(min_streams=3))
+
+
+@given(_models, st.floats(0.0, 1.0), st.booleans())
 @settings(max_examples=150, deadline=None)
 def test_storage_engine_matches_oracle(model, frac, amortise):
     ref = partition_all(model)
@@ -61,7 +89,7 @@ def test_storage_engine_matches_oracle(model, frac, amortise):
     _assert_same_state(engine, oracle)
 
 
-@given(mesh_models(), st.floats(0.0, 1.0))
+@given(_models, st.floats(0.0, 1.0))
 @settings(max_examples=150, deadline=None)
 def test_processing_engine_matches_oracle(model, frac):
     ref = partition_all(model)
