@@ -53,7 +53,7 @@ from repro.core.constraints import (
 from repro.core.cost_model import CostModel
 from repro.core.context import engine_kernel
 from repro.core.partition import Kernel, resolve_kernel
-from repro.core.restoration import _pop_current
+from repro.core.restoration import _candidate_load, _pop_current
 from repro.obs.registry import get_registry
 
 __all__ = [
@@ -196,16 +196,6 @@ def _proportional_shares(
 # ----------------------------------------------------------------------
 # server-side absorption
 # ----------------------------------------------------------------------
-def _candidate_workload(alloc: Allocation, key: int) -> float:
-    """Requests/second absorbed by marking candidate ``key`` local
-    (``e`` for compulsory entry ``e``, ``NC + e`` for optional ``e``)."""
-    ctx = alloc.ctx
-    nc = len(ctx.comp_freq)
-    if key < nc:
-        return float(ctx.comp_freq[key])
-    return float(ctx.opt_freq_weight[key - nc])
-
-
 def _absorb_score(
     alloc: Allocation,
     cost: CostModel,
@@ -216,7 +206,7 @@ def _absorb_score(
     """Objective damage of marking candidate ``key`` local, per
     request/second it absorbs (``inf`` when it absorbs nothing)."""
     m = alloc.model
-    w = _candidate_workload(alloc, key)
+    w = _candidate_load(alloc, key)
     if w <= 0:
         return np.inf
     nc = len(m.comp_objects)
@@ -493,7 +483,7 @@ def _absorb_scalar(
             break
         _, key = popped
         live[key] = False  # accepted or refused, it leaves the set
-        w = _candidate_workload(alloc, key)
+        w = _candidate_load(alloc, key)
         if w <= 0 or w > cpu_slack + _TOL:
             continue
         e = key if key < nc else key - nc

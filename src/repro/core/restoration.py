@@ -550,17 +550,14 @@ def restore_storage_capacity(
 # processing restoration (Eq. 8)
 # ----------------------------------------------------------------------
 def _candidate_load(alloc: Allocation, key: int) -> float:
-    """Requests/second shed by switching candidate ``key`` to remote
-    (``e`` for compulsory entry ``e``, ``NC + e`` for optional ``e``)."""
-    m = alloc.model
-    nc = len(m.comp_objects)
+    """Requests/second candidate ``key`` carries (``e`` for compulsory
+    entry ``e``, ``NC + e`` for optional entry ``e``): the load a switch
+    to the repository sheds, or an absorption adds."""
+    ctx = alloc.ctx
+    nc = len(ctx.comp_freq)
     if key < nc:
-        return float(m.frequencies[m.comp_pages[key]])
-    e = key - nc
-    j = int(m.opt_pages[e])
-    return float(
-        m.frequencies[j] * m.optional_rate_scale[j] * m.opt_probs[e]
-    )
+        return float(ctx.comp_freq[key])
+    return float(ctx.opt_freq_weight[key - nc])
 
 
 def _switch_score(

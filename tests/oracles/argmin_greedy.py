@@ -23,7 +23,6 @@ from repro.core.constraints import local_processing_load, storage_used
 from repro.core.cost_model import CostModel
 from repro.core.offload import (
     _absorb_score,
-    _candidate_workload,
     _rank_victims,
     _try_make_room,
 )
@@ -138,7 +137,7 @@ def absorption_oracle(
             for q in live
         )
         live.discard(key)
-        w = _candidate_workload(alloc, key)
+        w = _candidate_load(alloc, key)
         if w <= 0 or w > cpu_slack + _TOL:
             continue
         e = key if key < nc else key - nc

@@ -26,38 +26,14 @@ from repro.core.fast_restoration import (
 )
 from repro.core.partition import partition_all
 from repro.core.restoration import restore_storage_capacity
-from repro.core.types import StreamTopology, SystemModel
+from repro.core.types import SystemModel
 from tests.oracles.argmin_greedy import (
     absorption_oracle,
     processing_oracle,
     storage_oracle,
 )
 from tests.properties.strategies import mesh_models, system_models
-
-
-def _with_capacities(model, storage=None, processing=None):
-    """``model`` with per-server capacity overrides, keeping its stream
-    topology (so the mesh models stay k-stream)."""
-    servers = [
-        dataclasses.replace(
-            s,
-            storage_capacity=(
-                s.storage_capacity if storage is None else float(storage[i])
-            ),
-            processing_capacity=(
-                s.processing_capacity if processing is None else float(processing[i])
-            ),
-        )
-        for i, s in enumerate(model.servers)
-    ]
-    topology = None
-    if model.n_streams > 2:
-        topology = StreamTopology(
-            rates=model.stream_rates, overheads=model.stream_overheads
-        )
-    return SystemModel(
-        servers, model.repository, model.pages, model.objects, topology=topology
-    )
+from tests.properties.test_property_fast_restoration import _with_capacities
 
 
 def _assert_same_state(a, b):

@@ -36,13 +36,19 @@ from repro.core.restoration import (
     restore_processing_capacity,
     restore_storage_capacity,
 )
-from repro.core.types import RepositorySpec, ServerSpec, SystemModel
+from repro.core.types import (
+    RepositorySpec,
+    ServerSpec,
+    StreamTopology,
+    SystemModel,
+)
 from tests.properties.strategies import system_models
 
 # ----------------------------------------------------------------------
 # engine level
 # ----------------------------------------------------------------------
 def _with_capacities(model, storage=None, processing=None, repo=None):
+    """``model`` with capacity overrides, keeping its stream topology."""
     servers = [
         ServerSpec(
             server_id=s.server_id,
@@ -64,7 +70,14 @@ def _with_capacities(model, storage=None, processing=None, repo=None):
     repo_spec = model.repository
     if repo is not None:
         repo_spec = RepositorySpec(processing_capacity=float(repo))
-    return SystemModel(servers, repo_spec, model.pages, model.objects)
+    topology = None
+    if model.n_streams > 2:
+        topology = StreamTopology(
+            rates=model.stream_rates, overheads=model.stream_overheads
+        )
+    return SystemModel(
+        servers, repo_spec, model.pages, model.objects, topology=topology
+    )
 
 
 def _assert_same_decisions(m2, phase):
