@@ -118,10 +118,11 @@ class PopularityPolicy(AllocationPolicy):
                 if len(pages):
                     allowed_mask = np.zeros(len(ctx.comp_objects), dtype=bool)
                     allowed_mask[ce] = np.isin(ctx.comp_objects[ce], stored_arr)
-                    marks, _, _ = partition_pages_batched(
+                    marks, streams, _, _ = partition_pages_batched(
                         model, page_ids=pages, allowed_mask=allowed_mask
                     )
                     alloc.set_comp_local_bulk(marks.nonzero()[0], True)
+                    alloc.comp_stream[ce] = streams[ce]
             oe = ctx.opt_group(i)[0]
             osel = np.isin(ctx.opt_objects[oe], stored_arr)
             alloc.set_opt_local_bulk(oe[osel], True)

@@ -14,10 +14,10 @@ built **once per** ``(SystemModel, kernel)`` and cached on the model
 (mirroring ``ReverseIndex.for_model``).  The columns are plain NumPy
 arrays shared by reference between the two kernel variants, so asking
 for the ``"scalar"`` context after the ``"batched"`` one costs nothing.
-All expressions here are copied *verbatim* from the consumers they
-replace — the arrays are bit-identical to what each consumer used to
-compute privately, which is what keeps the golden regressions and the
-differential kernel oracles unchanged.
+Each column is computed with the expression its consumers used to
+evaluate privately, so the arrays are bit-identical to theirs — which
+is what keeps the golden regressions and the differential kernel
+oracles unchanged.
 
 :class:`IncrementalObjective` layers delta evaluation of the composite
 objective ``D = α₁·D₁ + α₂·D₂`` on top of the context: bulk mark flips
@@ -120,10 +120,10 @@ class ScalarViews:
     spb_repo: list[float]
     html: list[float]
     freq: list[float]
-    #: per-remote-stream views; element 0 is the repository stream and
-    #: shares the exact list objects of ``ovhd_repo`` / ``spb_repo``
-    ovhd_streams: tuple[list[float], ...] = ()
-    spb_streams: tuple[list[float], ...] = ()
+    #: per-page remote-stream views: ``ovhd_streams[j][r-1]`` is page
+    #: ``j``'s overhead on remote stream ``r`` (the repository first)
+    ovhd_streams: list[tuple[float, ...]] = ()
+    spb_streams: list[tuple[float, ...]] = ()
 
 
 _CACHE_ATTR = "_repro_eval_context_cache"
@@ -427,9 +427,7 @@ class EvalContext:
         # Per-remote-stream seed columns (the k-stream generalization of
         # the Eq. 3-5 local/repository pair).  Element 0 IS the
         # repository column — the same array objects as
-        # ``page_spb_repo`` / ``page_ovhd_repo`` / ``opt_time_repo`` —
-        # so the degenerate k=2 topology adds no new arrays and every
-        # k=2 expression stays bit-identical to the pre-stream code.
+        # ``page_spb_repo`` / ``page_ovhd_repo`` / ``opt_time_repo``.
         self.n_streams = int(getattr(m, "n_streams", 2))
         spb_rows = [self.page_spb_repo]
         ovhd_rows = [self.page_ovhd_repo]
@@ -443,38 +441,33 @@ class EvalContext:
         self.page_spb_streams = tuple(spb_rows)
         self.page_ovhd_streams = tuple(ovhd_rows)
         self.opt_time_streams = tuple(opt_rows)
-        if self.n_streams == 2:
-            # alias, not a copy: Eq. 6 consumers switching from
-            # ``opt_time_repo`` to ``opt_time_remote`` read the exact
-            # same array at k=2
-            self.opt_time_remote = self.opt_time_repo
-            self.opt_best_stream = np.ones(len(po), dtype=np.int8)
-        else:
-            stack = np.stack(opt_rows)
-            best = stack.argmin(axis=0)
-            self.opt_time_remote = stack[best, np.arange(stack.shape[1])]
-            self.opt_best_stream = (best + 1).astype(np.int8)
+        # cheapest remote stream per optional entry, ties to the lowest
+        # index: a fold from the repository over the replica sites
+        self.opt_time_remote = self.opt_time_repo
+        self.opt_best_stream = np.ones(len(po), dtype=np.int8)
+        for r, row in enumerate(opt_rows[1:], 2):
+            win = row < self.opt_time_remote
+            self.opt_time_remote = np.where(win, row, self.opt_time_remote)
+            self.opt_best_stream[win] = r
 
         self.html_bytes_by_server = m.html_bytes_by_server()
         load = np.zeros(m.n_servers)
         np.add.at(load, srv, m.frequencies)
         self.html_request_load = load
 
-        ovhd_repo_list = self.page_ovhd_repo.tolist()
-        spb_repo_list = self.page_spb_repo.tolist()
+        ovhd_repo = self.page_ovhd_repo.tolist()
+        spb_repo = self.page_spb_repo.tolist()
         self.scalars = ScalarViews(
             ovhd_local=self.page_ovhd_local.tolist(),
             spb_local=self.page_spb_local.tolist(),
-            ovhd_repo=ovhd_repo_list,
-            spb_repo=spb_repo_list,
+            ovhd_repo=ovhd_repo,
+            spb_repo=spb_repo,
             html=m.html_sizes.tolist(),
             freq=m.frequencies.tolist(),
-            ovhd_streams=tuple(
-                [ovhd_repo_list] + [a.tolist() for a in ovhd_rows[1:]]
+            ovhd_streams=list(
+                zip(ovhd_repo, *(a.tolist() for a in ovhd_rows[1:]))
             ),
-            spb_streams=tuple(
-                [spb_repo_list] + [a.tolist() for a in spb_rows[1:]]
-            ),
+            spb_streams=list(zip(spb_repo, *(a.tolist() for a in spb_rows[1:]))),
         )
 
         self._build_pair_table()
@@ -658,7 +651,11 @@ class EvalContext:
         onto their engine (``"sharded"`` → ``"batched"``), so a sharded
         run never builds a third context.
         """
-        kern = engine_kernel(resolve_kernel(kernel))
+        kern = (
+            kernel
+            if kernel in _ENGINE_KERNELS
+            else engine_kernel(resolve_kernel(kernel))
+        )
         if not _CACHE_ENABLED[0]:
             return cls(model, kern)
         cache: dict[str, EvalContext] | None = getattr(model, _CACHE_ATTR, None)
@@ -789,39 +786,24 @@ class IncrementalObjective:
         evaluator — the escape hatch that clears accumulated drift.
         """
         c = self.ctx
-        k = c.n_streams
         sel = self.comp_local
         self._lb = np.bincount(
             c.comp_pages[sel], weights=c.comp_sizes[sel], minlength=c.n_pages
         )
-        local = c.page_ovhd_local + c.page_spb_local * (c.html_sizes + self._lb)
-        if k == 2:
-            self._rb = np.bincount(
-                c.comp_pages[~sel], weights=c.comp_sizes[~sel], minlength=c.n_pages
+        page_t = c.page_ovhd_local + c.page_spb_local * (c.html_sizes + self._lb)
+        rem = ~sel
+        rb_rows = []
+        for r in range(1, c.n_streams):
+            sel_r = rem & (self.comp_stream == r)
+            rb = np.bincount(
+                c.comp_pages[sel_r], weights=c.comp_sizes[sel_r], minlength=c.n_pages
             )
-            remote = c.page_ovhd_repo + c.page_spb_repo * self._rb
-            self._page_t = np.maximum(local, remote)
-            self._rb_streams = (self._rb,)
-        else:
-            rem = ~sel
-            rb_rows = []
-            page_t = local
-            for r in range(1, k):
-                sel_r = rem & (self.comp_stream == r)
-                rb = np.bincount(
-                    c.comp_pages[sel_r],
-                    weights=c.comp_sizes[sel_r],
-                    minlength=c.n_pages,
-                )
-                rb_rows.append(rb)
-                page_t = np.maximum(
-                    page_t,
-                    c.page_ovhd_streams[r - 1]
-                    + c.page_spb_streams[r - 1] * rb,
-                )
-            self._rb_streams = tuple(rb_rows)
-            self._rb = rb_rows[0]
-            self._page_t = page_t
+            rb_rows.append(rb)
+            page_t = np.maximum(
+                page_t, c.page_ovhd_streams[r - 1] + c.page_spb_streams[r - 1] * rb
+            )
+        self._rb_streams = tuple(rb_rows)
+        self._page_t = page_t
         per_entry = np.where(self.opt_local, c.opt_time_local, c.opt_time_remote)
         self._opt_base = np.bincount(
             c.opt_pages, weights=c.opt_probs * per_entry, minlength=c.n_pages
@@ -854,7 +836,7 @@ class IncrementalObjective:
     ) -> tuple[np.ndarray, np.ndarray]:
         """``(changed entry ids, positions of those ids in ``entries``)``.
 
-        The positions keep any per-entry payload (the k>2 target-stream
+        The positions keep any per-entry payload (the target-stream
         column) aligned with ``changed`` through the no-op filter and
         the duplicate dedup.
         """
@@ -875,10 +857,10 @@ class IncrementalObjective:
         """Flip compulsory marks in bulk; returns the updated ``D``.
 
         Entries already in the target state (and duplicates) are ignored,
-        mirroring ``Allocation.set_comp_local_bulk``.  At k>2 a flip to
-        remote lands each entry on ``streams`` (aligned with
-        ``entries``; default stream 1, the repository), and a flip to
-        local debits the stream the entry was previously assigned to.
+        mirroring ``Allocation.set_comp_local_bulk``.  A flip to remote
+        lands each entry on ``streams`` (aligned with ``entries``;
+        default stream 1, the repository), and a flip to local debits
+        the stream the entry was previously assigned to.
         """
         changed, idx = self._changed(entries, self.comp_local, to_local)
         if len(changed) == 0:
@@ -887,52 +869,34 @@ class IncrementalObjective:
         k = c.n_streams
         pages = c.comp_pages[changed]
         sizes = c.comp_sizes[changed]
-        if k == 2:
-            self.comp_local[changed] = to_local
-            sign = 1.0 if to_local else -1.0
-            np.add.at(self._lb, pages, sign * sizes)
-            np.add.at(self._rb, pages, -sign * sizes)
-            up = np.unique(pages)
-            local = c.page_ovhd_local[up] + c.page_spb_local[up] * (
-                c.html_sizes[up] + self._lb[up]
-            )
-            remote = c.page_ovhd_repo[up] + c.page_spb_repo[up] * self._rb[up]
-            new_t = np.maximum(local, remote)
-        else:
-            if to_local:
-                src = self.comp_stream[changed]
-                self.comp_local[changed] = True
-                np.add.at(self._lb, pages, sizes)
-                for r in range(1, k):
-                    on_r = src == r
-                    if on_r.any():
-                        np.add.at(
-                            self._rb_streams[r - 1], pages[on_r], -sizes[on_r]
-                        )
-            else:
-                if streams is None:
-                    tgt = np.ones(len(changed), dtype=np.int8)
-                else:
-                    tgt = np.asarray(streams, dtype=np.int8)[idx]
-                self.comp_local[changed] = False
-                self.comp_stream[changed] = tgt
-                np.add.at(self._lb, pages, -sizes)
-                for r in range(1, k):
-                    on_r = tgt == r
-                    if on_r.any():
-                        np.add.at(
-                            self._rb_streams[r - 1], pages[on_r], sizes[on_r]
-                        )
-            up = np.unique(pages)
-            new_t = c.page_ovhd_local[up] + c.page_spb_local[up] * (
-                c.html_sizes[up] + self._lb[up]
-            )
+        if to_local:
+            src = self.comp_stream[changed]
+            self.comp_local[changed] = True
+            np.add.at(self._lb, pages, sizes)
             for r in range(1, k):
-                new_t = np.maximum(
-                    new_t,
-                    c.page_ovhd_streams[r - 1][up]
-                    + c.page_spb_streams[r - 1][up] * self._rb_streams[r - 1][up],
-                )
+                on_r = src == r
+                np.add.at(self._rb_streams[r - 1], pages[on_r], -sizes[on_r])
+        else:
+            if streams is None:
+                tgt = np.ones(len(changed), dtype=np.int8)
+            else:
+                tgt = np.asarray(streams, dtype=np.int8)[idx]
+            self.comp_local[changed] = False
+            self.comp_stream[changed] = tgt
+            np.add.at(self._lb, pages, -sizes)
+            for r in range(1, k):
+                on_r = tgt == r
+                np.add.at(self._rb_streams[r - 1], pages[on_r], sizes[on_r])
+        up = np.unique(pages)
+        new_t = c.page_ovhd_local[up] + c.page_spb_local[up] * (
+            c.html_sizes[up] + self._lb[up]
+        )
+        for r in range(1, k):
+            new_t = np.maximum(
+                new_t,
+                c.page_ovhd_streams[r - 1][up]
+                + c.page_spb_streams[r - 1][up] * self._rb_streams[r - 1][up],
+            )
         self._d1 += float(np.dot(c.frequencies[up], new_t - self._page_t[up]))
         self._page_t[up] = new_t
         return self._bump()

@@ -60,9 +60,10 @@ class PageTimes:
     local:
         ``Time(S_i, W_j)`` — the local pipelined stream (Eq. 3).
     remote:
-        ``Time(R, W_j)`` — the repository stream (Eq. 4).  At k>2 this
-        is the *binding* remote time (elementwise max over the remote
-        streams), so ``page == max(local, remote)`` holds at every k.
+        ``Time(R, W_j)`` — the binding remote time (Eq. 4): the
+        elementwise max over the remote streams, which is the repository
+        stream alone in the paper's two-stream model, so ``page ==
+        max(local, remote)`` holds at every k.
     page:
         ``Time(W_j) = max(local, remote)`` (Eq. 5), generalized to the
         max over all k streams.
@@ -70,15 +71,14 @@ class PageTimes:
         ``Time(W_j, M)`` — expected optional-object time (Eq. 6).
     by_stream:
         Per-remote-stream times, ``by_stream[r-1]`` being stream ``r``'s
-        Eq. 4 analog.  ``None`` on the degenerate k=2 evaluation (where
-        ``remote`` already is the single repository stream).
+        Eq. 4 analog.
     """
 
     local: np.ndarray
     remote: np.ndarray
     page: np.ndarray
     optional: np.ndarray
-    by_stream: tuple[np.ndarray, ...] | None = None
+    by_stream: tuple[np.ndarray, ...]
 
 
 class CostModel:
@@ -121,8 +121,8 @@ class CostModel:
         #: per-optional-entry single-download times (Eq. 6): local vs repo
         self.opt_time_local = ctx.opt_time_local
         self.opt_time_repo = ctx.opt_time_repo
-        #: best remote single-download time — IS ``opt_time_repo`` at
-        #: k=2, the min over the k−1 remote streams otherwise
+        #: best remote single-download time: the min over the k−1
+        #: remote streams
         self.opt_time_remote = ctx.opt_time_remote
         #: expected weight of each optional entry: f(W_j)·scale·U'_jk
         self.opt_freq_weight = ctx.opt_freq_weight
@@ -145,33 +145,13 @@ class CostModel:
             m.comp_pages[sel], weights=self.comp_sizes[sel], minlength=m.n_pages
         )
 
-    def remote_mo_bytes(self, alloc: Allocation) -> np.ndarray:
-        """Per-page :math:`\\sum_k (1-X_{jk}) U_{jk} Size(M_k)`."""
-        m = self.model
-        sel = ~alloc.comp_local
-        return np.bincount(
-            m.comp_pages[sel], weights=self.comp_sizes[sel], minlength=m.n_pages
-        )
-
     def remote_mo_bytes_by_stream(
         self, alloc: Allocation
     ) -> tuple[np.ndarray, ...]:
-        """Per-page remote byte totals split by owning stream.
-
-        Element ``r-1`` is stream ``r``'s total.  At k=2 every remote
-        entry is on the repository stream, so this is the one-element
-        tuple ``(remote_mo_bytes(alloc),)`` computed identically.
-        """
+        """Per-page :math:`\\sum_k (1-X_{jk}) U_{jk} Size(M_k)` split by
+        owning stream: element ``r-1`` is stream ``r``'s total."""
         m = self.model
         rem = ~alloc.comp_local
-        if self.n_streams == 2:
-            return (
-                np.bincount(
-                    m.comp_pages[rem],
-                    weights=self.comp_sizes[rem],
-                    minlength=m.n_pages,
-                ),
-            )
         return tuple(
             np.bincount(
                 m.comp_pages[sel_r],
@@ -185,22 +165,11 @@ class CostModel:
     # ------------------------------------------------------------------
     # Eq. 3-6
     # ------------------------------------------------------------------
-    def stream_times(
-        self, local_mo_bytes: np.ndarray, remote_mo_bytes: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Eq. 3 and Eq. 4 from per-page byte totals."""
-        m = self.model
-        local = self.page_ovhd_local + self.page_spb_local * (
-            m.html_sizes + local_mo_bytes
-        )
-        remote = self.page_ovhd_repo + self.page_spb_repo * remote_mo_bytes
-        return local, remote
-
     def optional_times(self, alloc: Allocation) -> np.ndarray:
         """Eq. 6 per page: expected optional download time per view.
 
-        Remote optional downloads use the cheapest stream
-        (``opt_time_remote`` — the repository at k=2).
+        Remote optional downloads use the cheapest remote stream
+        (``opt_time_remote``).
         """
         m = self.model
         per_entry = np.where(
@@ -212,15 +181,6 @@ class CostModel:
 
     def page_times(self, alloc: Allocation) -> PageTimes:
         """Full per-page decomposition (Eq. 3-6)."""
-        if self.n_streams == 2:
-            local, remote = self.stream_times(
-                self.local_mo_bytes(alloc), self.remote_mo_bytes(alloc)
-            )
-            page = np.maximum(local, remote)
-            optional = self.optional_times(alloc)
-            return PageTimes(
-                local=local, remote=remote, page=page, optional=optional
-            )
         ctx = self.ctx
         m = self.model
         local = self.page_ovhd_local + self.page_spb_local * (
@@ -283,34 +243,22 @@ class CostModel:
         """
         return self.ctx.scalars
 
-    def page_time_from_bytes(
-        self, page_id: int, local_mo_bytes: float, remote_mo_bytes: float
-    ) -> float:
-        """Eq. 5 for a single page given its stream byte totals."""
-        s = self.scalars
-        tl = s.ovhd_local[page_id] + s.spb_local[page_id] * (
-            s.html[page_id] + local_mo_bytes
-        )
-        tr = s.ovhd_repo[page_id] + s.spb_repo[page_id] * remote_mo_bytes
-        return tl if tl >= tr else tr
-
     def page_time_from_stream_bytes(
         self, page_id: int, local_mo_bytes: float, stream_bytes
     ) -> float:
         """Eq. 5 over k streams for one page.
 
-        ``stream_bytes[r-1]`` is stream ``r``'s byte total.  With a
-        single remote stream this runs the exact expression sequence of
-        :meth:`page_time_from_bytes`.
+        ``stream_bytes[r-1]`` is stream ``r``'s byte total; the page
+        time is the max over the local and every remote stream.
         """
         s = self.scalars
         t = s.ovhd_local[page_id] + s.spb_local[page_id] * (
             s.html[page_id] + local_mo_bytes
         )
         for ovhd_r, spb_r, rb in zip(
-            s.ovhd_streams, s.spb_streams, stream_bytes
+            s.ovhd_streams[page_id], s.spb_streams[page_id], stream_bytes
         ):
-            tr = ovhd_r[page_id] + spb_r[page_id] * rb
+            tr = ovhd_r + spb_r * rb
             if tr > t:
                 t = tr
         return t
@@ -327,52 +275,6 @@ class CostModel:
     # ------------------------------------------------------------------
     # bulk (vectorised) counterparts used by the batched greedy kernels
     # ------------------------------------------------------------------
-    def bulk_page_time_from_bytes(
-        self,
-        page_ids: np.ndarray,
-        local_mo_bytes: np.ndarray,
-        remote_mo_bytes: np.ndarray,
-    ) -> np.ndarray:
-        """Eq. 5 for many (page, byte-total) tuples at once.
-
-        Bit-identical to mapping :meth:`page_time_from_bytes` over the
-        inputs: the expression trees match term for term, and for the
-        finite nonnegative stream times ``np.maximum`` picks the same
-        value as the scalar ``tl if tl >= tr else tr`` branch.
-        """
-        tl = self.page_ovhd_local[page_ids] + self.page_spb_local[page_ids] * (
-            self.model.html_sizes[page_ids] + local_mo_bytes
-        )
-        tr = (
-            self.page_ovhd_repo[page_ids]
-            + self.page_spb_repo[page_ids] * remote_mo_bytes
-        )
-        return np.maximum(tl, tr)
-
-    def bulk_page_time_from_stream_bytes(
-        self,
-        page_ids: np.ndarray,
-        local_mo_bytes: np.ndarray,
-        stream_bytes,
-    ) -> np.ndarray:
-        """Vectorised :meth:`page_time_from_stream_bytes`.
-
-        ``stream_bytes`` is a sequence of k−1 arrays aligned with
-        ``page_ids``.  With one remote stream this is term-for-term the
-        :meth:`bulk_page_time_from_bytes` expression tree.
-        """
-        ctx = self.ctx
-        t = self.page_ovhd_local[page_ids] + self.page_spb_local[page_ids] * (
-            self.model.html_sizes[page_ids] + local_mo_bytes
-        )
-        for r, rb in enumerate(stream_bytes, 1):
-            t = np.maximum(
-                t,
-                ctx.page_ovhd_streams[r - 1][page_ids]
-                + ctx.page_spb_streams[r - 1][page_ids] * rb,
-            )
-        return t
-
     def bulk_optional_entry_delta(
         self, entries: np.ndarray, to_local: bool
     ) -> np.ndarray:

@@ -1,8 +1,8 @@
 """Batched PARTITION kernel (Section 4.2, all pages at once).
 
-:func:`partition_page` runs the paper's greedy stream balancing one page
-at a time; on Table 1-scale workloads the experiment sweeps spend most of
-their wall-clock inside that Python loop.  This module re-implements the
+:func:`~repro.core.partition.partition_page` runs the greedy stream
+balancing one page at a time; on Table 1-scale workloads the experiment
+sweeps spend most of their wall-clock inside that Python loop.  This module re-implements the
 greedy as a **pad-and-mask batch kernel** over the flat CSR layout that
 :class:`~repro.core.types.SystemModel` already maintains
 (``comp_sorted`` / ``comp_indptr``): pages are sorted by descending
@@ -18,13 +18,17 @@ Bit-exactness contract
 The kernel performs *the same IEEE-754 double operations in the same
 order* as the scalar greedy for every page:
 
-* ``local = Ovhd(S_i) + Size(H_j)/B(S_i)`` seed, ``remote = Ovhd(R, S_i)``,
-* per object ``cand_remote = remote + size/B(R,S_i)`` and
-  ``cand_local = local + size/B(S_i)``,
-* the tie rule ``cand_remote < cand_local`` — **equal candidates go
-  local** (only a strictly shorter repository stream wins an object).
+* ``local = Ovhd(S_i) + Size(H_j)/B(S_i)`` seed, remote stream ``r``
+  seeded at its overhead (``Ovhd(R, S_i)`` for the repository),
+* per object ``cand_r = remote_r + size/B(r, S_i)`` on every remote
+  stream and ``cand_local = local + size/B(S_i)``,
+* the tie rule: the lowest-index remote stream among the shortest
+  candidates wins the object only when it is **strictly** shorter than
+  ``cand_local`` — equal candidates go local.  With the repository as
+  the only remote stream this is the paper's
+  ``cand_remote < cand_local``.
 
-Hence marks and stream times are **bit-identical** to
+Hence marks, streams and stream times are **bit-identical** to
 :func:`~repro.core.partition.partition_page`, which the differential
 property suite (``tests/properties/test_property_fast_partition.py``)
 asserts with exact ``==`` comparisons.  The scalar implementation stays
@@ -32,8 +36,8 @@ in the tree as the reference oracle.
 
 Entry points
 ------------
-* :func:`partition_pages_batched` — marks + stream times for a set of
-  pages (the restoration re-partition path batches the pages affected by
+* :func:`partition_pages_batched` — marks, streams and stream times for
+  a set of pages (the restoration re-partition path batches the pages affected by
   an eviction).
 * :func:`partition_all_batched` — full :class:`Allocation` assembly via
   the bulk mark APIs (:meth:`Allocation.set_comp_local_bulk`).
@@ -54,7 +58,6 @@ from repro.obs.registry import get_registry
 
 __all__ = [
     "partition_pages_batched",
-    "partition_pages_multipath",
     "partition_all_batched",
     "comp_allowed_mask",
     "optional_marks_batched",
@@ -113,8 +116,14 @@ def partition_pages_batched(
     page_ids: np.ndarray | Collection[int] | None = None,
     allowed_mask: np.ndarray | None = None,
     order: str = "decreasing",
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Run PARTITION for many pages in one vectorized pass.
+
+    Each greedy step folds the active pages' candidate times over the
+    remote streams — the repository first, a replica site taking over
+    only when strictly shorter — and the best remote stream must then be
+    *strictly* shorter than the local candidate to win the object: the
+    scalar kernel's tie rule.
 
     Parameters
     ----------
@@ -124,18 +133,20 @@ def partition_pages_batched(
         Pages to partition (default: all pages).
     allowed_mask:
         Optional boolean array over the model's **flat compulsory
-        entries**: ``False`` entries are forced onto the repository
-        stream (build it with :func:`comp_allowed_mask`, or slice-assign
-        for a single server's replica set).  ``None`` = unrestricted.
+        entries**: ``False`` entries are forced onto a remote stream
+        (build it with :func:`comp_allowed_mask`, or slice-assign for a
+        single server's replica set).  ``None`` = unrestricted.
     order:
         Same iteration orders as :func:`~repro.core.partition.partition_page`.
 
     Returns
     -------
-    (marks, local_times, remote_times):
-        ``marks`` is a flat boolean array over **all** of the model's
-        compulsory entries (entries of unselected pages stay ``False``);
-        the time arrays are aligned with ``page_ids``.
+    (marks, streams, local_times, stream_times):
+        ``marks``/``streams`` are flat over **all** of the model's
+        compulsory entries (entries of unselected pages stay unmarked on
+        stream 1; ``streams`` is ``int8``, meaningful where the mark is
+        ``False``); ``local_times`` aligns with ``page_ids`` and
+        ``stream_times`` is ``(n_streams - 1, len(page_ids))``.
     """
     if page_ids is None:
         pages = np.arange(model.n_pages, dtype=np.intp)
@@ -153,99 +164,9 @@ def partition_pages_batched(
 
     ne = len(model.comp_objects)
     marks = np.zeros(ne, dtype=bool)
-
-    ctx = EvalContext.for_model(model)
-    spb_local = ctx.page_spb_local[pages]
-    spb_repo = ctx.page_spb_repo[pages]
-    local = ctx.page_ovhd_local[pages] + spb_local * ctx.html_sizes[pages]
-    remote = ctx.page_ovhd_repo[pages].copy()
-
-    counts = model.comp_indptr[pages + 1] - model.comp_indptr[pages]
-    if len(pages) == 0 or counts.max(initial=0) == 0:
-        return marks, local, remote
-
-    # Rank pages by descending compulsory count so the pages still
-    # holding a t-th object always form a prefix of the batch; undo the
-    # permutation on return.
-    rank = np.argsort(-counts, kind="stable")
-    pages_r = pages[rank]
-    counts_r = counts[rank]
-    local_r = local[rank]
-    remote_r = remote[rank]
-    spb_local_r = spb_local[rank]
-    spb_repo_r = spb_repo[rank]
-
-    entry_sizes = model.comp_entry_sizes
-    max_k = int(counts_r[0])
-    # Number of active pages at each step: counts_r is descending, so
-    # pages with counts_r > t occupy [0, active_at[t]).
-    active_at = np.searchsorted(-counts_r, -np.arange(max_k), side="left")
-
-    for t in range(max_k):
-        a = int(active_at[t])
-        e_t = _entry_tile_column(model, pages_r[:a], counts_r[:a], t, order)
-        size = entry_sizes[e_t]
-        cand_remote = remote_r[:a] + spb_repo_r[:a] * size
-        cand_local = local_r[:a] + spb_local_r[:a] * size
-        # Paper tie rule: the repository wins an object only when its
-        # stream ends up STRICTLY shorter; equal candidates go local.
-        go_local = ~(cand_remote < cand_local)
-        if allowed_mask is not None:
-            go_local &= allowed_mask[e_t]
-        remote_r[:a] = np.where(go_local, remote_r[:a], cand_remote)
-        local_r[:a] = np.where(go_local, cand_local, local_r[:a])
-        marks[e_t[go_local]] = True
-
-    inv = np.empty_like(rank)
-    inv[rank] = np.arange(len(rank))
-    return marks, local_r[inv], remote_r[inv]
-
-
-def partition_pages_multipath(
-    model: SystemModel,
-    page_ids: np.ndarray | Collection[int] | None = None,
-    allowed_mask: np.ndarray | None = None,
-    order: str = "decreasing",
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """k-way batched PARTITION: argmin over all streams per greedy step.
-
-    The batched counterpart of
-    :func:`~repro.core.partition.partition_page_streams`.  Each step
-    stacks the k candidate times as a ``(k, active)`` matrix — row 0 is
-    the local stream — and ``np.argmin`` picks the winner, so ties fall
-    to the lowest stream index exactly like the scalar reference (and,
-    at k=2, exactly like :func:`partition_pages_batched`'s
-    ``~(cand_remote < cand_local)`` rule).  Disallowed objects get row
-    0 masked to ``+inf``, leaving the argmin over the remote streams.
-
-    Returns
-    -------
-    (marks, streams, local_times, stream_times):
-        ``marks``/``streams`` are flat over all compulsory entries
-        (``streams`` is ``int8``, meaningful where the mark is
-        ``False``); ``local_times`` aligns with ``page_ids`` and
-        ``stream_times`` is ``(n_streams - 1, len(page_ids))``.
-    """
-    if page_ids is None:
-        pages = np.arange(model.n_pages, dtype=np.intp)
-    else:
-        pages = np.asarray(page_ids, dtype=np.intp)
-        if pages.ndim != 1:
-            raise ValueError("page_ids must be one-dimensional")
-    if order not in ("decreasing", "increasing", "document"):
-        raise ValueError(f"unknown sort order {order!r}")
-
-    reg = get_registry()
-    if reg.enabled:
-        reg.count("partition.multipath_calls")
-        reg.count("partition.multipath_pages", len(pages))
-
-    ne = len(model.comp_objects)
-    marks = np.zeros(ne, dtype=bool)
     streams = np.ones(ne, dtype=np.int8)
 
     ctx = EvalContext.for_model(model)
-    n_rem = ctx.n_streams - 1
     spb_local = ctx.page_spb_local[pages]
     local = ctx.page_ovhd_local[pages] + spb_local * ctx.html_sizes[pages]
     spb_streams = np.stack([col[pages] for col in ctx.page_spb_streams])
@@ -255,6 +176,9 @@ def partition_pages_multipath(
     if len(pages) == 0 or counts.max(initial=0) == 0:
         return marks, streams, local, remote
 
+    # Rank pages by descending compulsory count so the pages still
+    # holding a t-th object always form a prefix of the batch; undo the
+    # permutation on return.
     rank = np.argsort(-counts, kind="stable")
     pages_r = pages[rank]
     counts_r = counts[rank]
@@ -265,27 +189,35 @@ def partition_pages_multipath(
 
     entry_sizes = model.comp_entry_sizes
     max_k = int(counts_r[0])
+    # Number of active pages at each step: counts_r is descending, so
+    # pages with counts_r > t occupy [0, active_at[t]).
     active_at = np.searchsorted(-counts_r, -np.arange(max_k), side="left")
 
+    sites = range(1, len(remote_r))
     for t in range(max_k):
         a = int(active_at[t])
         e_t = _entry_tile_column(model, pages_r[:a], counts_r[:a], t, order)
         size = entry_sizes[e_t]
+        # the shortest remote stream after receiving the object, ties to
+        # the lowest index (site 0 is the repository) ...
+        best = remote_r[0, :a] + spb_streams_r[0, :a] * size
+        site = np.zeros(a, dtype=np.intp)
+        for r in sites:
+            cand = remote_r[r, :a] + spb_streams_r[r, :a] * size
+            win = cand < best
+            best = np.where(win, cand, best)
+            site[win] = r
+        # ... wins it only when STRICTLY shorter than the local stream
         cand_local = local_r[:a] + spb_local_r[:a] * size
-        cand_streams = remote_r[:, :a] + spb_streams_r[:, :a] * size
-        top = cand_local
+        go_local = ~(best < cand_local)
         if allowed_mask is not None:
-            top = np.where(allowed_mask[e_t], cand_local, np.inf)
-        choice = np.argmin(
-            np.concatenate([top[None, :], cand_streams], axis=0), axis=0
-        )
-        go_local = choice == 0
+            go_local &= allowed_mask[e_t]
         local_r[:a] = np.where(go_local, cand_local, local_r[:a])
-        for r in range(n_rem):
-            on_r = choice == r + 1
-            remote_r[r, :a] = np.where(on_r, cand_streams[r], remote_r[r, :a])
+        won = (~go_local).nonzero()[0]
+        site = site[won]
+        remote_r[site, won] = best[won]
         marks[e_t[go_local]] = True
-        streams[e_t[~go_local]] = choice[~go_local].astype(np.int8)
+        streams[e_t[won]] = site + 1
 
     inv = np.empty_like(rank)
     inv[rank] = np.arange(len(rank))
@@ -313,8 +245,8 @@ def optional_marks_batched(
     elif policy == "beneficial":
         # the per-entry single-download times are exactly the "beneficial"
         # predicate's two sides, precomputed once in the context
-        # (opt_time_remote IS opt_time_repo at k=2, the cheapest stream
-        # otherwise — matching the scalar _optional_marks)
+        # (opt_time_remote is the cheapest remote stream, as in the
+        # scalar _optional_marks)
         marks = ctx.opt_time_local <= ctx.opt_time_remote
     else:
         raise ValueError(f"unknown optional policy {policy!r}")
@@ -344,19 +276,12 @@ def partition_all_batched(
     kernel and installs the marks through the bulk APIs.
     """
     mask = comp_allowed_mask(model, allowed_per_server)
-    if getattr(model, "n_streams", 2) > 2:
-        comp_marks, streams, _, _ = partition_pages_multipath(
-            model, page_ids=None, allowed_mask=mask, order=order
-        )
-    else:
-        streams = None
-        comp_marks, _, _ = partition_pages_batched(
-            model, page_ids=None, allowed_mask=mask, order=order
-        )
+    comp_marks, streams, _, _ = partition_pages_batched(
+        model, page_ids=None, allowed_mask=mask, order=order
+    )
     opt_marks = optional_marks_batched(model, optional_policy, allowed_per_server)
     alloc = Allocation(model)
     alloc.set_comp_local_bulk(comp_marks.nonzero()[0], True)
     alloc.set_opt_local_bulk(opt_marks.nonzero()[0], True)
-    if streams is not None:
-        alloc.comp_stream[:] = streams
+    alloc.comp_stream[:] = streams
     return alloc

@@ -34,11 +34,8 @@ import numpy as np
 from repro.core.allocation import Allocation
 from repro.core.constraints import local_processing_load, storage_used
 from repro.core.cost_model import CostModel
-from repro.core.fast_partition import (
-    partition_pages_batched,
-    partition_pages_multipath,
-)
-from repro.core.partition import partition_page, partition_page_streams
+from repro.core.fast_partition import partition_pages_batched
+from repro.core.partition import partition_page
 
 __all__ = [
     "ArgminPicker",
@@ -153,6 +150,50 @@ def _bump(counters: dict | None, n: int) -> None:
         counters["candidates"] = counters.get("candidates", 0) + n
 
 
+def _move_remote_times(tl, tl2, size, repo, sites):
+    """Eq. 5 page times before and after moving ``size`` bytes of each
+    entry from its local stream onto its best remote stream.
+
+    ``tl`` / ``tl2`` are the local stream times before and after the
+    move; ``repo`` is the repository stream's ``(ovhd, spb, bytes)``
+    triple of arrays and ``sites`` lists the same triple for each
+    replica-site stream of a mesh.  The bytes land on the stream with
+    the lowest post-move time, ties to the lowest index (the scalar
+    ``best_stream`` rule).  One running fold over the streams keeps the
+    incumbent's time before and after the move — the repository's
+    first; a site that is strictly shorter after the move takes over,
+    and the loser's unchanged time joins the ``other`` max.
+    """
+    ovhd, spb, rb = repo
+    inc = ovhd + spb * rb
+    inc2 = ovhd + spb * (rb + size)
+    old = np.maximum(tl, inc)
+    other = tl2
+    for ovhd, spb, rb in sites:
+        t = ovhd + spb * rb
+        t2 = ovhd + spb * (rb + size)
+        old = np.maximum(old, t)
+        win = t2 < inc2
+        other = np.maximum(other, np.where(win, inc, t))
+        inc = np.where(win, t, inc)
+        inc2 = np.where(win, t2, inc2)
+    return old, np.maximum(other, inc2)
+
+
+def _best_stream(ctx, RBs, j: int, size: float) -> int:
+    """Remote stream (0-based) whose time on page ``j`` is lowest after
+    receiving ``size`` bytes, ties to the lowest index: the repository
+    unless a mesh's replica site is strictly shorter."""
+    best = 0
+    for r in range(1, len(RBs)):
+        ovhd = ctx.scalars.ovhd_streams[j]
+        spb = ctx.scalars.spb_streams[j]
+        t = ovhd[r] + spb[r] * (RBs[r][j] + size)
+        if t < ovhd[best] + spb[best] * (RBs[best][j] + size):
+            best = r
+    return best
+
+
 # ----------------------------------------------------------------------
 # storage restoration (Eq. 10)
 # ----------------------------------------------------------------------
@@ -172,18 +213,17 @@ class _EvictionScorer:
         m = alloc.model
         self.m = m
         ctx = alloc.ctx
-        self.n_rem = ctx.n_streams - 1
+        n_rem = ctx.n_streams - 1
+        self.sites = range(1, n_rem)
         # the per-server object-grouped CSR tables live in the shared
         # EvalContext (same layout _group_by_object produced per phase)
         self.ce, self.cstarts, self.ccounts = ctx.comp_group(server_id)
         pg = ctx.comp_pages[self.ce].astype(np.intp)
         self.pg = pg
         # rows: ovhd_l, spb_l, [ovhd_r, spb_r per remote stream],
-        # html, alpha1*freq, size — the k=2 layout is the classic
-        # 7-row [ovhd_l, spb_l, ovhd_repo, spb_repo, html, a1f, sz]
-        # because stream 1's columns alias the repository's.
+        # html, alpha1*freq, size
         rows = [ctx.page_ovhd_local[pg], ctx.page_spb_local[pg]]
-        for r in range(self.n_rem):
+        for r in range(n_rem):
             rows.append(ctx.page_ovhd_streams[r][pg])
             rows.append(ctx.page_spb_streams[r][pg])
         rows.extend(
@@ -218,11 +258,9 @@ class _EvictionScorer:
     ) -> np.ndarray:
         """Fresh eviction scores for candidate objects ``cand``.
 
-        ``RBs[r-1]`` is stream ``r``'s per-page byte totals; at k=2 the
-        one-element list runs the classic two-stream expressions.  At
-        k>2 each marked entry is scored as moving to the remote stream
-        that ends up shortest after receiving it (the scalar
-        ``best_stream`` rule, ties to the lowest index).
+        ``RBs[r-1]`` is stream ``r``'s per-page byte totals.  Each
+        marked entry is scored as moving to the remote stream that ends
+        up shortest after receiving it (:func:`_move_remote_times`).
         """
         idx, owner = _expand(self.cstarts[cand], self.ccounts[cand])
         if len(idx):
@@ -236,25 +274,13 @@ class _EvictionScorer:
         lb = LB[pg]
         tl = ovl + spl * (html + lb)
         tl2 = ovl + spl * (html + (lb - sz))
-        if self.n_rem == 1:
-            ovr, spr = A[2], A[3]
-            rb = RBs[0][pg]
-            tr = ovr + spr * rb
-            old = np.maximum(tl, tr)
-            tr2 = ovr + spr * (rb + sz)
-            new = np.maximum(tl2, tr2)
-        else:
-            T = np.empty((self.n_rem, len(idx)))
-            T2 = np.empty_like(T)
-            for r in range(self.n_rem):
-                rb = RBs[r][pg]
-                T[r] = A[2 + 2 * r] + A[3 + 2 * r] * rb
-                T2[r] = A[2 + 2 * r] + A[3 + 2 * r] * (rb + sz)
-            old = np.maximum(tl, T.max(axis=0)) if len(idx) else tl
-            best = T2.argmin(axis=0)
-            ar = np.arange(T.shape[1])
-            T[best, ar] = T2[best, ar]
-            new = np.maximum(tl2, T.max(axis=0)) if len(idx) else tl2
+        old, new = _move_remote_times(
+            tl,
+            tl2,
+            sz,
+            (A[2], A[3], RBs[0][pg]),
+            [(A[2 + 2 * r], A[3 + 2 * r], RBs[r][pg]) for r in self.sites],
+        )
         wc = a1f * (new - old)
         ocounts = self.ocounts[cand]
         if ocounts.any():
@@ -320,20 +346,15 @@ def restore_storage_batched(
 
     scorer = _EvictionScorer(cost, alloc, server_id)
     ctx = alloc.ctx
-    n_rem = ctx.n_streams - 1
     LB = cost.local_mo_bytes(alloc)
-    if n_rem == 1:
-        RB = cost.remote_mo_bytes(alloc)
-        RBs = [RB]
-    else:
-        RBs = list(cost.remote_mo_bytes_by_stream(alloc))
-        RB = RBs[0]
+    RBs = cost.remote_mo_bytes_by_stream(alloc)
     comp_stream = alloc.comp_stream
     comp_local = alloc.comp_local
     opt_local = alloc.opt_local
     sizes_list = m.sizes.tolist()
     comp_objects = m.comp_objects
     comp_indptr = m.comp_indptr
+    entry_objects, entry_indptr = m.fast_comp[1], m.fast_comp[3]
 
     replicas = alloc.replicas[server_id]
     keys = np.sort(np.fromiter(replicas, dtype=np.intp, count=len(replicas)))
@@ -355,70 +376,52 @@ def restore_storage_batched(
     rows = ctx.comp_group(server_id)[0]
     allowed_mask[rows] = np.isin(comp_objects[rows], keys)
 
-    def apply_marks(j: int, marks: np.ndarray, streams=None) -> None:
-        """Install page ``j``'s re-partitioned marks.
+    def apply_marks(j: int, marks: np.ndarray, streams: np.ndarray) -> None:
+        """Install page ``j``'s re-partitioned marks and streams.
 
-        Flips run in ascending entry order through the per-entry setter,
-        accumulating the byte totals one move at a time — the scalar
-        float-op sequence exactly.  At k>2 ``streams`` is the page's
-        re-partitioned stream vector; a remote entry that merely hops
-        streams shifts the page's stream totals, so it counts as a
-        change.
+        Only the entries whose mark or stream differs are walked, in
+        ascending entry order through the per-entry setter, accumulating
+        the byte totals one move at a time in Python floats — the scalar
+        ``_repartition_page`` float-op sequence exactly.  A remote entry
+        that merely hops streams shifts the page's stream totals, so it
+        counts as a change; a local entry's stream is not read.
         """
-        sl = m.comp_slice(j)
-        start = sl.start
-        marks = np.asarray(marks, dtype=bool)
-        cur = comp_local[start : sl.stop]
-        if streams is None:
-            offs = (cur != marks).nonzero()[0]
-            if not len(offs):
-                return
-            lb = LB[j]
-            rb = RB[j]
-            for off, newv in zip(offs.tolist(), marks[offs].tolist()):
-                size2 = sizes_list[int(comp_objects[start + off])]
-                alloc.set_comp_local(start + off, newv)
-                if newv:
-                    lb += size2
-                    rb -= size2
-                else:
+        start = entry_indptr[j]
+        stop = entry_indptr[j + 1]
+        walk = comp_local[start:stop] != marks
+        walk |= comp_stream[start:stop] != streams
+        walk = walk.nonzero()[0]
+        if not len(walk):
+            return
+        lb = float(LB[j])
+        rbs = [float(rb[j]) for rb in RBs]
+        changed = False
+        for off in walk.tolist():
+            e = start + off
+            was = comp_local[e]
+            if marks[off]:
+                if was:
+                    continue
+                alloc.set_comp_local(e, True)
+                size2 = sizes_list[entry_objects[e]]
+                lb += size2
+                rbs[comp_stream[e] - 1] -= size2
+            else:
+                size2 = sizes_list[entry_objects[e]]
+                if was:
+                    alloc.set_comp_local(e, False)
                     lb -= size2
-                    rb += size2
+                else:
+                    rbs[comp_stream[e] - 1] -= size2
+                r = streams[off]
+                comp_stream[e] = r
+                rbs[r - 1] += size2
+            changed = True
+        if changed:
             LB[j] = lb
-            RB[j] = rb
-        else:
-            hops = ~cur & ~marks & (comp_stream[start : sl.stop] != streams)
-            if not (np.any(cur != marks) or hops.any()):
-                return
-            # one ascending walk interleaving mark flips and stream
-            # hops, replaying the scalar ``_repartition_page`` loop
-            lb = LB[j]
-            for off in range(len(marks)):
-                e = start + off
-                newv = bool(marks[off])
-                if bool(comp_local[e]) != newv:
-                    size2 = sizes_list[int(comp_objects[e])]
-                    if newv:
-                        r_old = int(comp_stream[e])
-                        alloc.set_comp_local(e, True)
-                        lb += size2
-                        RBs[r_old - 1][j] -= size2
-                    else:
-                        r = int(streams[off])
-                        alloc.set_comp_local(e, False)
-                        comp_stream[e] = r
-                        lb -= size2
-                        RBs[r - 1][j] += size2
-                elif not newv:
-                    r_old = int(comp_stream[e])
-                    r = int(streams[off])
-                    if r_old != r:
-                        size2 = sizes_list[int(comp_objects[e])]
-                        RBs[r_old - 1][j] -= size2
-                        RBs[r - 1][j] += size2
-                        comp_stream[e] = r
-            LB[j] = lb
-        stats.repartitioned_pages += 1
+            for rb, v in zip(RBs, rbs):
+                rb[j] = v
+            stats.repartitioned_pages += 1
 
     def repartition(pages: list[int]) -> None:
         """Re-run PARTITION on ``pages`` restricted to the remaining
@@ -426,26 +429,16 @@ def restore_storage_batched(
         the batched kernel may solve every page up front; it only pays
         off once the page set amortises its fixed NumPy dispatch."""
         if len(pages) >= batch_min_pages:
-            if n_rem > 1:
-                bm, bs, _, _ = partition_pages_multipath(
-                    m, page_ids=pages, allowed_mask=allowed_mask
-                )
-                for j in pages:
-                    sl = m.comp_slice(j)
-                    apply_marks(j, bm[sl], bs[sl])
-            else:
-                bm, _, _ = partition_pages_batched(
-                    m, page_ids=pages, allowed_mask=allowed_mask
-                )
-                for j in pages:
-                    apply_marks(j, bm[m.comp_slice(j)])
-        elif n_rem > 1:
+            bm, bs, _, _ = partition_pages_batched(
+                m, page_ids=pages, allowed_mask=allowed_mask
+            )
             for j in pages:
-                pm, ps, _, _ = partition_page_streams(m, j, allowed=replicas)
-                apply_marks(j, pm, ps)
+                sl = slice(entry_indptr[j], entry_indptr[j + 1])
+                apply_marks(j, bm[sl], bs[sl])
         else:
             for j in pages:
-                apply_marks(j, partition_page(m, j, allowed=replicas)[0])
+                pm, ps, _, _ = partition_page(m, j, allowed=replicas)
+                apply_marks(j, pm, ps)
 
     while used > capacity + _TOL:
         picked = picker.pick()
@@ -461,27 +454,12 @@ def restore_storage_batched(
         flip_e = comp_e[comp_local[comp_e]]
         flip_pages = m.comp_pages[flip_e]
         flipped_pages = flip_pages.tolist()
-        if n_rem == 1:
-            for e, j in zip(flip_e.tolist(), flipped_pages):
-                alloc.set_comp_local(e, False)
-                LB[j] -= size
-                RB[j] += size
-        else:
-            for e, j in zip(flip_e.tolist(), flipped_pages):
-                alloc.set_comp_local(e, False)
-                # scalar best_stream rule: lowest time after +size wins,
-                # ties to the lowest stream index
-                best = 0
-                best_t = None
-                for r in range(n_rem):
-                    t = ctx.page_ovhd_streams[r][j] + ctx.page_spb_streams[
-                        r
-                    ][j] * (RBs[r][j] + size)
-                    if best_t is None or t < best_t:
-                        best, best_t = r, t
-                comp_stream[e] = best + 1
-                LB[j] -= size
-                RBs[best][j] += size
+        for e, j in zip(flip_e.tolist(), flipped_pages):
+            alloc.set_comp_local(e, False)
+            r = _best_stream(ctx, RBs, j, size)
+            comp_stream[e] = r + 1
+            LB[j] -= size
+            RBs[r][j] += size
         opt_e = scorer.opt_entries(k)
         for e in opt_e[opt_local[opt_e]].tolist():
             alloc.set_opt_local(e, False)
@@ -543,44 +521,31 @@ def restore_processing_batched(
         )
 
     ctx = alloc.ctx
-    n_rem = ctx.n_streams - 1
     LB = cost.local_mo_bytes(alloc)
-    if n_rem == 1:
-        RB = cost.remote_mo_bytes(alloc)
-        RBs = [RB]
-    else:
-        RBs = list(cost.remote_mo_bytes_by_stream(alloc))
-        RB = RBs[0]
+    RBs = cost.remote_mo_bytes_by_stream(alloc)
+    sites = range(1, len(RBs))
     comp_stream = alloc.comp_stream
     NC = len(m.comp_objects)
 
     def comp_scores(entries: np.ndarray) -> np.ndarray:
+        # move-remote lands on the per-entry best stream (scalar
+        # ``page_time_if_moved_remote`` rule)
         j = ctx.comp_pages[entries]
         size = ctx.comp_sizes[entries]
         lb = LB[j]
-        if n_rem == 1:
-            rb = RB[j]
-            old = cost.bulk_page_time_from_bytes(j, lb, rb)
-            new = cost.bulk_page_time_from_bytes(j, lb - size, rb + size)
-        else:
-            # move-remote lands on the per-entry best stream (scalar
-            # ``page_time_if_moved_remote`` rule)
-            sbs = [rb_arr[j] for rb_arr in RBs]
-            old = cost.bulk_page_time_from_stream_bytes(j, lb, sbs)
-            T = np.empty((n_rem, len(entries)))
-            T2 = np.empty_like(T)
-            for r in range(n_rem):
-                ov = ctx.page_ovhd_streams[r][j]
-                sp = ctx.page_spb_streams[r][j]
-                T[r] = ov + sp * sbs[r]
-                T2[r] = ov + sp * (sbs[r] + size)
-            best = T2.argmin(axis=0)
-            ar = np.arange(len(entries))
-            T[best, ar] = T2[best, ar]
-            tl2 = ctx.page_ovhd_local[j] + ctx.page_spb_local[j] * (
-                ctx.html_sizes[j] + (lb - size)
-            )
-            new = np.maximum(tl2, T.max(axis=0)) if len(entries) else tl2
+        ovl = ctx.page_ovhd_local[j]
+        spl = ctx.page_spb_local[j]
+        html = ctx.html_sizes[j]
+        old, new = _move_remote_times(
+            ovl + spl * (html + lb),
+            ovl + spl * (html + (lb - size)),
+            size,
+            (ctx.page_ovhd_repo[j], ctx.page_spb_repo[j], RBs[0][j]),
+            [
+                (ctx.page_ovhd_streams[r][j], ctx.page_spb_streams[r][j], RBs[r][j])
+                for r in sites
+            ],
+        )
         shed = ctx.comp_freq[entries]
         raw = (cost.alpha1 * shed) * (new - old)
         out = np.full(len(entries), np.inf)
@@ -633,21 +598,10 @@ def restore_processing_batched(
             shed = float(ctx.comp_freq[e])
             size = float(m.sizes[k])
             alloc.set_comp_local(e, False)
-            if n_rem == 1:
-                LB[j] -= size
-                RB[j] += size
-            else:
-                best = 0
-                best_t = None
-                for r in range(n_rem):
-                    t = ctx.page_ovhd_streams[r][j] + ctx.page_spb_streams[
-                        r
-                    ][j] * (RBs[r][j] + size)
-                    if best_t is None or t < best_t:
-                        best, best_t = r, t
-                comp_stream[e] = best + 1
-                LB[j] -= size
-                RBs[best][j] += size
+            r = _best_stream(ctx, RBs, j, size)
+            comp_stream[e] = r + 1
+            LB[j] -= size
+            RBs[r][j] += size
             # the page's other local entries now score against new totals
             sl = m.comp_slice(j)
             sib = sl.start + alloc.comp_local[sl.start : sl.stop].nonzero()[0]
@@ -721,7 +675,7 @@ def absorb_extra_workload_batched(
 
     ctx = alloc.ctx
     LB = cost.local_mo_bytes(alloc)
-    RB = cost.remote_mo_bytes(alloc)
+    (RB,) = cost.remote_mo_bytes_by_stream(alloc)
     NC = len(m.comp_objects)
     comp_indptr = m.comp_indptr
     replicas = alloc.replicas[server_id]
@@ -731,8 +685,15 @@ def absorb_extra_workload_batched(
         size = ctx.comp_sizes[entries]
         lb = LB[j]
         rb = RB[j]
-        old = cost.bulk_page_time_from_bytes(j, lb, rb)
-        new = cost.bulk_page_time_from_bytes(j, lb + size, rb - size)
+        ovl = ctx.page_ovhd_local[j]
+        spl = ctx.page_spb_local[j]
+        html = ctx.html_sizes[j]
+        ovr = ctx.page_ovhd_repo[j]
+        spr = ctx.page_spb_repo[j]
+        old = np.maximum(ovl + spl * (html + lb), ovr + spr * rb)
+        new = np.maximum(
+            ovl + spl * (html + (lb + size)), ovr + spr * (rb - size)
+        )
         w = ctx.comp_freq[entries]
         raw = (cost.alpha1 * w) * (new - old)
         out = np.full(len(entries), np.inf)

@@ -215,8 +215,8 @@ def _absorb_score(
     j = int(m.comp_pages[key])
     size = float(m.sizes[m.comp_objects[key]])
     lb, rb = local_bytes[j], remote_bytes[j]
-    old = cost.page_time_from_bytes(j, lb, rb)
-    new = cost.page_time_from_bytes(j, lb + size, rb - size)
+    old = cost.page_time_from_stream_bytes(j, lb, (rb,))
+    new = cost.page_time_from_stream_bytes(j, lb + size, (rb - size,))
     return cost.alpha1 * m.frequencies[j] * (new - old) / w
 
 
@@ -291,6 +291,17 @@ def _rank_victims(alloc: Allocation, server_id: int) -> _VictimTable:
 #: ``offload.<name>``: candidates absorbed, L2 swaps tried, swaps made,
 #: and victim tables built.
 _ABSORB_COUNTERS = ("absorptions", "swap_attempts", "swaps", "swap_rankings")
+
+
+def _require_two_streams(alloc: Allocation, what: str) -> None:
+    """Refuse a k-stream replica mesh: OFF_LOADING's k>2 form (the
+    negotiation protocol and its absorption) is a planned follow-up."""
+    if alloc.ctx.n_streams > 2:
+        raise NotImplementedError(
+            f"{what} supports the k=2 topology only; give the k-stream "
+            "replica mesh an uncapacitated repository (k-stream "
+            "off-loading is a planned follow-up)"
+        )
 
 
 def _tally(counters: dict | None, key: str) -> None:
@@ -387,12 +398,7 @@ def absorb_extra_workload(
         and produce bit-identical absorption sequences.
     """
     kernel = engine_kernel(resolve_kernel(kernel))
-    if alloc.ctx.n_streams > 2:
-        raise NotImplementedError(
-            "OFF_LOADING absorption supports the k=2 topology only; "
-            "k-stream off-loading is a planned follow-up (k>2 scenarios "
-            "model the repository tier as uncapacitated)"
-        )
+    _require_two_streams(alloc, "OFF_LOADING absorption")
     if kernel == "batched":
         # local import avoids a module-level cycle
         from repro.core.fast_restoration import (
@@ -448,7 +454,7 @@ def _absorb_scalar(
     space = float(m.server_storage[server_id] - storage_used(alloc)[server_id])
 
     local_bytes = cost.local_mo_bytes(alloc)
-    remote_bytes = cost.remote_mo_bytes(alloc)
+    (remote_bytes,) = cost.remote_mo_bytes_by_stream(alloc)
     ctx = alloc.ctx
     nc = len(m.comp_objects)
 
@@ -677,12 +683,7 @@ def offload_repository(
     )
     if np.isinf(repo_cap) or initial <= repo_cap + _TOL:
         return outcome
-    if alloc.ctx.n_streams > 2:
-        raise NotImplementedError(
-            "OFF_LOADING_REPOSITORY supports the k=2 topology only; "
-            "give the k-stream replica mesh an uncapacitated repository "
-            "(the negotiation protocol's k>2 form is a planned follow-up)"
-        )
+    _require_two_streams(alloc, "OFF_LOADING_REPOSITORY")
 
     reg = get_registry()
     absorb_round = absorb_round_serial if scatter is None else scatter

@@ -45,12 +45,7 @@ from repro.core.allocation import Allocation, ReverseIndex
 from repro.core.constraints import local_processing_load
 from repro.core.cost_model import CostModel
 from repro.core.context import engine_kernel
-from repro.core.partition import (
-    Kernel,
-    partition_page,
-    partition_page_streams,
-    resolve_kernel,
-)
+from repro.core.partition import Kernel, partition_page, resolve_kernel
 from repro.obs.registry import get_registry
 
 __all__ = [
@@ -151,78 +146,43 @@ class _PageState:
 
     Kept as plain Python lists: the greedy loops evaluate single-page
     times millions of times, and list indexing is several times faster
-    than NumPy scalar indexing.
-
-    At k=2 ``stream_bytes`` is the one-element list whose element IS
-    ``remote_bytes`` (shared list object), and every method runs the
-    pre-stream expression sequence verbatim; at k>2 the remote totals
-    are tracked per stream and moves to remote land on the stream whose
+    than NumPy scalar indexing.  ``stream_bytes[r-1]`` holds remote
+    stream ``r``'s totals; a move to remote lands on the stream whose
     resulting time is lowest (ties to the lowest stream index).
     """
 
     def __init__(self, cost: CostModel, alloc: Allocation):
         self.cost = cost
         self.alloc = alloc
-        self.k = cost.n_streams
         self.local_bytes: list[float] = cost.local_mo_bytes(alloc).tolist()
-        if self.k == 2:
-            self.remote_bytes: list[float] = cost.remote_mo_bytes(alloc).tolist()
-            self.stream_bytes: list[list[float]] = [self.remote_bytes]
-        else:
-            self.stream_bytes = [
-                rb.tolist() for rb in cost.remote_mo_bytes_by_stream(alloc)
-            ]
-            self.remote_bytes = self.stream_bytes[0]
+        self.stream_bytes: list[list[float]] = [
+            rb.tolist() for rb in cost.remote_mo_bytes_by_stream(alloc)
+        ]
 
     def page_time(self, j: int) -> float:
-        if self.k == 2:
-            return self.cost.page_time_from_bytes(
-                j, self.local_bytes[j], self.remote_bytes[j]
-            )
         return self.cost.page_time_from_stream_bytes(
             j, self.local_bytes[j], [sb[j] for sb in self.stream_bytes]
         )
 
     def best_stream(self, j: int, size: float) -> int:
         """Remote stream (1-based) with the lowest time after +``size``."""
-        if self.k == 2:
-            return 1
         s = self.cost.scalars
         best = 0
         best_t = None
         for r, (ov, sp, sb) in enumerate(
-            zip(s.ovhd_streams, s.spb_streams, self.stream_bytes)
+            zip(s.ovhd_streams[j], s.spb_streams[j], self.stream_bytes)
         ):
-            t = ov[j] + sp[j] * (sb[j] + size)
+            t = ov + sp * (sb[j] + size)
             if best_t is None or t < best_t:
                 best, best_t = r, t
         return best + 1
 
-    def page_time_if_moved_remote(
-        self, j: int, size: float, stream: int | None = None
-    ) -> float:
-        if self.k == 2:
-            return self.cost.page_time_from_bytes(
-                j, self.local_bytes[j] - size, self.remote_bytes[j] + size
-            )
-        r = self.best_stream(j, size) if stream is None else stream
+    def page_time_if_moved_remote(self, j: int, size: float) -> float:
+        r = self.best_stream(j, size)
         sb = [b[j] for b in self.stream_bytes]
         sb[r - 1] += size
         return self.cost.page_time_from_stream_bytes(
             j, self.local_bytes[j] - size, sb
-        )
-
-    def page_time_if_moved_local(
-        self, j: int, size: float, stream: int = 1
-    ) -> float:
-        if self.k == 2:
-            return self.cost.page_time_from_bytes(
-                j, self.local_bytes[j] + size, self.remote_bytes[j] - size
-            )
-        sb = [b[j] for b in self.stream_bytes]
-        sb[stream - 1] -= size
-        return self.cost.page_time_from_stream_bytes(
-            j, self.local_bytes[j] + size, sb
         )
 
     def move_remote(self, j: int, size: float, stream: int = 1) -> None:
@@ -303,12 +263,9 @@ def _evict_replica(
         if alloc.comp_local[e]:
             j = int(m.comp_pages[e])
             alloc.set_comp_local(e, False)
-            if state.k > 2:
-                r = state.best_stream(j, size)
-                alloc.comp_stream[e] = r
-                state.move_remote(j, size, r)
-            else:
-                state.move_remote(j, size)
+            r = state.best_stream(j, size)
+            alloc.comp_stream[e] = r
+            state.move_remote(j, size, r)
             flipped.append(j)
     for e in opt_e:
         if alloc.opt_local[e]:
@@ -321,50 +278,34 @@ def _repartition_page(
     alloc: Allocation, state: _PageState, server_id: int, j: int
 ) -> bool:
     """Re-run PARTITION on page ``j`` restricted to the server's replica
-    set and install its marks; return whether anything changed.
-
-    At k>2 a remote entry that merely changed stream still shifts the
+    set and install its marks and streams; return whether anything
+    changed.  A remote entry that merely changed stream still shifts the
     page's stream totals, so it counts as a change.
     """
     m = alloc.model
-    allowed = alloc.replicas[server_id]
-    if state.k > 2:
-        marks, streams, _, _ = partition_page_streams(m, j, allowed=allowed)
-    else:
-        marks, _, _ = partition_page(m, j, allowed=allowed)
-        streams = None
+    marks, streams, _, _ = partition_page(
+        m, j, allowed=alloc.replicas[server_id]
+    )
     sl = m.comp_slice(j)
     changed = False
     for off in range(sl.stop - sl.start):
         e = sl.start + off
         new = bool(marks[off])
+        old_r = int(alloc.comp_stream[e])
+        r = int(streams[off])
         if bool(alloc.comp_local[e]) != new:
             size = float(m.sizes[m.comp_objects[e]])
             if new:
-                if streams is not None:
-                    state.move_local(j, size, int(alloc.comp_stream[e]))
-                    alloc.set_comp_local(e, True)
-                else:
-                    alloc.set_comp_local(e, True)
-                    state.move_local(j, size)
+                state.move_local(j, size, old_r)
+                alloc.set_comp_local(e, True)
             else:
                 alloc.set_comp_local(e, False)
-                if streams is not None:
-                    r = int(streams[off])
-                    alloc.comp_stream[e] = r
-                    state.move_remote(j, size, r)
-                else:
-                    state.move_remote(j, size)
+                alloc.comp_stream[e] = r
+                state.move_remote(j, size, r)
             changed = True
-        elif (
-            not new
-            and streams is not None
-            and int(alloc.comp_stream[e]) != int(streams[off])
-        ):
+        elif not new and old_r != r:
             # remote entry hopping streams: totals shift on both
             size = float(m.sizes[m.comp_objects[e]])
-            old_r = int(alloc.comp_stream[e])
-            r = int(streams[off])
             state.stream_bytes[old_r - 1][j] -= size
             state.stream_bytes[r - 1][j] += size
             alloc.comp_stream[e] = r
@@ -580,8 +521,8 @@ def _switch_score(
 
 
 def _switch_remote(alloc: Allocation, state: _PageState, key: int) -> int:
-    """Switch candidate ``key``'s download to the repository (at k>2, to
-    the stream that ends up shortest); return its object id."""
+    """Switch candidate ``key``'s download to the remote stream that ends
+    up shortest; return its object id."""
     m = alloc.model
     nc = len(m.comp_objects)
     if key >= nc:
@@ -591,12 +532,9 @@ def _switch_remote(alloc: Allocation, state: _PageState, key: int) -> int:
     k = int(m.comp_objects[key])
     size = float(m.sizes[k])
     alloc.set_comp_local(key, False)
-    if state.k > 2:
-        r = state.best_stream(j, size)
-        alloc.comp_stream[key] = r
-        state.move_remote(j, size, r)
-    else:
-        state.move_remote(j, size)
+    r = state.best_stream(j, size)
+    alloc.comp_stream[key] = r
+    state.move_remote(j, size, r)
     return k
 
 

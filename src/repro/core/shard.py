@@ -620,7 +620,7 @@ def _shard_pipeline(
     t = time.perf_counter()
     alloc = Allocation(sub)
     if sub.n_pages:
-        comp_marks, _, _ = partition_pages_batched(sub)
+        comp_marks, _, _, _ = partition_pages_batched(sub)
         alloc.set_comp_local_bulk(np.flatnonzero(comp_marks), True)
     opt_marks = optional_marks_batched(sub, opts.optional_policy)
     alloc.set_opt_local_bulk(np.flatnonzero(opt_marks), True)

@@ -523,9 +523,10 @@ class SystemModel:
             self.comp_sorted = np.empty(0, dtype=np.intp)
 
     @property
-    def fast_comp(self) -> tuple[list[int], list[int], list[float]]:
+    def fast_comp(self) -> tuple[list[int], list[int], list[float], list[int]]:
         """Plain-list views of the compulsory entry arrays for hot loops:
-        ``(comp_sorted, comp_objects, entry_sizes)`` — built lazily once.
+        ``(comp_sorted, comp_objects, entry_sizes, comp_indptr)`` — built
+        lazily once.
         """
         cached = getattr(self, "_fast_comp_cache", None)
         if cached is None:
@@ -533,9 +534,18 @@ class SystemModel:
                 self.comp_sorted.tolist(),
                 self.comp_objects.tolist(),
                 self.sizes[self.comp_objects].tolist(),
+                self.comp_indptr.tolist(),
             )
             self._fast_comp_cache = cached
         return cached
+
+    @property
+    def topology(self) -> StreamTopology:
+        """The remote-stream topology (the degenerate one at ``k = 2``),
+        for rebuilding the model with other specs."""
+        return StreamTopology(
+            rates=self.stream_rates, overheads=self.stream_overheads
+        )
 
     # ------------------------------------------------------------------
     # convenience accessors

@@ -55,7 +55,9 @@ def replace_frequencies(model: SystemModel, frequencies: np.ndarray) -> SystemMo
         )
         for j, p in enumerate(model.pages)
     ]
-    clone = SystemModel(model.servers, model.repository, pages, model.objects)
+    clone = SystemModel(
+        model.servers, model.repository, pages, model.objects, model.topology
+    )
     adopt_frequency_context(model, clone)
     return clone
 

@@ -297,12 +297,15 @@ class IncrementalReplanner:
             # stored (the storage loop evicts them first, at zero cost).
             page_sel = np.isin(new_model.page_server, affected)
             rebuild = np.flatnonzero(page_sel)
-            marks, _, _ = partition_pages_batched(new_model, page_ids=rebuild)
+            marks, streams, _, _ = partition_pages_batched(
+                new_model, page_ids=rebuild
+            )
             comp_e = np.flatnonzero(page_sel[ctx.comp_pages])
             to_local = comp_e[marks[comp_e]]
             to_remote = comp_e[~marks[comp_e]]
             alloc.set_comp_local_bulk(to_local, True)
             alloc.set_comp_local_bulk(to_remote, False)
+            alloc.comp_stream[comp_e] = streams[comp_e]
 
             opt_marks = optional_marks_batched(
                 new_model, policy.optional_policy
@@ -336,6 +339,7 @@ class IncrementalReplanner:
         # escape hatch of IncrementalObjective).
         inc.comp_local = alloc.comp_local.copy()
         inc.opt_local = alloc.opt_local.copy()
+        inc.comp_stream = alloc.comp_stream.copy()
         stats.objective = inc.resync()
         return alloc, stats
 

@@ -57,9 +57,9 @@ def clone_with_capacities(
 ) -> SystemModel:
     """Copy ``model`` with replaced capacity fields.
 
-    Pages and objects are shared (they are immutable); only the server /
-    repository specs change, so the clone costs one ``SystemModel``
-    construction.
+    Pages, objects and the stream topology are shared (they are
+    immutable); only the server / repository specs change, so the clone
+    costs one ``SystemModel`` construction.
     """
     n = model.n_servers
     storage_arr = (
@@ -94,7 +94,7 @@ def clone_with_capacities(
         if repo_capacity is None
         else RepositorySpec(processing_capacity=float(repo_capacity))
     )
-    return SystemModel(servers, repo, model.pages, model.objects)
+    return SystemModel(servers, repo, model.pages, model.objects, model.topology)
 
 
 def storage_capacities_for_fraction(

@@ -25,6 +25,7 @@ from repro.core.types import (
     PageSpec,
     RepositorySpec,
     ServerSpec,
+    StreamTopology,
     SystemModel,
 )
 from repro.workload.trace import RequestTrace
@@ -70,6 +71,11 @@ def save_model(model: SystemModel, path: str | pathlib.Path) -> None:
             }
             for s in model.servers
         ],
+        # remote streams per server, the repository first (k-1 columns)
+        "streams": {
+            "rates": model.stream_rates.tolist(),
+            "overheads": model.stream_overheads.tolist(),
+        },
         "objects": [o.size for o in model.objects],
         "pages": [
             {
@@ -89,6 +95,9 @@ def save_model(model: SystemModel, path: str | pathlib.Path) -> None:
 
 def load_model(path: str | pathlib.Path) -> SystemModel:
     """Read a model written by :func:`save_model`.
+
+    A document without the ``streams`` block (written before model files
+    kept the stream topology) loads as the paper's two-stream model.
 
     Raises
     ------
@@ -135,7 +144,14 @@ def load_model(path: str | pathlib.Path) -> SystemModel:
     repository = RepositorySpec(
         processing_capacity=_dec_float(doc["repository"]["processing_capacity"])
     )
-    return SystemModel(servers, repository, pages, objects)
+    streams = doc.get("streams")
+    topology = None
+    if streams is not None:
+        topology = StreamTopology(
+            rates=np.array(streams["rates"], dtype=np.float64),
+            overheads=np.array(streams["overheads"], dtype=np.float64),
+        )
+    return SystemModel(servers, repository, pages, objects, topology)
 
 
 def save_trace(trace: RequestTrace, path: str | pathlib.Path) -> None:

@@ -79,8 +79,9 @@ class LocalServerNode:
         """PARTITION + restoration for this server's pages only."""
         m = self.alloc.model
         for j in m.pages_by_server[self.server_id]:
-            marks, _, _ = partition_page(m, j)
+            marks, streams, _, _ = partition_page(m, j)
             sl = m.comp_slice(j)
+            self.alloc.comp_stream[sl] = streams
             for off, val in enumerate(marks):
                 if val:
                     self.alloc.set_comp_local(sl.start + off, True)

@@ -51,7 +51,7 @@ class TestStreamTimes:
 
     def test_byte_aggregation(self, micro_cost, micro_model, local_alloc):
         lb = micro_cost.local_mo_bytes(local_alloc)
-        rb = micro_cost.remote_mo_bytes(local_alloc)
+        (rb,) = micro_cost.remote_mo_bytes_by_stream(local_alloc)
         assert lb.tolist() == [300.0, 300.0, 600.0, 800.0]
         assert rb.tolist() == [0.0, 0.0, 0.0, 0.0]
 
@@ -106,15 +106,15 @@ class TestObjectives:
 
 
 class TestScalarHelpers:
-    def test_page_time_from_bytes_matches_vectorised(
+    def test_page_time_from_stream_bytes_matches_vectorised(
         self, micro_cost, local_alloc
     ):
         t = micro_cost.page_times(local_alloc)
         lb = micro_cost.local_mo_bytes(local_alloc)
-        rb = micro_cost.remote_mo_bytes(local_alloc)
+        rbs = micro_cost.remote_mo_bytes_by_stream(local_alloc)
         for j in range(4):
-            assert micro_cost.page_time_from_bytes(
-                j, lb[j], rb[j]
+            assert micro_cost.page_time_from_stream_bytes(
+                j, lb[j], [rb[j] for rb in rbs]
             ) == pytest.approx(t.page[j])
 
     def test_optional_entry_delta_signs(self, micro_cost):

@@ -1,23 +1,32 @@
 """Tests for the k-stream engine surface: ``resolve_streams``, the
 k>2 end-to-end pipeline, scalar/batched differential identity under
-constraints, and the explicit k=2-only guards."""
+constraints, model clones and PARTITION callers on a mesh, and the
+explicit k=2-only guards."""
 
 import dataclasses
 
 import numpy as np
 import pytest
 
+from repro.baselines.popularity import PopularityPolicy
+from repro.core.allocation import Allocation
 from repro.core.constraints import (
     evaluate_constraints,
     local_processing_load,
     remote_stream_loads,
     storage_used,
 )
+from repro.core.context import is_frequency_clone
 from repro.core.cost_model import CostModel
 from repro.core.partition import partition_all
 from repro.core.policy import RepositoryReplicationPolicy
 from repro.core.shard import run_sharded_policy
-from repro.core.types import StreamTopology, resolve_streams
+from repro.core.types import resolve_streams
+from repro.dynamic.drift import replace_frequencies
+from repro.dynamic.incremental import IncrementalReplanner
+from repro.experiments.scaling import clone_with_capacities
+from repro.network.bus import MessageBus
+from repro.network.nodes import LocalServerNode
 from repro.workload.generator import generate_workload
 from repro.workload.params import WorkloadParams
 
@@ -83,11 +92,8 @@ def _constrain(model, storage_frac=0.75, processing_frac=0.85):
         )
         for i, sv in enumerate(model.servers)
     ]
-    topology = StreamTopology(
-        rates=model.stream_rates, overheads=model.stream_overheads
-    )
     return type(model)(
-        servers, model.repository, model.pages, model.objects, topology=topology
+        servers, model.repository, model.pages, model.objects, model.topology
     )
 
 
@@ -125,6 +131,67 @@ class TestMeshPipeline:
         remote = ~alloc.comp_local
         used = np.unique(alloc.comp_stream[remote])
         assert set(used.tolist()) == {1, 2, 3}
+
+
+def _same_streams(model, got, ref):
+    """``got`` and ``ref`` agree in compulsory marks and, where remote,
+    in the stream each entry rides."""
+    assert model.n_streams == 3
+    assert np.array_equal(got.comp_local, ref.comp_local)
+    remote = ~ref.comp_local
+    assert np.array_equal(got.comp_stream[remote], ref.comp_stream[remote])
+
+
+class TestClonesKeepTopology:
+    def test_frequency_and_capacity_clones_keep_the_mesh(self):
+        model = generate_workload(_mesh_params(3), seed=5)
+        freq_clone = replace_frequencies(model, model.frequencies * 1.5)
+        same_caps = clone_with_capacities(model)
+        new_caps = clone_with_capacities(
+            model, processing=model.server_capacity * 0.5
+        )
+        for clone in (freq_clone, same_caps, new_caps):
+            assert clone.n_streams == 3
+            assert np.array_equal(clone.stream_rates, model.stream_rates)
+            assert np.array_equal(clone.stream_overheads, model.stream_overheads)
+        assert is_frequency_clone(model, freq_clone)
+        assert is_frequency_clone(model, same_caps)
+
+
+class TestPartitionCallersOnMesh:
+    """Every PARTITION caller agrees with ``partition_all`` on an
+    unconstrained k=3 mesh, in marks and in streams."""
+
+    @staticmethod
+    def _model():
+        params = _mesh_params(3).with_(processing_capacity=np.inf)
+        return generate_workload(params, seed=0)
+
+    def test_incremental_replan_matches_fresh_solve(self):
+        model = self._model()
+        policy = RepositoryReplicationPolicy()
+        replanner = IncrementalReplanner(policy, model)
+        freqs = model.frequencies.copy()
+        freqs[0] *= 1.5
+        drifted = replace_frequencies(model, freqs)
+        stats = replanner.replan(drifted)
+        assert stats.mode == "incremental"
+        fresh = policy.run(drifted)
+        _same_streams(drifted, replanner.allocation, fresh.allocation)
+        assert replanner.allocation == fresh.allocation
+        assert stats.objective == fresh.objective
+
+    def test_popularity_and_server_nodes_match_partition_all(self):
+        model = self._model()
+        ref = partition_all(model)
+        popular = PopularityPolicy(marking="balanced").allocate(model)
+        _same_streams(model, popular, ref)
+        alloc = Allocation(model)
+        cost = CostModel(model)
+        bus = MessageBus()
+        for i in range(model.n_servers):
+            LocalServerNode(i, alloc, cost, bus).run_local_allocation()
+        _same_streams(model, alloc, ref)
 
 
 class TestK2OnlyGuards:

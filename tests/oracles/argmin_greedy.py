@@ -120,7 +120,7 @@ def absorption_oracle(
     cpu_slack = np.inf if np.isinf(cap) else cap - load
     space = float(m.server_storage[server_id] - storage_used(alloc)[server_id])
     local_bytes = cost.local_mo_bytes(alloc)
-    remote_bytes = cost.remote_mo_bytes(alloc)
+    (remote_bytes,) = cost.remote_mo_bytes_by_stream(alloc)
     candidates = {
         int(e)
         for e in ((~alloc.comp_local) & (ctx.comp_server == server_id)).nonzero()[0]

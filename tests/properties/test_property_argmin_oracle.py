@@ -27,13 +27,13 @@ from repro.core.fast_restoration import (
 from repro.core.partition import partition_all
 from repro.core.restoration import restore_storage_capacity
 from repro.core.types import SystemModel
+from repro.experiments.scaling import clone_with_capacities
 from tests.oracles.argmin_greedy import (
     absorption_oracle,
     processing_oracle,
     storage_oracle,
 )
 from tests.properties.strategies import mesh_models, system_models
-from tests.properties.test_property_fast_restoration import _with_capacities
 
 
 def _assert_same_state(a, b):
@@ -53,7 +53,7 @@ _models = st.one_of(system_models(), mesh_models(min_streams=3))
 def test_storage_engine_matches_oracle(model, frac, amortise):
     ref = partition_all(model)
     caps = model.html_bytes_by_server() + frac * ref.stored_bytes_all() + 1.0
-    m2 = _with_capacities(model, storage=caps)
+    m2 = clone_with_capacities(model, storage=caps)
     cost = CostModel(m2)
     engine, oracle = partition_all(m2), partition_all(m2)
     for i in range(m2.n_servers):
@@ -75,7 +75,7 @@ def test_processing_engine_matches_oracle(model, frac):
     )
     load = local_processing_load(ref)
     caps = np.maximum(html + frac * np.maximum(load - html, 0.0) + 1e-9, 1e-6)
-    m2 = _with_capacities(model, processing=caps)
+    m2 = clone_with_capacities(model, processing=caps)
     cost = CostModel(m2)
     engine, oracle = partition_all(m2), partition_all(m2)
     for i in range(m2.n_servers):
@@ -115,7 +115,7 @@ def test_absorption_engine_matches_oracle(
     swaps, slack retirement and re-admission."""
     ref = partition_all(model)
     storage = model.html_bytes_by_server() + storage_frac * ref.stored_bytes_all()
-    m1 = _with_capacities(model, storage=storage)
+    m1 = clone_with_capacities(model, storage=storage)
     base = partition_all(m1)
     restore_storage_capacity(base, CostModel(m1))
     load = local_processing_load(base)
@@ -124,7 +124,7 @@ def test_absorption_engine_matches_oracle(
         weights=base.ctx.comp_freq[~base.comp_local],
         minlength=model.n_servers,
     )
-    m2 = _with_capacities(
+    m2 = clone_with_capacities(
         model,
         storage=storage,
         processing=np.maximum(load + slack_frac * remote_w, 1e-6),

@@ -47,7 +47,7 @@ def test_byte_conservation(mw):
     """Local + remote MO bytes per page equal the page's total MO bytes."""
     model, alloc = mw
     cost = CostModel(model)
-    total = cost.local_mo_bytes(alloc) + cost.remote_mo_bytes(alloc)
+    total = cost.local_mo_bytes(alloc) + sum(cost.remote_mo_bytes_by_stream(alloc))
     expected = np.zeros(model.n_pages)
     for j, p in enumerate(model.pages):
         expected[j] = sum(model.objects[k].size for k in p.compulsory)

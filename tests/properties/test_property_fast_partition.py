@@ -2,8 +2,8 @@
 
 The scalar greedy (:func:`repro.core.partition.partition_page`) is the
 reference oracle; the batched kernel
-(:mod:`repro.core.fast_partition`) must reproduce its marks and stream
-times **bit-exactly** — assertions below use ``==`` on floats and
+(:mod:`repro.core.fast_partition`) must reproduce its marks, streams and
+stream times **bit-exactly** — assertions below use ``==`` on floats and
 ``array_equal`` on marks, no tolerances — for every page, every
 ``SortOrder``, arbitrary ``allowed`` whitelists, and every optional
 policy.
@@ -28,7 +28,7 @@ ORDERS = ("decreasing", "increasing", "document")
 def assert_batch_matches_oracle(model, order, allowed_per_server=None):
     """Bit-exact comparison of the batch kernel against the scalar oracle."""
     mask = comp_allowed_mask(model, allowed_per_server)
-    marks, local_t, remote_t = partition_pages_batched(
+    marks, streams, local_t, stream_t = partition_pages_batched(
         model, allowed_mask=mask, order=order
     )
     for j in range(model.n_pages):
@@ -37,11 +37,14 @@ def assert_batch_matches_oracle(model, order, allowed_per_server=None):
             if allowed_per_server is None
             else allowed_per_server.get(model.pages[j].server, ())
         )
-        ref_marks, ref_lt, ref_rt = partition_page(model, j, allowed, order=order)
+        ref_marks, ref_streams, ref_lt, ref_st = partition_page(
+            model, j, allowed, order=order
+        )
         sl = model.comp_slice(j)
         assert np.array_equal(marks[sl], ref_marks), f"page {j} marks diverge"
+        assert np.array_equal(streams[sl], ref_streams), f"page {j} streams diverge"
         assert local_t[j] == ref_lt, f"page {j} local time diverges"
-        assert remote_t[j] == ref_rt, f"page {j} remote time diverges"
+        assert stream_t[:, j].tolist() == ref_st, f"page {j} remote times diverge"
 
 
 @given(system_models(), st.sampled_from(ORDERS))
@@ -118,15 +121,16 @@ def test_batched_page_subset_matches_full_run(model, data):
         ),
         label="page subset",
     )
-    full_marks, full_lt, full_rt = partition_pages_batched(model)
-    sub_marks, sub_lt, sub_rt = partition_pages_batched(
+    full_marks, full_streams, full_lt, full_st = partition_pages_batched(model)
+    sub_marks, sub_streams, sub_lt, sub_st = partition_pages_batched(
         model, page_ids=np.asarray(subset, dtype=np.intp)
     )
     for pos, j in enumerate(subset):
         sl = model.comp_slice(j)
         assert np.array_equal(sub_marks[sl], full_marks[sl])
+        assert np.array_equal(sub_streams[sl], full_streams[sl])
         assert sub_lt[pos] == full_lt[j]
-        assert sub_rt[pos] == full_rt[j]
+        assert np.array_equal(sub_st[:, pos], full_st[:, j])
     # entries of unselected pages stay untouched
     selected = np.zeros(len(model.comp_objects), dtype=bool)
     for j in subset:

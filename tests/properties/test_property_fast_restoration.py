@@ -36,50 +36,12 @@ from repro.core.restoration import (
     restore_processing_capacity,
     restore_storage_capacity,
 )
-from repro.core.types import (
-    RepositorySpec,
-    ServerSpec,
-    StreamTopology,
-    SystemModel,
-)
+from repro.experiments.scaling import clone_with_capacities
 from tests.properties.strategies import system_models
 
 # ----------------------------------------------------------------------
 # engine level
 # ----------------------------------------------------------------------
-def _with_capacities(model, storage=None, processing=None, repo=None):
-    """``model`` with capacity overrides, keeping its stream topology."""
-    servers = [
-        ServerSpec(
-            server_id=s.server_id,
-            storage_capacity=(
-                s.storage_capacity if storage is None else float(storage[i])
-            ),
-            processing_capacity=(
-                s.processing_capacity
-                if processing is None
-                else float(processing[i])
-            ),
-            rate=s.rate,
-            overhead=s.overhead,
-            repo_rate=s.repo_rate,
-            repo_overhead=s.repo_overhead,
-        )
-        for i, s in enumerate(model.servers)
-    ]
-    repo_spec = model.repository
-    if repo is not None:
-        repo_spec = RepositorySpec(processing_capacity=float(repo))
-    topology = None
-    if model.n_streams > 2:
-        topology = StreamTopology(
-            rates=model.stream_rates, overheads=model.stream_overheads
-        )
-    return SystemModel(
-        servers, repo_spec, model.pages, model.objects, topology=topology
-    )
-
-
 def _assert_same_decisions(m2, phase):
     """Run ``phase`` under both kernels on independently built inputs."""
     cost = CostModel(m2)
@@ -103,7 +65,7 @@ def test_storage_restoration_kernels_identical(model, frac):
     ref = partition_all(model)
     caps = model.html_bytes_by_server() + frac * ref.stored_bytes_all() + 1.0
     _assert_same_decisions(
-        _with_capacities(model, storage=caps),
+        clone_with_capacities(model, storage=caps),
         lambda a, c, k: restore_storage_capacity(a, c, kernel=k),
     )
 
@@ -118,7 +80,7 @@ def test_processing_restoration_kernels_identical(model, frac):
         html + frac * np.maximum(load - html, 0.0) + 1e-9, 1e-6
     )
     _assert_same_decisions(
-        _with_capacities(model, processing=caps),
+        clone_with_capacities(model, processing=caps),
         lambda a, c, k: restore_processing_capacity(a, c, kernel=k),
     )
 
@@ -129,7 +91,7 @@ def test_offload_kernels_identical(model, frac):
     ref = partition_all(model)
     repo = max(frac * repository_load(ref), 1e-6)
     _assert_same_decisions(
-        _with_capacities(model, repo=repo),
+        clone_with_capacities(model, repo_capacity=repo),
         lambda a, c, k: offload_repository(a, c, OffloadConfig(), kernel=k),
     )
 
@@ -155,4 +117,4 @@ def test_offload_kernels_identical_through_swaps(model, storage_frac, frac):
             alloc, cost, OffloadConfig(), capacity=repo, kernel=kernel
         )
 
-    _assert_same_decisions(_with_capacities(model, storage=caps), phase)
+    _assert_same_decisions(clone_with_capacities(model, storage=caps), phase)

@@ -18,28 +18,8 @@ from repro.core.restoration import (
     restore_processing_capacity,
     restore_storage_capacity,
 )
-from repro.core.types import RepositorySpec, ServerSpec, SystemModel
+from repro.experiments.scaling import clone_with_capacities
 from tests.properties.strategies import system_models
-
-
-def _with_capacities(model, storage=None, processing=None):
-    servers = [
-        ServerSpec(
-            server_id=s.server_id,
-            storage_capacity=(
-                s.storage_capacity if storage is None else float(storage[i])
-            ),
-            processing_capacity=(
-                s.processing_capacity if processing is None else float(processing[i])
-            ),
-            rate=s.rate,
-            overhead=s.overhead,
-            repo_rate=s.repo_rate,
-            repo_overhead=s.repo_overhead,
-        )
-        for i, s in enumerate(model.servers)
-    ]
-    return SystemModel(servers, model.repository, model.pages, model.objects)
 
 
 @given(system_models(), st.floats(0.0, 1.0))
@@ -48,7 +28,7 @@ def test_storage_restoration_feasible_and_consistent(model, frac):
     ref = partition_all(model)
     html = model.html_bytes_by_server()
     caps = html + frac * ref.stored_bytes_all() + 1.0
-    m2 = _with_capacities(model, storage=caps)
+    m2 = clone_with_capacities(model, storage=caps)
     alloc = partition_all(m2)
     cost = CostModel(m2)
     restore_storage_capacity(alloc, cost)
@@ -64,7 +44,7 @@ def test_processing_restoration_feasible_and_consistent(model, frac):
     load = local_processing_load(ref)
     caps = html + frac * np.maximum(load - html, 0.0) + 1e-9
     caps = np.maximum(caps, 1e-6)  # ServerSpec requires > 0
-    m2 = _with_capacities(model, processing=caps)
+    m2 = clone_with_capacities(model, processing=caps)
     alloc = partition_all(m2)
     cost = CostModel(m2)
     restore_processing_capacity(alloc, cost)
@@ -89,7 +69,7 @@ def test_restoration_never_beats_true_optimum(model):
     opt = solve_optimal_allocation(model).objective
     html = model.html_bytes_by_server()
     caps = html + 0.5 * ref.stored_bytes_all() + 1.0
-    m2 = _with_capacities(model, storage=caps)
+    m2 = clone_with_capacities(model, storage=caps)
     alloc = partition_all(m2)
     cost2 = CostModel(m2)
     restore_storage_capacity(alloc, cost2)

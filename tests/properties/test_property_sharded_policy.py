@@ -210,10 +210,10 @@ def test_shard_local_context_matches_masked_full(model, data):
         ctx.global_opt_entries, np.flatnonzero(opt_member)
     )
 
-    full_marks, _, _ = partition_pages_batched(
+    full_marks, _, _, _ = partition_pages_batched(
         model, page_ids=np.flatnonzero(page_member)
     )
-    sub_marks, _, _ = partition_pages_batched(sub)
+    sub_marks, _, _, _ = partition_pages_batched(sub)
     got = np.zeros(len(model.comp_objects), dtype=bool)
     got[ctx.global_comp_entries[sub_marks]] = True
     np.testing.assert_array_equal(got, full_marks)

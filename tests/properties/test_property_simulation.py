@@ -28,7 +28,7 @@ def test_identity_matches_cost_model(mw, seed):
     sim = simulate_allocation(alloc, trace, IDENTITY_PERTURBATION, seed=seed)
     cost = CostModel(model)
     times = cost.page_times(alloc)
-    rb = cost.remote_mo_bytes(alloc)
+    rb = sum(cost.remote_mo_bytes_by_stream(alloc))
     for r, j in enumerate(trace.page_of_request):
         expected = times.page[j] if rb[j] > 0 else times.local[j]
         assert np.isclose(sim.page_times[r], expected)

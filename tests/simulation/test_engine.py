@@ -66,7 +66,7 @@ class TestIdentityMatchesCostModel:
         # PARTITION? No: pages 0-2 go fully local, so their simulated
         # remote stream is 0 rather than Ovhd(R).
         lb = cost.local_mo_bytes(alloc)
-        rb = cost.remote_mo_bytes(alloc)
+        (rb,) = cost.remote_mo_bytes_by_stream(alloc)
         for r, j in enumerate(trace.page_of_request):
             if rb[j] > 0:
                 assert sim.page_times[r] == pytest.approx(times.page[j])

@@ -39,6 +39,24 @@ class TestModelRoundTrip:
         assert np.array_equal(a.comp_local, b.comp_local)
         assert CostModel(model).D(a) == pytest.approx(CostModel(back).D(b))
 
+    def test_mesh_topology_round_trip(self, tmp_path):
+        """A k=3 replica mesh keeps its remote streams through a file and
+        re-plans to the same allocation."""
+        model = generate_workload(
+            WorkloadParams.tiny().with_(n_streams=3, n_repositories=2), seed=3
+        )
+        path = tmp_path / "mesh.json"
+        save_model(model, path)
+        back = load_model(path)
+        assert back.n_streams == 3
+        assert np.array_equal(back.stream_rates, model.stream_rates)
+        assert np.array_equal(back.stream_overheads, model.stream_overheads)
+        a = partition_all(model)
+        b = partition_all(back)
+        assert np.array_equal(a.comp_local, b.comp_local)
+        assert np.array_equal(a.comp_stream, b.comp_stream)
+        assert CostModel(model).D(a) == CostModel(back).D(b)
+
     def test_bad_format_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"format": "something-else"}')
