@@ -1,12 +1,14 @@
 """Kernel bench — batched vs scalar PARTITION throughput.
 
-Times :func:`repro.core.partition.partition_all` under both kernels on
-the seeded Table 1 workload and a 10× variant (pages_per_server scaled
+Times :func:`repro.core.partition.partition_all` (the batched engine)
+against the page-by-page reference
+:func:`tests.oracles.scalar_greedy.partition_all_scalar` on the seeded
+Table 1 workload and a 10× variant (pages_per_server scaled
 tenfold), reporting pages/second and the speedup.  The acceptance floor
 for the batched kernel is **≥5× scalar throughput on the 10× workload**;
 the differential property suite
 (``tests/properties/test_property_fast_partition.py``) separately proves
-the two kernels produce bit-identical allocations, so the speedup is
+the two produce bit-identical allocations, so the speedup is
 free of result drift by construction.
 
 Scale note: ``REPRO_BENCH_SCALE`` does not apply here — the bench always
@@ -25,6 +27,7 @@ from repro.core.partition import partition_all
 from repro.util.tables import format_table
 from repro.workload.generator import generate_workload
 from repro.workload.params import WorkloadParams
+from tests.oracles.scalar_greedy import partition_all_scalar
 
 SEED = 123
 REPEATS = int(os.environ.get("REPRO_BENCH_KERNEL_REPEATS", "3"))
@@ -61,11 +64,11 @@ def kernel_results(save_artifact, save_timings):
             seed=SEED,
         )
         model.fast_comp  # warm the scalar path's list cache before timing
-        scalar_alloc = partition_all(model, kernel="scalar")
-        batched_alloc = partition_all(model, kernel="batched")
+        scalar_alloc = partition_all_scalar(model)
+        batched_alloc = partition_all(model)
         assert scalar_alloc == batched_alloc, "kernels diverged"
-        t_scalar = _best_time(lambda: partition_all(model, kernel="scalar"))
-        t_batched = _best_time(lambda: partition_all(model, kernel="batched"))
+        t_scalar = _best_time(lambda: partition_all_scalar(model))
+        t_batched = _best_time(lambda: partition_all(model))
         results[name] = {
             "pages": model.n_pages,
             "streams": model.n_streams,
@@ -118,4 +121,4 @@ def test_bench_batched_kernel_timing(benchmark):
         ),
         seed=SEED,
     )
-    benchmark(partition_all, model, kernel="batched")
+    benchmark(partition_all, model)

@@ -1,10 +1,12 @@
-"""Kernel bench — batched vs scalar greedy restoration / OFF_LOADING.
+"""Kernel bench — batched engines vs scalar greedy restoration / OFF_LOADING.
 
 Times the three Section 4.2 greedy loops (storage restoration,
-processing restoration, repository off-loading) under both kernels on
-two seeded paper-shaped workloads and asserts the acceptance floor for
-:mod:`repro.core.fast_restoration`: **the batched restoration/offload
-path is ≥5× scalar on the dense paper-scale workload**, with
+processing restoration, repository off-loading) on the production
+engines of :mod:`repro.core.fast_restoration` and on the scalar
+reference loops of :mod:`tests.oracles.scalar_greedy`, over seeded
+paper-shaped workloads, and asserts the acceptance floor: **the batched
+restoration/offload path is ≥5× scalar on the dense paper-scale
+workload**, with
 bit-identical decision sequences verified in the same run (final
 allocations and phase statistics are compared before any timing).
 
@@ -61,15 +63,16 @@ from repro.core.restoration import (
     restore_processing_capacity,
     restore_storage_capacity,
 )
-from repro.core.types import (
-    RepositorySpec,
-    ServerSpec,
-    StreamTopology,
-    SystemModel,
-)
+from repro.core.types import SystemModel
+from repro.experiments.scaling import clone_with_capacities
 from repro.util.tables import format_table
 from repro.workload.generator import generate_workload
 from repro.workload.params import WorkloadParams
+from tests.oracles.scalar_greedy import (
+    offload_scalar,
+    restore_processing_scalar,
+    restore_storage_scalar,
+)
 
 SEED = 123
 REPEATS = int(os.environ.get("REPRO_BENCH_KERNEL_REPEATS", "2"))
@@ -92,51 +95,31 @@ WORKLOADS = {
 PHASES = ("storage", "processing", "offload")
 
 
-def _with_capacities(
-    model: SystemModel, storage=None, processing=None, repo=None
-) -> SystemModel:
-    """Clone ``model`` with per-server capacity overrides."""
-    servers = [
-        ServerSpec(
-            server_id=s.server_id,
-            storage_capacity=(
-                s.storage_capacity if storage is None else float(storage[i])
-            ),
-            processing_capacity=(
-                s.processing_capacity
-                if processing is None
-                else float(processing[i])
-            ),
-            rate=s.rate,
-            overhead=s.overhead,
-            repo_rate=s.repo_rate,
-            repo_overhead=s.repo_overhead,
-        )
-        for i, s in enumerate(model.servers)
-    ]
-    repo_spec = model.repository
-    if repo is not None:
-        repo_spec = RepositorySpec(processing_capacity=float(repo))
-    topology = None
-    if model.n_streams > 2:
-        topology = StreamTopology(
-            rates=model.stream_rates, overheads=model.stream_overheads
-        )
-    return SystemModel(
-        servers, repo_spec, model.pages, model.objects, topology=topology
-    )
+#: The two arms of every phase: the scalar reference loop and the
+#: production engine.
+STORAGE = {"scalar": restore_storage_scalar, "batched": restore_storage_capacity}
+PROCESSING = {
+    "scalar": restore_processing_scalar,
+    "batched": restore_processing_capacity,
+}
+OFFLOAD = {
+    "scalar": lambda a, c: offload_scalar(a, c, OffloadConfig()),
+    "batched": lambda a, c: offload_repository(a, c, OffloadConfig()),
+}
 
 
 def _swap_scenario(model: SystemModel, caps) -> tuple:
     """OFF_LOADING on storage-restored servers: with no free space left,
     a blocked candidate is absorbed only through the L2 swap.  Returns
-    the constrained model, the phase callable and the (untimed) input
+    the constrained model, the phase arms and the (untimed) input
     builder — PARTITION then batched storage restoration."""
-    m_storage = _with_capacities(model, storage=caps)
+    m_storage = clone_with_capacities(model, storage=caps)
     restored = partition_all(m_storage)
     restore_storage_capacity(restored, CostModel(m_storage))
-    m2 = _with_capacities(
-        model, storage=caps, repo=max(FRAC * repository_load(restored), 1e-6)
+    m2 = clone_with_capacities(
+        model,
+        storage=caps,
+        repo_capacity=max(FRAC * repository_load(restored), 1e-6),
     )
 
     def prepare(m):
@@ -144,15 +127,11 @@ def _swap_scenario(model: SystemModel, caps) -> tuple:
         restore_storage_capacity(alloc, CostModel(m))
         return alloc
 
-    return (
-        m2,
-        lambda a, c, k: offload_repository(a, c, OffloadConfig(), kernel=k),
-        prepare,
-    )
+    return m2, OFFLOAD, prepare
 
 
 def _scenarios(model: SystemModel) -> dict:
-    """One constrained model + phase callable per greedy loop (plus, at
+    """One constrained model + phase arms per greedy loop (plus, at
     k=2, the storage-constrained OFF_LOADING arm with its input
     builder; it stays out of the combined figure)."""
     ref = partition_all(model)
@@ -162,13 +141,10 @@ def _scenarios(model: SystemModel) -> dict:
     load = local_processing_load(ref)
     pcaps = np.maximum(hl + FRAC * np.maximum(load - hl, 0.0) + 1e-9, 1e-6)
     scenarios = {
-        "storage": (
-            _with_capacities(model, storage=caps),
-            lambda a, c, k: restore_storage_capacity(a, c, kernel=k),
-        ),
+        "storage": (clone_with_capacities(model, storage=caps), STORAGE),
         "processing": (
-            _with_capacities(model, processing=pcaps),
-            lambda a, c, k: restore_processing_capacity(a, c, kernel=k),
+            clone_with_capacities(model, processing=pcaps),
+            PROCESSING,
         ),
     }
     if model.n_streams == 2:
@@ -176,8 +152,8 @@ def _scenarios(model: SystemModel) -> dict:
         # uncapacitated, matching the replica-mesh scenario convention
         rload = repository_load(ref)
         scenarios["offload"] = (
-            _with_capacities(model, repo=max(FRAC * rload, 1e-6)),
-            lambda a, c, k: offload_repository(a, c, OffloadConfig(), kernel=k),
+            clone_with_capacities(model, repo_capacity=max(FRAC * rload, 1e-6)),
+            OFFLOAD,
         )
         scenarios["offload-swap"] = _swap_scenario(model, caps)
     return scenarios
@@ -203,17 +179,17 @@ def kernel_results(save_artifact, save_timings):
         )
         results[wname] = {"phases": {}, "streams": model.n_streams}
         totals = {"scalar": 0.0, "batched": 0.0}
-        for phase, (m2, fn, *prep) in _scenarios(model).items():
+        for phase, (m2, arms, *prep) in _scenarios(model).items():
             prepare = prep[0] if prep else partition_all
             cost = CostModel(m2)
             best: dict[str, float] = {}
             first: dict[str, tuple] = {}
-            for kern in ("scalar", "batched"):
+            for kern, fn in arms.items():
                 t_best = float("inf")
                 for rep in range(REPEATS):
                     alloc = prepare(m2)
                     t0 = time.perf_counter()
-                    stats = fn(alloc, cost, kern)
+                    stats = fn(alloc, cost)
                     t_best = min(t_best, time.perf_counter() - t0)
                     if rep == 0:
                         first[kern] = (alloc, stats)
@@ -254,7 +230,7 @@ def kernel_results(save_artifact, save_timings):
                 # built
                 swap_reg = obs.MetricsRegistry()
                 with obs.use_registry(swap_reg):
-                    fn(prepare(m2), cost, "batched")
+                    arms["batched"](prepare(m2), cost)
                 for key in ("absorptions", "swap_attempts", "swaps", "swap_rankings"):
                     results[wname][f"offload_{key}"] = int(
                         swap_reg.counters.get(f"offload.{key}", 0)
@@ -319,11 +295,11 @@ def test_bench_batched_kernel_timing(benchmark):
     )
     ref = partition_all(model)
     caps = model.html_bytes_by_server() + FRAC * ref.stored_bytes_all() + 1.0
-    m2 = _with_capacities(model, storage=caps)
+    m2 = clone_with_capacities(model, storage=caps)
     cost = CostModel(m2)
 
     def run():
         alloc = partition_all(m2)
-        restore_storage_capacity(alloc, cost, kernel="batched")
+        restore_storage_capacity(alloc, cost)
 
     benchmark(run)

@@ -15,6 +15,11 @@ EvalContext refactor honest:
 * ``repro.obs`` imports nothing above ``util`` — observability must be
   embeddable everywhere, so it can depend on nothing that depends on it.
 
+A third rule spans every layer: no module under ``src/repro`` imports
+the ``tests`` package or anything named ``oracles``.  Each greedy phase
+has one production engine; the scalar reference loops it is checked
+against live in ``tests/oracles/`` and must not leak back into it.
+
 On top of the layer rules, ``MODULE_FORBIDDEN`` pins *module-specific*
 contracts with their rationale: ``core/shard.py`` fans work out to
 processes but must receive its pool **by injection** (the ``ShardPool``
@@ -136,9 +141,13 @@ MODULE_FORBIDDEN: dict[str, tuple[frozenset[str], str]] = {
 }
 
 
-def _layer_of(path: pathlib.Path) -> str:
+#: Import roots no production module may reach (see the module docstring).
+TEST_ONLY = frozenset({"tests", "oracles"})
+
+
+def _layer_of(path: pathlib.Path, package_root: pathlib.Path) -> str:
     """The top-level subpackage (or module stem) a file belongs to."""
-    rel = path.relative_to(PACKAGE_ROOT)
+    rel = path.relative_to(package_root)
     return rel.parts[0] if len(rel.parts) > 1 else rel.stem
 
 
@@ -162,21 +171,42 @@ def _imported_subpackages(tree: ast.AST):
                         yield node.lineno, alias.name
 
 
-def check() -> list[str]:
+def _imported_test_code(tree: ast.AST):
+    """Yield ``(lineno, module)`` for every import of test-only code."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module or ""]
+        else:
+            continue
+        for name in names:
+            parts = name.split(".")
+            if parts[0] in TEST_ONLY or "oracles" in parts:
+                yield node.lineno, name
+
+
+def check(package_root: pathlib.Path = PACKAGE_ROOT) -> list[str]:
     """All layering violations in the tree, as printable strings."""
     violations = []
-    for path in sorted(PACKAGE_ROOT.rglob("*.py")):
-        layer = _layer_of(path)
+    repo_root = package_root.parent.parent
+    for path in sorted(package_root.rglob("*.py")):
+        rel = path.relative_to(repo_root)
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for lineno, target in _imported_test_code(tree):
+            violations.append(
+                f"{rel}:{lineno}: production module imports {target} "
+                "(reference oracles live with the tests only)"
+            )
+        layer = _layer_of(path, package_root)
         forbidden = FORBIDDEN.get(layer, frozenset())
-        module_key = path.relative_to(PACKAGE_ROOT).as_posix()
+        module_key = path.relative_to(package_root).as_posix()
         module_forbidden, module_why = MODULE_FORBIDDEN.get(
             module_key, (frozenset(), "")
         )
         if not forbidden and not module_forbidden:
             continue
-        tree = ast.parse(path.read_text(), filename=str(path))
         for lineno, target in _imported_subpackages(tree):
-            rel = path.relative_to(REPO_ROOT)
             if target in module_forbidden:
                 violations.append(
                     f"{rel}:{lineno}: {module_key} imports repro.{target} "
@@ -200,7 +230,7 @@ def main() -> int:
     m = len(MODULE_FORBIDDEN)
     print(
         f"layering check: OK ({n} constrained layers, "
-        f"{m} module rules, no violations)"
+        f"{m} module rules, no test-code imports, no violations)"
     )
     return 0
 

@@ -72,9 +72,9 @@ class PopularityPolicy(AllocationPolicy):
 
         The per-object rates come from one ``np.bincount`` over the
         server's compulsory-then-optional entries (the context's groups
-        are object-sorted with ascending entries — the exact order the
-        old per-object ``+=`` loop over ``ReverseIndex.entries_for``
-        accumulated in, so the folds are bit-identical).
+        are object-sorted with ascending entries — the exact order a
+        per-object ``+=`` loop over the server's entries accumulates
+        in, so the folds are bit-identical).
         """
         ctx = EvalContext.for_model(model)
         ce = ctx.comp_group(server_id)[0]

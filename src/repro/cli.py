@@ -75,9 +75,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=2000, help="root seed")
     parser.add_argument(
         "--kernel",
-        choices=("batched", "scalar", "sharded"),
+        choices=("batched", "sharded"),
         default=os.environ.get("REPRO_KERNEL", "batched").lower(),
-        help="policy kernel (default: $REPRO_KERNEL or 'batched'; all "
+        help="policy kernel (default: $REPRO_KERNEL or 'batched'; both "
         "choices produce bit-identical allocations; 'sharded' fans "
         "per-server shards over worker processes)",
     )
@@ -373,7 +373,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.streams > 2 and args.kernel == "sharded":
         parser.error(
             "--kernel sharded supports the k=2 topology only; use "
-            "--kernel batched or scalar with --streams > 2"
+            "--kernel batched with --streams > 2"
         )
     metrics_out = args.metrics_out or obs.env_metrics_path()
     if metrics_out:

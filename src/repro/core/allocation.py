@@ -33,7 +33,7 @@ import numpy as np
 from repro.core.context import EvalContext
 from repro.core.types import SystemModel
 
-__all__ = ["Allocation", "ReverseIndex", "transplant_allocation"]
+__all__ = ["Allocation", "transplant_allocation"]
 
 
 def transplant_allocation(alloc: "Allocation", model: SystemModel) -> "Allocation":
@@ -64,69 +64,6 @@ def transplant_allocation(alloc: "Allocation", model: SystemModel) -> "Allocatio
         replicas=[set(r) for r in alloc.replicas],
         comp_stream=alloc.comp_stream,
     )
-
-
-class ReverseIndex:
-    """Static reverse maps from (server, object) to flat matrix entries.
-
-    Built once per :class:`SystemModel` (it does not depend on any
-    allocation decisions) and shared by all allocations over that model.
-
-    Attributes
-    ----------
-    comp_entries:
-        ``comp_entries[i][k]`` — tuple of flat compulsory-entry indices of
-        pages hosted on server ``i`` that reference object ``k``.
-    opt_entries:
-        The analogous map for optional entries.
-    """
-
-    _CACHE_ATTR = "_repro_reverse_index_cache"
-
-    def __init__(self, model: SystemModel):
-        self.model = model
-        ctx = EvalContext.for_model(model)
-        self.comp_entries: tuple[dict[int, tuple[int, ...]], ...] = tuple(
-            self._server_map(*ctx.comp_group(i)) for i in range(model.n_servers)
-        )
-        self.opt_entries: tuple[dict[int, tuple[int, ...]], ...] = tuple(
-            self._server_map(*ctx.opt_group(i)) for i in range(model.n_servers)
-        )
-
-    @staticmethod
-    def _server_map(
-        entries: np.ndarray, starts: np.ndarray, counts: np.ndarray
-    ) -> dict[int, tuple[int, ...]]:
-        """``{object: (entries…)}`` from one server's CSR group.
-
-        The context groups entries by ``(object, entry)`` ascending, so
-        the per-object tuples come out in the same order the old
-        append-per-entry build produced.
-        """
-        ge = entries.tolist()
-        st = starts.tolist()
-        ct = counts.tolist()
-        d: dict[int, tuple[int, ...]] = {}
-        for k in counts.nonzero()[0].tolist():
-            s = st[k]
-            d[k] = tuple(ge[s : s + ct[k]])
-        return d
-
-    @classmethod
-    def for_model(cls, model: SystemModel) -> "ReverseIndex":
-        """Return the (cached) reverse index of ``model``."""
-        cached = getattr(model, cls._CACHE_ATTR, None)
-        if cached is None:
-            cached = cls(model)
-            setattr(model, cls._CACHE_ATTR, cached)
-        return cached
-
-    def entries_for(self, server_id: int, object_id: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """``(compulsory_entries, optional_entries)`` for the pair."""
-        return (
-            self.comp_entries[server_id].get(object_id, ()),
-            self.opt_entries[server_id].get(object_id, ()),
-        )
 
 
 class Allocation:
@@ -415,8 +352,12 @@ class Allocation:
             raise KeyError(
                 f"object {object_id} is not stored at server {server_id}"
             )
-        rev = ReverseIndex.for_model(self.model)
-        comp_e, opt_e = rev.entries_for(server_id, object_id)
+        ce, c_start, c_count = self.ctx.comp_group(server_id)
+        oe, o_start, o_count = self.ctx.opt_group(server_id)
+        lo = int(c_start[object_id])
+        comp_e = ce[lo : lo + int(c_count[object_id])].tolist()
+        lo = int(o_start[object_id])
+        opt_e = oe[lo : lo + int(o_count[object_id])].tolist()
         affected: list[int] = []
         for e in comp_e:
             if self.comp_local[e]:

@@ -6,15 +6,12 @@ baselines and the request-level simulator — evaluates the same matrices
 ``U``, ``U'``, ``A``, ``X``, ``X'`` over the same per-entry attributes.
 Before this module each consumer re-derived its own slice of that state
 (`CostModel` columns, `Allocation`'s pair grouping, the eviction
-scorer's per-server gather, ad-hoc ``ReverseIndex`` threading …), once
-per phase or worse.
+scorer's per-server gather, per-model reverse-index dicts …), once per
+phase or worse.
 
 :class:`EvalContext` is the consolidation: an immutable struct-of-arrays
-built **once per** ``(SystemModel, kernel)`` and cached on the model
-(mirroring ``ReverseIndex.for_model``).  The columns are plain NumPy
-arrays shared by reference between the two kernel variants, so asking
-for the ``"scalar"`` context after the ``"batched"`` one costs nothing.
-Each column is computed with the expression its consumers used to
+built **once per** :class:`SystemModel` and cached on the model.  Each
+column is computed with the expression its consumers used to
 evaluate privately, so the arrays are bit-identical to theirs — which
 is what keeps the golden regressions and the differential kernel
 oracles unchanged.
@@ -45,21 +42,19 @@ __all__ = [
     "ScalarViews",
     "Kernel",
     "resolve_kernel",
-    "engine_kernel",
     "rebuild_contexts",
     "clear_derived_state",
     "is_frequency_clone",
     "adopt_frequency_context",
 ]
 
-Kernel = Literal["batched", "scalar", "sharded"]
+#: Policy kernels.  Every phase has one engine, the batched one;
+#: ``"sharded"`` fans servers out over worker processes and runs that
+#: engine inside each shard (see :mod:`repro.core.shard`).  A phase
+#: called directly with ``kernel="sharded"`` runs in-process.
+Kernel = Literal["batched", "sharded"]
 
-_KERNELS = ("batched", "scalar", "sharded")
-
-#: Kernels that name an actual evaluation engine.  ``"sharded"`` is a
-#: *dispatch* kernel: it fans servers out over worker processes and runs
-#: the batched engine inside each shard (see :mod:`repro.core.shard`).
-_ENGINE_KERNELS = ("batched", "scalar")
+_KERNELS = ("batched", "sharded")
 
 
 def resolve_kernel(value: str | None, default: Kernel = "batched") -> Kernel:
@@ -81,8 +76,7 @@ def resolve_kernel(value: str | None, default: Kernel = "batched") -> Kernel:
     Raises
     ------
     ValueError
-        If ``value`` names none of ``"batched"``, ``"scalar"``,
-        ``"sharded"``.
+        If ``value`` names neither ``"batched"`` nor ``"sharded"``.
     """
     if value is None or value == "":
         return default
@@ -92,17 +86,6 @@ def resolve_kernel(value: str | None, default: Kernel = "batched") -> Kernel:
             f"kernel must be one of {'|'.join(_KERNELS)}, got {value!r}"
         )
     return kernel  # type: ignore[return-value]
-
-
-def engine_kernel(kernel: Kernel) -> Kernel:
-    """The evaluation engine behind a (validated) kernel name.
-
-    ``"sharded"`` is process-level orchestration, not a third set of
-    numerics: inside every shard (and for any phase a caller runs
-    directly with ``kernel="sharded"``) the batched engine does the
-    work, so all three names produce bit-identical allocations.
-    """
-    return "batched" if kernel == "sharded" else kernel
 
 
 @dataclass(frozen=True)
@@ -127,15 +110,14 @@ class ScalarViews:
 
 
 _CACHE_ATTR = "_repro_eval_context_cache"
-#: Per-model cache of server-subset contexts, keyed by
-#: ``(server-id tuple, engine kernel)`` (see ``EvalContext.for_servers``).
+#: Per-model cache of server-subset contexts, keyed by the server-id
+#: tuple (see ``EvalContext.for_servers``).
 _SUBSET_CACHE_ATTR = "_repro_subset_context_cache"
 
 #: Derived-state cache attributes attached to SystemModel instances.
 _MODEL_CACHE_ATTRS = (
     _CACHE_ATTR,
     _SUBSET_CACHE_ATTR,
-    "_repro_reverse_index_cache",
     "_fast_comp_cache",
 )
 
@@ -161,7 +143,7 @@ def rebuild_contexts() -> Iterator[None]:
 def clear_derived_state(model: SystemModel) -> None:
     """Drop every derived-state cache attached to ``model``.
 
-    Covers the eval context, the reverse index, and the plain-list
+    Covers the eval context (full and server-subset) and the plain-list
     PARTITION views.  Benchmark helper (cold-start timings); production
     code never needs it — the caches are pure functions of the model.
     """
@@ -232,7 +214,7 @@ def adopt_frequency_context(base: SystemModel, model: SystemModel) -> bool:
     ``model``: structural columns (sizes, CSR groups, pair tables,
     stream-seed expansions) are shared **by reference** and only the
     frequency-derived columns are recomputed.  The (purely structural)
-    reverse index and plain-list PARTITION views transfer too.
+    plain-list PARTITION views transfer too.
 
     Returns ``True`` when a context was transferred, ``False`` when
     ``base`` had none cached (nothing to do — ``model`` will build its
@@ -247,37 +229,25 @@ def adopt_frequency_context(base: SystemModel, model: SystemModel) -> bool:
         )
     if base is model:
         return True
-    # Structural caches outside the context: plain-list PARTITION views
-    # (sizes/order only) and the (server, object) -> entries reverse
-    # index.  Both are pure functions of the structure.
+    # Structural cache outside the context: the plain-list PARTITION
+    # views (sizes/order only), a pure function of the structure.
     src_fast = getattr(base, "_fast_comp_cache", None)
     if src_fast is not None and getattr(model, "_fast_comp_cache", None) is None:
         model._fast_comp_cache = src_fast
-    src_rev = getattr(base, "_repro_reverse_index_cache", None)
-    if src_rev is not None and (
-        getattr(model, "_repro_reverse_index_cache", None) is None
-    ):
-        from repro.core.allocation import ReverseIndex
 
-        rev = ReverseIndex.__new__(ReverseIndex)
-        rev.model = model
-        rev.comp_entries = src_rev.comp_entries
-        rev.opt_entries = src_rev.opt_entries
-        setattr(model, "_repro_reverse_index_cache", rev)
-
-    src_cache: dict[str, EvalContext] | None = getattr(base, _CACHE_ATTR, None)
-    if not src_cache or not _CACHE_ENABLED[0]:
+    src_ctx: EvalContext | None = getattr(base, _CACHE_ATTR, None)
+    if src_ctx is None or not _CACHE_ENABLED[0]:
         return False
-    if getattr(model, _CACHE_ATTR, None):
-        return False  # model already has its own contexts; keep them
-    kern, src_ctx = next(iter(src_cache.items()))
-    ctx = EvalContext(model, kern, _share=src_ctx)
+    if getattr(model, _CACHE_ATTR, None) is not None:
+        return False  # model already has its own context; keep it
+    ctx = EvalContext(model, _share=src_ctx)
     ctx._refresh_frequency_columns()
-    setattr(model, _CACHE_ATTR, {kern: ctx})
+    setattr(model, _CACHE_ATTR, ctx)
     return True
 
 
-#: Attribute names copied by reference between kernel-sibling contexts.
+#: Attribute names a frequency clone's context takes by reference from
+#: its base (``_FREQUENCY_SLOTS`` are then recomputed).
 _SHARED_SLOTS = (
     "n_pages",
     "n_servers",
@@ -354,8 +324,9 @@ class EvalContext:
       so mark-count bookkeeping reduces to ``np.bincount``.
     * **per-server CSR groups** — every server's entries sorted by
       object, with dense per-object ``starts``/``counts`` tables (see
-      :meth:`comp_group`), feeding the eviction scorer and the reverse
-      index without any per-phase scan-and-sort.
+      :meth:`comp_group`), feeding the eviction scorer, the L2-swap
+      victim ranking and ``Allocation.deallocate`` without any
+      per-phase scan-and-sort.
     """
 
     #: Global↔local maps of a server-subset context (see
@@ -368,11 +339,9 @@ class EvalContext:
     def __init__(
         self,
         model: SystemModel,
-        kernel: Kernel = "batched",
         _share: "EvalContext | None" = None,
     ):
         self.model = model
-        self.kernel = resolve_kernel(kernel)
         if _share is not None:
             for name in _SHARED_SLOTS:
                 setattr(self, name, getattr(_share, name))
@@ -626,13 +595,6 @@ class EvalContext:
         return cached
 
     @property
-    def reverse_index(self):
-        """The (cached) ``(server, object) → entries`` dict maps."""
-        from repro.core.allocation import ReverseIndex
-
-        return ReverseIndex.for_model(self.model)
-
-    @property
     def fast_comp(self):
         """Plain-list PARTITION views (see ``SystemModel.fast_comp``)."""
         return self.model.fast_comp
@@ -641,41 +603,19 @@ class EvalContext:
     # cache
     # ------------------------------------------------------------------
     @classmethod
-    def for_model(
-        cls, model: SystemModel, kernel: str | None = "batched"
-    ) -> "EvalContext":
-        """The (cached) context of ``model`` for ``kernel``.
-
-        Kernel siblings share every column array by reference — only the
-        first call per model pays the build.  Dispatch kernels collapse
-        onto their engine (``"sharded"`` → ``"batched"``), so a sharded
-        run never builds a third context.
-        """
-        kern = (
-            kernel
-            if kernel in _ENGINE_KERNELS
-            else engine_kernel(resolve_kernel(kernel))
-        )
+    def for_model(cls, model: SystemModel) -> "EvalContext":
+        """The (cached) context of ``model``; only the first call per
+        model pays the build."""
         if not _CACHE_ENABLED[0]:
-            return cls(model, kern)
-        cache: dict[str, EvalContext] | None = getattr(model, _CACHE_ATTR, None)
-        if cache is None:
-            cache = {}
-            setattr(model, _CACHE_ATTR, cache)
-        ctx = cache.get(kern)
+            return cls(model)
+        ctx: EvalContext | None = getattr(model, _CACHE_ATTR, None)
         if ctx is None:
-            share = next(iter(cache.values()), None)
-            ctx = cls(model, kern, _share=share)
-            cache[kern] = ctx
+            ctx = cls(model)
+            setattr(model, _CACHE_ATTR, ctx)
         return ctx
 
     @classmethod
-    def for_servers(
-        cls,
-        model: SystemModel,
-        servers,
-        kernel: str | None = "batched",
-    ) -> "EvalContext":
+    def for_servers(cls, model: SystemModel, servers) -> "EvalContext":
         """A context over only the sub-universe hosted by ``servers``.
 
         Builds a :func:`repro.core.types.restrict_to_servers` submodel
@@ -700,24 +640,23 @@ class EvalContext:
         ``tests/properties/test_property_sharded_policy.py``).
         """
         key = tuple(int(i) for i in servers)
-        kern = engine_kernel(resolve_kernel(kernel))
         cache: dict | None = None
         if _CACHE_ENABLED[0]:
             cache = getattr(model, _SUBSET_CACHE_ATTR, None)
             if cache is None:
                 cache = {}
                 setattr(model, _SUBSET_CACHE_ATTR, cache)
-            ctx = cache.get((key, kern))
+            ctx = cache.get(key)
             if ctx is not None:
                 return ctx
         sub, maps = restrict_to_servers(model, key)
-        ctx = cls.for_model(sub, kern)
+        ctx = cls.for_model(sub)
         ctx.global_servers = maps["servers"]
         ctx.global_pages = maps["pages"]
         ctx.global_comp_entries = maps["comp_entries"]
         ctx.global_opt_entries = maps["opt_entries"]
         if cache is not None:
-            cache[(key, kern)] = ctx
+            cache[key] = ctx
         return ctx
 
 

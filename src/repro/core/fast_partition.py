@@ -31,14 +31,15 @@ order* as the scalar greedy for every page:
 Hence marks, streams and stream times are **bit-identical** to
 :func:`~repro.core.partition.partition_page`, which the differential
 property suite (``tests/properties/test_property_fast_partition.py``)
-asserts with exact ``==`` comparisons.  The scalar implementation stays
-in the tree as the reference oracle.
+asserts with exact ``==`` comparisons.  ``partition_page`` stays in
+production as the per-page kernel: storage restoration re-partitions
+the few pages an eviction touches with it.
 
 Entry points
 ------------
 * :func:`partition_pages_batched` — marks, streams and stream times for
-  a set of pages (the restoration re-partition path batches the pages affected by
-  an eviction).
+  a set of pages (the incremental re-planner rebuilds the pages of the
+  servers a drift touched).
 * :func:`partition_all_batched` — full :class:`Allocation` assembly via
   the bulk mark APIs (:meth:`Allocation.set_comp_local_bulk`).
 * :func:`comp_allowed_mask` / :func:`optional_marks_batched` — vectorised

@@ -1,14 +1,16 @@
-"""Batched greedy-restoration engines (the ``kernel="batched"`` path).
+"""The greedy-restoration engines of Section 4.2.
 
 The Section 4.2 greedy loops — storage restoration, processing
 restoration and OFF_LOADING's server-side absorption — each take, step
 after step, the candidate action whose fresh score (objective damage per
-unit) is lowest, ties going to the lowest candidate key.
-:mod:`repro.core.restoration` and :mod:`repro.core.offload` hold the
-scalar references of that rule; this module runs the same loops on flat
-NumPy arrays and makes the **same decisions bit for bit** — every
-eviction, switch and absorption happens for the same candidate with the
-same score.
+unit) is lowest, ties going to the lowest candidate key.  This module
+runs those loops on flat NumPy arrays for
+:mod:`repro.core.restoration` and :mod:`repro.core.offload`.  The
+scalar per-candidate priority-queue loops they were written against
+live with the tests as the reference
+(``tests/oracles/scalar_greedy.py``); the engines make the **same
+decisions bit for bit** — every eviction, switch and absorption happens
+for the same candidate with the same score.
 
 Two pieces make a step cheap:
 
@@ -34,7 +36,6 @@ import numpy as np
 from repro.core.allocation import Allocation
 from repro.core.constraints import local_processing_load, storage_used
 from repro.core.cost_model import CostModel
-from repro.core.fast_partition import partition_pages_batched
 from repro.core.partition import partition_page
 
 __all__ = [
@@ -44,7 +45,7 @@ __all__ = [
     "absorb_extra_workload_batched",
 ]
 
-#: kept in lockstep with ``restoration._TOL`` / ``offload._TOL``
+#: kept in lockstep with ``offload._TOL``
 _TOL = 1e-9
 
 
@@ -309,18 +310,18 @@ def restore_storage_batched(
     cost: CostModel,
     server_id: int,
     amortise: bool = True,
-    batch_min_pages: int = 8,
     counters: dict | None = None,
     decisions: list | None = None,
 ):
-    """Batched twin of ``restoration._restore_storage_one_server``.
+    """Storage restoration (Eq. 10) of one server.
 
-    Produces the identical eviction sequence, statistics and final
-    allocation (flips go through the per-entry setters in the scalar
-    order).  ``decisions``, when given, receives one ``(object, score)``
-    pair per eviction.
+    Evicts, step after step, the replica whose deallocation damages the
+    objective least (per byte when ``amortise``) and re-partitions the
+    pages it leaves, until the server fits.  Flips go through the
+    per-entry setters in the reference loop's order.  ``decisions``,
+    when given, receives one ``(object, score)`` pair per eviction.
     """
-    # deferred: restoration imports this module lazily for dispatch
+    # deferred: restoration imports this module at load
     from repro.core.restoration import InfeasibleError, StorageRestorationStats
 
     m = alloc.model
@@ -372,17 +373,13 @@ def restore_storage_batched(
 
     rescore(keys)
 
-    allowed_mask = np.zeros(len(comp_objects), dtype=bool)
-    rows = ctx.comp_group(server_id)[0]
-    allowed_mask[rows] = np.isin(comp_objects[rows], keys)
-
     def apply_marks(j: int, marks: np.ndarray, streams: np.ndarray) -> None:
         """Install page ``j``'s re-partitioned marks and streams.
 
         Only the entries whose mark or stream differs are walked, in
         ascending entry order through the per-entry setter, accumulating
-        the byte totals one move at a time in Python floats — the scalar
-        ``_repartition_page`` float-op sequence exactly.  A remote entry
+        the byte totals one move at a time in Python floats — the
+        reference loop's float-op sequence exactly.  A remote entry
         that merely hops streams shifts the page's stream totals, so it
         counts as a change; a local entry's stream is not read.
         """
@@ -425,20 +422,11 @@ def restore_storage_batched(
 
     def repartition(pages: list[int]) -> None:
         """Re-run PARTITION on ``pages`` restricted to the remaining
-        replicas.  Per-page PARTITION reads no other page's marks, so
-        the batched kernel may solve every page up front; it only pays
-        off once the page set amortises its fixed NumPy dispatch."""
-        if len(pages) >= batch_min_pages:
-            bm, bs, _, _ = partition_pages_batched(
-                m, page_ids=pages, allowed_mask=allowed_mask
-            )
-            for j in pages:
-                sl = slice(entry_indptr[j], entry_indptr[j + 1])
-                apply_marks(j, bm[sl], bs[sl])
-        else:
-            for j in pages:
-                pm, ps, _, _ = partition_page(m, j, allowed=replicas)
-                apply_marks(j, pm, ps)
+        replicas.  A flip set averages a handful of pages, too few to
+        amortise the batched PARTITION's fixed NumPy dispatch."""
+        for j in pages:
+            pm, ps, _, _ = partition_page(m, j, allowed=replicas)
+            apply_marks(j, pm, ps)
 
     while used > capacity + _TOL:
         picked = picker.pick()
@@ -465,8 +453,6 @@ def restore_storage_batched(
             alloc.set_opt_local(e, False)
         replicas.discard(k)
         picker.kill(picker.pos[k])
-        if len(comp_e):
-            allowed_mask[comp_e] = False
         used -= size
         stats.evictions += 1
         stats.bytes_freed += size
@@ -495,12 +481,16 @@ def restore_processing_batched(
     counters: dict | None = None,
     decisions: list | None = None,
 ):
-    """Batched twin of ``restoration._restore_processing_one_server``.
+    """Processing restoration (Eq. 8) of one server.
 
-    Candidates are the server's local compulsory entries (key ``e``) and
-    local optional entries (key ``NC + e``).  ``decisions``, when given,
-    receives one ``(key, score)`` pair per switch.
+    Switches, step after step, the local download whose move to its best
+    remote stream damages the objective least per request/second shed,
+    until the server's load fits.  Candidates are the server's local
+    compulsory entries (key ``e``) and local optional entries (key
+    ``NC + e``).  ``decisions``, when given, receives one
+    ``(key, score)`` pair per switch.
     """
+    # deferred: restoration imports this module at load
     from repro.core.restoration import InfeasibleError, ProcessingRestorationStats
 
     m = alloc.model
@@ -642,10 +632,13 @@ def absorb_extra_workload_batched(
     counters: dict | None = None,
     decisions: list | None = None,
 ) -> float:
-    """Batched twin of ``offload._absorb_scalar``.
+    """OFF_LOADING's server-side absorption at one server.
 
-    Candidates are the server's remote entries at entry (keys ``e`` and
-    ``NC + e``).  A refused candidate is retired for good; CPU slack only
+    Marks, step after step, the remote download whose move to the local
+    stream damages the objective least per request/second absorbed,
+    until ``target`` req/s are absorbed or nothing fits.  Candidates are
+    the server's remote entries at entry (keys ``e`` and ``NC + e``).
+    A refused candidate is retired for good; CPU slack only
     shrinks, so every candidate heavier than the slack is retired in bulk
     by a ``searchsorted`` cut over the weight-descending order.  A
     successful swap re-admits the absorbed entries it un-marks.

@@ -38,7 +38,6 @@ actors with message accounting.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,9 +50,8 @@ from repro.core.constraints import (
     storage_used,
 )
 from repro.core.cost_model import CostModel
-from repro.core.context import engine_kernel
+from repro.core.fast_restoration import absorb_extra_workload_batched
 from repro.core.partition import Kernel, resolve_kernel
-from repro.core.restoration import _candidate_load, _pop_current
 from repro.obs.registry import get_registry
 
 __all__ = [
@@ -196,30 +194,6 @@ def _proportional_shares(
 # ----------------------------------------------------------------------
 # server-side absorption
 # ----------------------------------------------------------------------
-def _absorb_score(
-    alloc: Allocation,
-    cost: CostModel,
-    key: int,
-    local_bytes: np.ndarray,
-    remote_bytes: np.ndarray,
-) -> float:
-    """Objective damage of marking candidate ``key`` local, per
-    request/second it absorbs (``inf`` when it absorbs nothing)."""
-    m = alloc.model
-    w = _candidate_load(alloc, key)
-    if w <= 0:
-        return np.inf
-    nc = len(m.comp_objects)
-    if key >= nc:
-        return cost.optional_entry_delta(key - nc, to_local=True) / w
-    j = int(m.comp_pages[key])
-    size = float(m.sizes[m.comp_objects[key]])
-    lb, rb = local_bytes[j], remote_bytes[j]
-    old = cost.page_time_from_stream_bytes(j, lb, (rb,))
-    new = cost.page_time_from_stream_bytes(j, lb + size, (rb - size,))
-    return cost.alpha1 * m.frequencies[j] * (new - old) / w
-
-
 @dataclass(frozen=True)
 class _VictimTable:
     """One server's L2-swap victims, ranked once per server state.
@@ -323,12 +297,12 @@ def _try_make_room(
 
     ``table`` is :func:`_rank_victims` of the server's *current* marks
     and replicas.  Ranking is the expensive part and does not depend on
-    ``need`` or ``gain``, so the batched kernel keeps one table across
+    ``need`` or ``gain``, so the absorption engine keeps one table across
     consecutive blocked candidates and rebuilds it only after it mutates
-    the server (an accepted mark, a new replica or a successful swap);
-    the scalar kernel ranks afresh on every call.  A query is one
-    ``searchsorted`` over the table's prefix sums, so both kernels choose
-    identical victims.  Returns ``(ok, freed_sizes, flipped_comp_entries,
+    the server (an accepted mark, a new replica or a successful swap).
+    A query is one ``searchsorted`` over the table's prefix sums, so a
+    table kept that way chooses the victims a fresh ranking would.
+    Returns ``(ok, freed_sizes, flipped_comp_entries,
     flipped_opt_entries, flipped_pages)``; on failure nothing is
     mutated.
     """
@@ -391,23 +365,15 @@ def absorb_extra_workload(
         and ``offload.swap_rankings`` (victim tables built), next to
         ``offload.absorptions`` (candidates marked local).
     kernel:
-        ``"batched"`` (default) scores candidates with the vectorised
-        engine of :mod:`repro.core.fast_restoration` (one ``np.argmin``
-        per step); ``"scalar"`` keeps the reference ``heapq`` loop.  Both
-        take the live candidate with the lowest ``(fresh score, key)``
-        and produce bit-identical absorption sequences.
+        Validated policy kernel name.  Every kernel scores candidates
+        with the vectorised engine of :mod:`repro.core.fast_restoration`,
+        which takes the live candidate with the lowest ``(fresh score,
+        key)`` by one ``np.argmin`` per step.
     """
-    kernel = engine_kernel(resolve_kernel(kernel))
+    resolve_kernel(kernel)
     _require_two_streams(alloc, "OFF_LOADING absorption")
-    if kernel == "batched":
-        # local import avoids a module-level cycle
-        from repro.core.fast_restoration import (
-            absorb_extra_workload_batched as absorb,
-        )
-    else:
-        absorb = _absorb_scalar
     counters: dict[str, int] = {}
-    absorbed = absorb(
+    absorbed = absorb_extra_workload_batched(
         alloc,
         cost,
         server_id,
@@ -423,125 +389,6 @@ def absorb_extra_workload(
             reg.count("offload.rescored_candidates", counters["candidates"])
         for key in _ABSORB_COUNTERS:
             reg.count(f"offload.{key}", counters.get(key, 0))
-    return absorbed
-
-
-def _absorb_scalar(
-    alloc: Allocation,
-    cost: CostModel,
-    server_id: int,
-    target: float,
-    allow_new_replicas: bool,
-    allow_swap: bool,
-    counters: dict[str, int],
-) -> float:
-    """The reference absorption loop (``kernel="scalar"``).
-
-    Candidates are the server's remote entries at entry, keyed ``e`` for
-    compulsory entry ``e`` and ``NC + e`` for optional entry ``e``; each
-    step takes the live one with the lowest ``(fresh score, key)``.  A
-    refused candidate — weightless, heavier than the CPU slack, needing
-    a replica it may not create, or blocked by a failed swap — is
-    retired for good.  A successful swap re-admits the absorbed
-    candidates it turns remote again.
-    """
-    if target <= _TOL:
-        return 0.0
-    m = alloc.model
-    cap = float(m.server_capacity[server_id])
-    load = float(local_processing_load(alloc)[server_id])
-    cpu_slack = np.inf if np.isinf(cap) else cap - load
-    space = float(m.server_storage[server_id] - storage_used(alloc)[server_id])
-
-    local_bytes = cost.local_mo_bytes(alloc)
-    (remote_bytes,) = cost.remote_mo_bytes_by_stream(alloc)
-    ctx = alloc.ctx
-    nc = len(m.comp_objects)
-
-    heap: list[tuple[float, int]] = []
-    current: dict[int, float] = {}
-
-    def push(key: int) -> None:
-        score = _absorb_score(alloc, cost, key, local_bytes, remote_bytes)
-        current[key] = score
-        heapq.heappush(heap, (score, key))
-
-    candidate = np.zeros(nc + len(m.opt_objects), dtype=bool)
-    live = candidate.copy()
-    for e in ((~alloc.comp_local) & (ctx.comp_server == server_id)).nonzero()[0]:
-        candidate[e] = live[e] = True
-        push(int(e))
-    for e in ((~alloc.opt_local) & (ctx.opt_server == server_id)).nonzero()[0]:
-        candidate[nc + e] = live[nc + e] = True
-        push(nc + int(e))
-
-    def rescore_pages(pages: list[int]) -> None:
-        for j in set(pages):
-            sl = m.comp_slice(j)
-            for e in range(sl.start, sl.stop):
-                if live[e]:
-                    push(e)
-
-    absorbed = 0.0
-    while absorbed < target - _TOL and cpu_slack > _TOL:
-        popped = _pop_current(heap, current, live.__getitem__)
-        if popped is None:
-            break
-        _, key = popped
-        live[key] = False  # accepted or refused, it leaves the set
-        w = _candidate_load(alloc, key)
-        if w <= 0 or w > cpu_slack + _TOL:
-            continue
-        e = key if key < nc else key - nc
-        k = int(m.comp_objects[e] if key < nc else m.opt_objects[e])
-        dirty_pages: list[int] = []
-        unmarked: list[int] = []
-        if k not in alloc.replicas[server_id]:
-            size = float(m.sizes[k])
-            if not allow_new_replicas:
-                continue
-            if size > space + _TOL:
-                # L2-style swap: make room if the trade gains workload,
-                # against a fresh victim ranking (never cached)
-                if not allow_swap:
-                    continue
-                _tally(counters, "swap_rankings")
-                _tally(counters, "swap_attempts")
-                ok, freed_sizes, flip_c, flip_o, flip_pages = _try_make_room(
-                    alloc,
-                    server_id,
-                    _rank_victims(alloc, server_id),
-                    size - space,
-                    min(w, target - absorbed),
-                    local_bytes,
-                    remote_bytes,
-                )
-                if not ok:
-                    continue
-                _tally(counters, "swaps")
-                for sz in freed_sizes:
-                    space += sz
-                unmarked = flip_c + [nc + e2 for e2 in flip_o]
-                dirty_pages = flip_pages
-            space -= size
-        if key < nc:
-            j = int(m.comp_pages[e])
-            size_k = float(m.sizes[k])
-            alloc.set_comp_local(e, True)
-            local_bytes[j] += size_k
-            remote_bytes[j] -= size_k
-            dirty_pages.append(j)
-        else:
-            alloc.set_opt_local(e, True)
-        absorbed += w
-        cpu_slack -= w
-        _tally(counters, "absorptions")
-        for key2 in unmarked:
-            if candidate[key2]:
-                live[key2] = True
-                if key2 >= nc:
-                    push(key2)
-        rescore_pages(dirty_pages)
     return absorbed
 
 
@@ -650,8 +497,7 @@ def offload_repository(
         capacity).  Figure 3 sweeps this as a fraction of the workload
         the pre-offload allocation imposes.
     kernel:
-        Candidate-scoring kernel forwarded to
-        :func:`absorb_extra_workload` (``"batched"`` or ``"scalar"``).
+        Validated policy kernel name, forwarded to the scatter.
     scatter:
         Absorption-round executor with the signature and contract of
         :func:`absorb_round_serial` (the default).  The sharded kernel
@@ -668,7 +514,7 @@ def offload_repository(
         shared-memory mark frontier) are never leaked.
     """
     cfg = config or OffloadConfig()
-    kernel = engine_kernel(resolve_kernel(kernel))
+    kernel = resolve_kernel(kernel)
     m = alloc.model
     repo_cap = (
         m.repository.processing_capacity if capacity is None else float(capacity)

@@ -35,7 +35,8 @@ from typing import Collection, Literal
 import numpy as np
 
 from repro.core.allocation import Allocation
-from repro.core.context import EvalContext, Kernel, engine_kernel, resolve_kernel
+from repro.core.context import EvalContext, Kernel, resolve_kernel
+from repro.core.fast_partition import partition_all_batched
 from repro.core.types import SystemModel
 from repro.obs.registry import get_registry
 
@@ -216,49 +217,20 @@ def partition_all(
     order:
         Greedy iteration order (see :func:`partition_page`).
     kernel:
-        ``"batched"`` (default) runs the vectorized pad-and-mask kernel
-        of :mod:`repro.core.fast_partition`; ``"scalar"`` runs the
-        reference per-page greedy.  Both produce **bit-identical**
-        allocations — the scalar path is kept as the differential-testing
-        oracle (see ``tests/properties/test_property_fast_partition.py``).
-        ``"sharded"`` (the process-parallel policy kernel of
-        :mod:`repro.core.shard`) maps to the batched engine here —
-        PARTITION called directly is a single-process phase.
+        Validated policy kernel name.  Every kernel runs the vectorized
+        pad-and-mask engine of :mod:`repro.core.fast_partition`, which
+        reproduces :func:`partition_page` on every page bit for bit;
+        ``"sharded"`` called directly runs it in-process.
     """
     kernel = resolve_kernel(kernel)
     reg = get_registry()
     with reg.span("partition-all"):
-        if engine_kernel(kernel) == "batched":
-            from repro.core.fast_partition import partition_all_batched
-
-            alloc = partition_all_batched(
-                model,
-                optional_policy=optional_policy,
-                allowed_per_server=allowed_per_server,
-                order=order,
-            )
-        else:
-            alloc = Allocation(model)
-            for j in range(model.n_pages):
-                page = model.pages[j]
-                allowed = (
-                    None
-                    if allowed_per_server is None
-                    else allowed_per_server.get(page.server, ())
-                )
-                sl = model.comp_slice(j)
-                comp_marks, streams, _, _ = partition_page(
-                    model, j, allowed, order=order
-                )
-                alloc.comp_stream[sl] = streams
-                for off, val in enumerate(comp_marks):
-                    if val:
-                        alloc.set_comp_local(sl.start + off, True)
-                opt_marks = _optional_marks(model, j, optional_policy, allowed)
-                slo = model.opt_slice(j)
-                for off, val in enumerate(opt_marks):
-                    if val:
-                        alloc.set_opt_local(slo.start + off, True)
+        alloc = partition_all_batched(
+            model,
+            optional_policy=optional_policy,
+            allowed_per_server=allowed_per_server,
+            order=order,
+        )
     if reg.enabled:
         reg.count("partition.runs")
         reg.count(f"partition.kernel.{kernel}")

@@ -30,7 +30,7 @@ from repro.core.allocation import Allocation
 from repro.core.constraints import ConstraintReport, evaluate_constraints
 from repro.core.cost_model import CostModel
 from repro.core.offload import OffloadConfig, OffloadOutcome, offload_repository
-from repro.core.partition import Kernel, OptionalPolicy, partition_all
+from repro.core.partition import Kernel, OptionalPolicy, partition_all, resolve_kernel
 from repro.core.restoration import (
     ProcessingRestorationStats,
     StorageRestorationStats,
@@ -107,14 +107,16 @@ class RepositoryReplicationPolicy:
     offload_config:
         Tunables for the Eq. 9 negotiation.
     kernel:
-        Policy kernel: ``"batched"`` (default, vectorized), ``"scalar"``
-        (the reference oracle), or ``"sharded"`` (per-server shards on a
-        process pool; see :mod:`repro.core.shard`).  All three produce
-        bit-identical results.
+        Policy kernel: ``"batched"`` (default, the vectorized engine of
+        every phase) or ``"sharded"`` (per-server shards on a process
+        pool running that engine; see :mod:`repro.core.shard`).  Both
+        produce bit-identical results.  Validated on construction
+        (surrounding whitespace and case are ignored); an unknown name
+        raises :class:`ValueError`.
     shards:
         Shard count for ``kernel="sharded"`` (default: ``REPRO_SHARDS``
         if set, else ``min(n_servers, cpu_count)``).  Ignored by the
-        single-process kernels.
+        single-process kernel.
     pool:
         Worker pool for ``kernel="sharded"`` — anything with a
         ``submit()`` method (e.g.
@@ -147,7 +149,7 @@ class RepositoryReplicationPolicy:
         self.alpha2 = alpha2
         self.optional_policy: OptionalPolicy = optional_policy
         self.offload_config = offload_config or OffloadConfig()
-        self.kernel: Kernel = kernel
+        self.kernel: Kernel = resolve_kernel(kernel)
         self.shards = shards
         self.pool = pool
 

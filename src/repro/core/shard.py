@@ -1260,7 +1260,7 @@ def run_sharded_policy(
     if getattr(model, "n_streams", 2) > 2:
         raise NotImplementedError(
             "the sharded kernel supports the k=2 topology only; run "
-            'kernel="batched" or "scalar" for k-stream replica meshes '
+            'kernel="batched" for k-stream replica meshes '
             "(sharded k>2 is a planned follow-up)"
         )
     reg = obs.get_registry()

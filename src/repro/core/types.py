@@ -582,8 +582,8 @@ class SystemModel:
         """Pickle without the lazily-attached derived-state caches.
 
         Consumers attach caches under underscore-prefixed attributes
-        (``_repro_eval_context_cache``, ``_repro_reverse_index_cache``,
-        ``_fast_comp_cache``); shipping them to worker processes would
+        (``_repro_eval_context_cache``, ``_fast_comp_cache``, …);
+        shipping them to worker processes would
         triple the payload for state every worker rebuilds lazily anyway.
         Dropping them keeps the bytes a pure function of the model, so
         the shard executor's content-addressed worker cache gets hits
@@ -647,12 +647,11 @@ class ColumnarModel(SystemModel):
 
     The spec tuples (``pages``, ``servers``, ``objects``) and
     ``pages_by_server`` are materialised **lazily** from the arrays on
-    first access — only the scalar reference kernels (e.g. the
-    ``partition_page`` fallback inside batched restoration) touch them,
-    and then only for the few pages they re-partition.  The
-    reconstructed specs are exact: every spec field round-trips through
-    the arrays bit-identically, so scalar and batched consumers see the
-    same universe (asserted in ``tests/core/test_context_subset.py``).
+    first access — only per-page consumers (e.g. the ``partition_page``
+    re-partitions inside batched storage restoration) touch them, and
+    then only for the few pages they visit.  The reconstructed specs
+    are exact: every spec field round-trips through the arrays
+    bit-identically, so spec and column consumers see the same universe (asserted in ``tests/core/test_context_subset.py``).
     """
 
     def __init__(self, *args, **kwargs):  # pragma: no cover - guard

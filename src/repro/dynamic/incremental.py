@@ -53,7 +53,6 @@ from repro.core.context import (
     EvalContext,
     IncrementalObjective,
     adopt_frequency_context,
-    engine_kernel,
     is_frequency_clone,
 )
 from repro.core.fast_partition import (
@@ -257,12 +256,11 @@ class IncrementalReplanner:
         self, new_model: SystemModel, dirty: np.ndarray
     ) -> tuple[Allocation, ReplanStats]:
         policy = self.policy
-        kernel = engine_kernel(policy.kernel)
         # Frequency-only clone: reuse the previous epoch's structural
         # context columns (no-op when the clone came through
         # replace_frequencies, which already adopted them).
         adopt_frequency_context(self.model, new_model)
-        ctx = EvalContext.for_model(new_model, kernel)
+        ctx = EvalContext.for_model(new_model)
         alloc = transplant_allocation(self.allocation, new_model)
         cost = policy.cost_model(new_model)
         inc = IncrementalObjective(
@@ -320,18 +318,14 @@ class IncrementalReplanner:
             # result without paying for the untouched servers.  Starting
             # from the unconstrained PARTITION marks, each rebuilt
             # server's final marks match the from-scratch pipeline's.
-            restore_storage_capacity(
-                alloc, cost, servers=affected, kernel=kernel
-            )
-            restore_processing_capacity(
-                alloc, cost, servers=affected, kernel=kernel
-            )
+            restore_storage_capacity(alloc, cost, servers=affected)
+            restore_processing_capacity(alloc, cost, servers=affected)
             report = evaluate_constraints(alloc)
 
         if not report.repo_ok:
             # Eq. 9 couples every server through the shared repository;
             # OFF_LOADING stays global.
-            offload_repository(alloc, cost, policy.offload_config, kernel=kernel)
+            offload_repository(alloc, cost, policy.offload_config)
             stats.offload_ran = True
 
         # The kernels above mutate the allocation directly; fold their

@@ -105,7 +105,7 @@ class RunArtifacts:
     cost: CostModel
     """The proposed policy's cost model for ``model``."""
     context: EvalContext
-    """The shared columnar evaluation context for ``(model, kernel)``.
+    """The shared columnar evaluation context of ``model``.
 
     Cached here as part of the content-addressed bundle: every sweep
     point, baseline, and simulation replay touching this model reuses
@@ -215,7 +215,7 @@ class ArtifactCache:
             model=model,
             trace=trace,
             cost=cost,
-            context=EvalContext.for_model(model, kernel=kernel),
+            context=EvalContext.for_model(model),
             reference=result.allocation,
             reference_sim=reference_sim,
             model_seed=model_seed,

@@ -22,7 +22,7 @@ Environment overrides honoured by the benchmark suite:
 * ``REPRO_BENCH_SCALE`` — ``paper`` | ``small`` | ``tiny`` workload size,
 * ``REPRO_BENCH_REQUESTS`` — trace length per server,
 * ``REPRO_JOBS`` — parallel experiment workers (default 1 = serial),
-* ``REPRO_KERNEL`` — ``batched`` | ``scalar`` | ``sharded`` policy kernel,
+* ``REPRO_KERNEL`` — ``batched`` | ``sharded`` policy kernel,
 * ``REPRO_SHARDS`` — shard count for the ``sharded`` kernel,
 * ``REPRO_METRICS`` — run-manifest output path (see :mod:`repro.obs`).
 
@@ -75,10 +75,10 @@ class ExperimentConfig:
     perturbation: PerturbationModel = PAPER_PERTURBATION
     """Actual-vs-estimated deviation model."""
     kernel: str = "batched"
-    """Policy kernel (``"batched"`` | ``"scalar"`` | ``"sharded"``); all
-    bit-identical — the scalar path is the differential-testing oracle,
+    """Policy kernel (``"batched"`` | ``"sharded"``); both bit-identical —
     the sharded path fans per-server shards over worker processes (shard
-    count from ``REPRO_SHARDS``, see :mod:`repro.core.shard`)."""
+    count from ``REPRO_SHARDS``, see :mod:`repro.core.shard`) running the
+    batched engine of every phase."""
     jobs: int = 1
     """Worker processes for the sweep executor (1 = serial; results are
     bit-identical either way — see :mod:`repro.experiments.executor`)."""

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.allocation import Allocation, ReverseIndex
+from repro.core.allocation import Allocation
 
 
 class TestConstruction:
@@ -158,29 +158,45 @@ class TestQueries:
             a.check_invariants()
 
 
+def _entries_for(ctx, server_id, object_id):
+    """``(compulsory, optional)`` entries of the pair, from the
+    context's per-server groups."""
+    out = []
+    for entries, starts, counts in (
+        ctx.comp_group(server_id),
+        ctx.opt_group(server_id),
+    ):
+        lo = starts[object_id]
+        out.append(tuple(entries[lo : lo + counts[object_id]].tolist()))
+    return tuple(out)
+
+
 class TestReverseIndex:
+    """The ``(server, object) → entries`` lookup that
+    ``Allocation.deallocate`` reads from the context's groups."""
+
     def test_entries_for(self, micro_model):
-        rev = ReverseIndex.for_model(micro_model)
-        comp_e, opt_e = rev.entries_for(0, 0)
+        ctx = Allocation(micro_model).ctx
+        comp_e, opt_e = _entries_for(ctx, 0, 0)
         assert comp_e == (0,)
         assert opt_e == ()
-        comp_e, opt_e = rev.entries_for(1, 0)
+        comp_e, opt_e = _entries_for(ctx, 1, 0)
         assert comp_e == (5,)
 
     def test_optional_entries(self, micro_model):
-        rev = ReverseIndex.for_model(micro_model)
-        comp_e, opt_e = rev.entries_for(0, 4)
+        ctx = Allocation(micro_model).ctx
+        comp_e, opt_e = _entries_for(ctx, 0, 4)
         assert comp_e == ()
         assert opt_e == (0,)
 
     def test_missing_pair_empty(self, micro_model):
-        rev = ReverseIndex.for_model(micro_model)
-        assert rev.entries_for(0, 3) == ((), ())
+        ctx = Allocation(micro_model).ctx
+        assert _entries_for(ctx, 0, 3) == ((), ())
 
     def test_cached_per_model(self, micro_model):
-        assert ReverseIndex.for_model(micro_model) is ReverseIndex.for_model(
-            micro_model
-        )
+        a, b = Allocation(micro_model).ctx, Allocation(micro_model).ctx
+        assert a is b
+        assert a.comp_group(0)[0].base is b.comp_group(0)[0].base
 
 
 class TestBulkMutation:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.allocation import Allocation, ReverseIndex
+from repro.core.allocation import Allocation
 from repro.core.context import (
     EvalContext,
     IncrementalObjective,
@@ -46,12 +46,17 @@ class TestResolveKernel:
         assert resolve_kernel(None) == "batched"
 
     def test_explicit(self):
-        assert resolve_kernel("scalar") == "scalar"
-        assert resolve_kernel("batched") == "batched"
+        assert resolve_kernel("sharded") == "sharded"
+        assert resolve_kernel(" Batched ") == "batched"
 
     def test_unknown_rejected(self):
         with pytest.raises(ValueError, match="kernel"):
             resolve_kernel("simd")
+
+    def test_scalar_retired(self):
+        """The scalar loops are test oracles, not a kernel choice."""
+        with pytest.raises(ValueError, match=r"batched\|sharded, got 'scalar'"):
+            resolve_kernel("scalar")
 
 
 class TestCaching:
@@ -59,14 +64,6 @@ class TestCaching:
         a = EvalContext.for_model(micro_model)
         b = EvalContext.for_model(micro_model)
         assert a is b
-
-    def test_kernel_siblings_share_columns(self, micro_model):
-        batched = EvalContext.for_model(micro_model, kernel="batched")
-        scalar = EvalContext.for_model(micro_model, kernel="scalar")
-        assert batched is not scalar
-        assert batched.comp_sizes is scalar.comp_sizes
-        assert batched.pair_indptr is scalar.pair_indptr
-        assert batched.html_request_load is scalar.html_request_load
 
     def test_rebuild_contexts_disables_cache(self, micro_model):
         cached = EvalContext.for_model(micro_model)
@@ -102,17 +99,21 @@ class TestColumns:
         assert np.array_equal(ctx.html_bytes_by_server, m.html_bytes_by_server())
 
     def test_groups_match_reverse_index(self, micro_model):
+        """Each group is the (server, object) reverse lookup: the
+        entries of the server's pages that reference the object, in
+        ascending entry order."""
         m = micro_model
         ctx = EvalContext.for_model(m)
-        rev = ReverseIndex.for_model(m)
         for i in range(m.n_servers):
-            entries, starts, counts = ctx.comp_group(i)
-            # entries are grouped by object with ascending entry ids —
-            # the ReverseIndex tuple order
-            for k in range(m.n_objects):
-                ce, _ = rev.entries_for(i, k)
-                sl = starts[k], starts[k] + counts[k]
-                assert tuple(entries[sl[0] : sl[1]].tolist()) == ce
+            for group, server, objects in (
+                (ctx.comp_group(i), ctx.comp_server, ctx.comp_objects),
+                (ctx.opt_group(i), ctx.opt_server, ctx.opt_objects),
+            ):
+                entries, starts, counts = group
+                for k in range(m.n_objects):
+                    want = np.flatnonzero((server == i) & (objects == k))
+                    got = entries[starts[k] : starts[k] + counts[k]]
+                    assert got.tolist() == want.tolist()
 
     def test_pair_table_covers_every_entry(self, micro_model):
         m = micro_model
@@ -222,13 +223,6 @@ class TestAdoptFrequencyContext:
         assert not adopt_frequency_context(micro_model, clone)
         assert EvalContext.for_model(clone) is own
 
-    def test_reverse_index_transferred(self, micro_model):
-        ReverseIndex.for_model(micro_model)
-        clone = freq_clone(micro_model, [2.0, 2.0, 2.0, 2.0])
-        adopt_frequency_context(micro_model, clone)
-        rev = ReverseIndex.for_model(clone)
-        assert rev.model is clone
-        assert rev.comp_entries is ReverseIndex.for_model(micro_model).comp_entries
 
 
 class TestIncrementalObjective:

@@ -30,8 +30,8 @@ from repro.core.types import (
     ServerSpec,
     SystemModel,
 )
-from repro.obs.registry import MetricsRegistry, use_registry
 from tests.conftest import build_micro_model
+from tests.oracles.scalar_greedy import absorb_scalar, offload_scalar
 
 
 def _status(sid, space, cap, share):
@@ -255,21 +255,13 @@ class TestOffloadRepository:
 class TestL2Swap:
     """OFF_LOADING where L2 servers must swap victims out to absorb."""
 
-    @staticmethod
-    def _negotiate(world, kernel):
-        model, base = world
-        alloc = base.copy()
-        reg = MetricsRegistry()
-        with use_registry(reg):
-            outcome = offload_repository(
-                alloc, CostModel(model), OffloadConfig(), kernel=kernel
-            )
-        return alloc, outcome, reg.counters
-
     def test_kernels_identical_through_swaps(self, l2_swap_world):
-        a, out_a, counters = self._negotiate(l2_swap_world, "scalar")
-        b, out_b, _ = self._negotiate(l2_swap_world, "batched")
-        assert counters["offload.swaps"] >= 1
+        model, base = l2_swap_world
+        a, b = base.copy(), base.copy()
+        counters: dict = {}
+        out_a = offload_scalar(a, CostModel(model), OffloadConfig(), counters=counters)
+        out_b = offload_repository(b, CostModel(model), OffloadConfig())
+        assert counters["swaps"] >= 1
         assert np.array_equal(a.comp_local, b.comp_local)
         assert np.array_equal(a.opt_local, b.opt_local)
         assert a.replicas == b.replicas
@@ -319,7 +311,7 @@ class TestAbsorptionRefusals:
     def _absorb(self, kernel, model, alloc, target=10.0):
         cost = CostModel(model)
         if kernel == "scalar":
-            return absorb_extra_workload(alloc, cost, 0, target, kernel=kernel), None
+            return absorb_scalar(alloc, cost, 0, target), None
         log: list = []
         got = absorb_extra_workload_batched(alloc, cost, 0, target, decisions=log)
         return got, log

@@ -5,8 +5,9 @@ as its only remote stream, so no engine may branch on the stream count.
 This scans every module of ``src/repro/core`` for a comparison of
 ``n_streams``, ``n_rem`` or an attribute ``.k`` against a constant.  The
 only exemptions are the guards that refuse a k>2 mesh outright with
-``NotImplementedError`` (OFF_LOADING's scalar and batched absorption,
-and the sharded kernel), whose k-stream forms are planned follow-ups.
+``NotImplementedError`` (OFF_LOADING's negotiation and its absorption
+engine, and the sharded kernel), whose k-stream forms are planned
+follow-ups.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 """Tests for repro.core.policy — the end-to-end pipeline."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -89,6 +90,26 @@ class TestConfiguration:
         policy = RepositoryReplicationPolicy(alpha1=3.0, alpha2=2.0)
         cost = policy.cost_model(micro_model)
         assert cost.alpha1 == 3.0 and cost.alpha2 == 2.0
+
+
+class TestKernelValidation:
+    """The policy normalises its kernel on construction, like the phases."""
+
+    @pytest.mark.parametrize("name", ["Sharded", " sharded"])
+    def test_spelling_variants_dispatch_sharded(self, micro_model, name):
+        policy = RepositoryReplicationPolicy(kernel=name)
+        assert policy.kernel == "sharded"
+        sentinel = object()
+        with mock.patch(
+            "repro.core.shard.run_sharded_policy", return_value=sentinel
+        ) as sharded:
+            assert policy.run(micro_model) is sentinel
+        sharded.assert_called_once()
+
+    @pytest.mark.parametrize("name", ["bogus", "scalar"])
+    def test_unknown_kernel_rejected_at_construction(self, name):
+        with pytest.raises(ValueError, match=r"batched\|sharded"):
+            RepositoryReplicationPolicy(kernel=name)
 
 
 class TestOnGenerated:

@@ -30,6 +30,11 @@ from repro.core.types import (
     SystemModel,
 )
 from tests.conftest import build_micro_model
+from tests.oracles.scalar_greedy import (
+    _PageState,
+    restore_processing_scalar,
+    restore_storage_scalar,
+)
 
 
 def _constrained_partition(storage=(math.inf, math.inf), processing=(math.inf, math.inf)):
@@ -173,7 +178,10 @@ class TestServerSubsets:
     @pytest.mark.parametrize("kernel", ["batched", "scalar"])
     def test_kernels_agree_on_subset(self, kernel):
         m, alloc, cost = _constrained_partition(storage=(700.0, 900.0))
-        restore_storage_capacity(alloc, cost, servers=[0, 1], kernel=kernel)
+        restore = (
+            restore_storage_scalar if kernel == "scalar" else restore_storage_capacity
+        )
+        restore(alloc, cost, servers=[0, 1])
         assert evaluate_constraints(alloc).storage_ok
 
     def test_servers_and_server_id_mutually_exclusive(self, micro_model):
@@ -262,8 +270,6 @@ class TestProcessingRestoration:
         """The first switch must be (weakly) the cheapest amortised one."""
         m, alloc, cost = _constrained_partition(processing=(7.0, math.inf))
         # compute all candidate amortised deltas at S0 before restoration
-        from repro.core.restoration import _PageState
-
         state = _PageState(cost, alloc)
         cands = []
         for e in np.flatnonzero(alloc.comp_local):
@@ -380,7 +386,7 @@ class TestLowestKeyTieBreak:
             restore_processing_batched(alloc, cost, 0, decisions=log)
             assert log == [(0, 100.0), (2, 100.0)]
         else:
-            restore_processing_capacity(alloc, cost, kernel=kernel)
+            restore_processing_scalar(alloc, cost)
         assert not alloc.comp_local.any()
         assert alloc.replicas[0] == set()
 
@@ -397,5 +403,5 @@ class TestLowestKeyTieBreak:
             restore_storage_batched(alloc, cost, 0, decisions=log)
             assert log == [(0, 1.0)]
         else:
-            restore_storage_capacity(alloc, cost, kernel=kernel)
+            restore_storage_scalar(alloc, cost)
         assert alloc.replicas[0] == {1}

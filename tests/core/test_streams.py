@@ -29,6 +29,7 @@ from repro.network.bus import MessageBus
 from repro.network.nodes import LocalServerNode
 from repro.workload.generator import generate_workload
 from repro.workload.params import WorkloadParams
+from tests.oracles.scalar_greedy import scalar_phases
 
 
 class TestResolveStreams:
@@ -111,7 +112,8 @@ class TestMeshPipeline:
 
     def test_scalar_batched_identical_under_constraints(self):
         model = _constrain(generate_workload(_mesh_params(3), seed=5))
-        scalar = RepositoryReplicationPolicy(kernel="scalar").run(model)
+        with scalar_phases():
+            scalar = RepositoryReplicationPolicy().run(model)
         batched = RepositoryReplicationPolicy(kernel="batched").run(model)
         assert scalar.allocation == batched.allocation
         assert scalar.objective == batched.objective

@@ -1,1 +1,2 @@
-"""Brute-force reference oracles for the greedy engines."""
+"""Reference oracles for the greedy engines: the scalar loops, the
+brute-force argmin and the paper's two-stream PARTITION."""

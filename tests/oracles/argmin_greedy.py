@@ -3,7 +3,8 @@
 Each step rescores **every** live candidate from scratch with the scalar
 score formulas and takes ``min((score, key))`` — no dirty-set
 bookkeeping, no heap.  The state updates (mark flips, byte totals,
-re-partitions) reuse the scalar reference's helpers, so the byte totals
+re-partitions) reuse the scalar reference's helpers
+(:mod:`tests.oracles.scalar_greedy`), so the byte totals
 evolve through the same float operations as in the engines and every
 score is comparable bit for bit.  An engine whose dirty set misses a
 candidate keeps a stale score for it, and its decision log drifts from
@@ -18,16 +19,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.allocation import Allocation, ReverseIndex
+from repro.core.allocation import Allocation
 from repro.core.constraints import local_processing_load, storage_used
 from repro.core.cost_model import CostModel
-from repro.core.offload import (
-    _absorb_score,
-    _rank_victims,
-    _try_make_room,
-)
-from repro.core.restoration import (
+from repro.core.offload import _rank_victims, _try_make_room
+from tests.oracles.scalar_greedy import (
     _TOL,
+    ReverseIndex,
+    _absorb_score,
     _candidate_load,
     _eviction_delta,
     _evict_replica,

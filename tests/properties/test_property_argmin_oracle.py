@@ -59,7 +59,7 @@ def test_storage_engine_matches_oracle(model, frac, amortise):
     for i in range(m2.n_servers):
         got: list = []
         restore_storage_batched(
-            engine, cost, i, amortise=amortise, batch_min_pages=2, decisions=got
+            engine, cost, i, amortise=amortise, decisions=got
         )
         assert got == storage_oracle(oracle, cost, i, amortise=amortise)
     _assert_same_state(engine, oracle)

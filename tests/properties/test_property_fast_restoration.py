@@ -1,17 +1,18 @@
 """Differential-oracle property tests for the batched restoration kernel.
 
-The scalar greedy loops in :mod:`repro.core.restoration` and
-:mod:`repro.core.offload` are the reference oracles; the batched kernel
-(:mod:`repro.core.fast_restoration`) must reproduce their **decision
-sequences bit-exactly** — same evictions, same comp/opt switches, same
+The scalar greedy loops of :mod:`tests.oracles.scalar_greedy` are the
+reference oracles; the production engine
+(:mod:`repro.core.fast_restoration`, behind
+:mod:`repro.core.restoration` and :mod:`repro.core.offload`) must
+reproduce their **decision sequences bit-exactly** — same evictions, same comp/opt switches, same
 absorption rounds, in the same order.  Rather than instrumenting the
 loops, the tests compare everything the decisions determine: final
 ``comp_local``/``opt_local`` masks, replica sets, and the phase
 statistics dataclasses (whose counters and float deltas only coincide
 when every step matched).
 
-Each restoration phase runs under both kernels on random
-capacity-constrained models, with each kernel building its own input
+Each restoration phase runs on both loops on random
+capacity-constrained models, with each loop building its own input
 allocation via an identical ``partition_all`` (no shared state, no
 deepcopy aliasing).  The brute-force argmin oracle of
 ``tests/properties/test_property_argmin_oracle.py`` checks the decision
@@ -37,19 +38,25 @@ from repro.core.restoration import (
     restore_storage_capacity,
 )
 from repro.experiments.scaling import clone_with_capacities
+from tests.oracles.scalar_greedy import (
+    offload_scalar,
+    restore_processing_scalar,
+    restore_storage_scalar,
+)
 from tests.properties.strategies import system_models
 
 # ----------------------------------------------------------------------
 # engine level
 # ----------------------------------------------------------------------
-def _assert_same_decisions(m2, phase):
-    """Run ``phase`` under both kernels on independently built inputs."""
+def _assert_same_decisions(m2, scalar, batched):
+    """Run the ``scalar`` and ``batched`` forms of a phase on
+    independently built inputs."""
     cost = CostModel(m2)
     out = {}
-    for kernel in ("scalar", "batched"):
-        alloc = partition_all(m2)  # fresh build per kernel — no aliasing
-        stats = phase(alloc, cost, kernel)
-        out[kernel] = (alloc, stats)
+    for name, phase in (("scalar", scalar), ("batched", batched)):
+        alloc = partition_all(m2)  # fresh build per loop — no aliasing
+        stats = phase(alloc, cost)
+        out[name] = (alloc, stats)
     a, b = out["scalar"][0], out["batched"][0]
     assert np.array_equal(a.comp_local, b.comp_local)
     assert np.array_equal(a.opt_local, b.opt_local)
@@ -66,7 +73,8 @@ def test_storage_restoration_kernels_identical(model, frac):
     caps = model.html_bytes_by_server() + frac * ref.stored_bytes_all() + 1.0
     _assert_same_decisions(
         clone_with_capacities(model, storage=caps),
-        lambda a, c, k: restore_storage_capacity(a, c, kernel=k),
+        restore_storage_scalar,
+        restore_storage_capacity,
     )
 
 
@@ -81,7 +89,8 @@ def test_processing_restoration_kernels_identical(model, frac):
     )
     _assert_same_decisions(
         clone_with_capacities(model, processing=caps),
-        lambda a, c, k: restore_processing_capacity(a, c, kernel=k),
+        restore_processing_scalar,
+        restore_processing_capacity,
     )
 
 
@@ -92,7 +101,8 @@ def test_offload_kernels_identical(model, frac):
     repo = max(frac * repository_load(ref), 1e-6)
     _assert_same_decisions(
         clone_with_capacities(model, repo_capacity=repo),
-        lambda a, c, k: offload_repository(a, c, OffloadConfig(), kernel=k),
+        lambda a, c: offload_scalar(a, c, OffloadConfig()),
+        lambda a, c: offload_repository(a, c, OffloadConfig()),
     )
 
 
@@ -110,11 +120,16 @@ def test_offload_kernels_identical_through_swaps(model, storage_frac, frac):
     ref = partition_all(model)
     caps = model.html_bytes_by_server() + storage_frac * ref.stored_bytes_all()
 
-    def phase(alloc, cost, kernel):
-        restore_storage_capacity(alloc, cost, kernel=kernel)
-        repo = max(frac * repository_load(alloc), 1e-6)
-        return offload_repository(
-            alloc, cost, OffloadConfig(), capacity=repo, kernel=kernel
-        )
+    def phase(restore, offload):
+        def run(alloc, cost):
+            restore(alloc, cost)
+            repo = max(frac * repository_load(alloc), 1e-6)
+            return offload(alloc, cost, OffloadConfig(), capacity=repo)
 
-    _assert_same_decisions(clone_with_capacities(model, storage=caps), phase)
+        return run
+
+    _assert_same_decisions(
+        clone_with_capacities(model, storage=caps),
+        phase(restore_storage_scalar, offload_scalar),
+        phase(restore_storage_capacity, offload_repository),
+    )

@@ -16,9 +16,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.allocation import Allocation, ReverseIndex
+from repro.core.allocation import Allocation
 from repro.core.offload import _rank_victims, _try_make_room
 from tests.conftest import build_micro_model
+from tests.oracles.scalar_greedy import ReverseIndex
 from tests.properties.strategies import system_models
 
 

@@ -27,11 +27,12 @@ a perf PR pass):
 
 then commit the updated ``goldens.json`` together with an explanation of
 why the numbers legitimately moved.  ``test_golden_table1.py`` recomputes
-the same quantities under every kernel — ``batched``, the ``scalar``
-oracle and (for the full-policy scenarios) the ``sharded``
-process-parallel kernel — and compares all of them against the *same*
-snapshot: the goldens are kernel-independent by contract, so adding a
-kernel never requires a refresh.
+the same quantities on every arm — the ``batched`` engines, the
+``scalar`` reference loops of :mod:`tests.oracles.scalar_greedy` and
+(for the full-policy scenarios) the ``sharded`` process-parallel
+kernel — and compares all of them against the *same* snapshot: the
+goldens are kernel-independent by contract, so adding an arm never
+requires a refresh.
 """
 
 from __future__ import annotations

@@ -4,8 +4,9 @@
 which pages went dirty, which servers were rebuilt, the exact objective
 and the replica bytes moved — so a change to the dirty-set rule, the
 per-server rebuild, or the churn accounting fails here instead of
-silently shifting the extension's measurements.  Both policy kernels
-are compared against the *same* snapshot (the pipeline is
+silently shifting the extension's measurements.  The production engines
+and the scalar reference loops (the ``compute_under`` fixture) are
+compared against the *same* snapshot (the pipeline is
 kernel-independent by contract).
 
 To refresh after an *intentional* algorithmic change, see
@@ -33,8 +34,8 @@ def golden() -> dict:
 
 @pytest.mark.slow
 @pytest.mark.parametrize("kernel", KERNELS)
-def test_dynamic_incremental_golden(golden, kernel):
-    observed = compute_dynamic_incremental(kernel)
+def test_dynamic_incremental_golden(golden, kernel, compute_under):
+    observed = compute_under(compute_dynamic_incremental)
     assert observed["full_resolves"] == golden["full_resolves"]
     assert observed["incremental_replans"] == golden["incremental_replans"]
     assert len(observed["epochs"]) == len(golden["epochs"])

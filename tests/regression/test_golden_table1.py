@@ -2,10 +2,11 @@
 
 The snapshots in ``goldens.json`` record ``D``, ``D1``, ``D2`` and the
 per-server replica-set sizes for the seeded workloads, computed once and
-committed.  Every run recomputes them under **both** PARTITION kernels:
-a future perf PR that changes any allocation — even one that leaves the
-balanced page max intact — fails here instead of silently shifting the
-paper's figures.
+committed.  Every run recomputes them on the production engines and on
+the scalar reference loops of :mod:`tests.oracles.scalar_greedy` (the
+``compute_under`` fixture): a future perf PR that changes any
+allocation — even one that leaves the balanced page max intact — fails
+here instead of silently shifting the paper's figures.
 
 To refresh after an *intentional* algorithmic change, see
 ``tests/regression/refresh_goldens.py``.
@@ -53,24 +54,24 @@ def assert_matches_golden(observed: dict, golden: dict) -> None:
 
 @pytest.mark.slow
 @pytest.mark.parametrize("kernel", KERNELS)
-def test_table1_unconstrained_golden(goldens, kernel):
-    observed = compute_table1_unconstrained(kernel)
+def test_table1_unconstrained_golden(goldens, kernel, compute_under):
+    observed = compute_under(compute_table1_unconstrained)
     assert_matches_golden(observed, goldens["table1_unconstrained"])
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
-def test_small_constrained_golden(goldens, kernel):
-    observed = compute_small_constrained(kernel)
+def test_small_constrained_golden(goldens, kernel, compute_under):
+    observed = compute_under(compute_small_constrained)
     assert_matches_golden(observed, goldens["small_constrained_frac50"])
 
 
 @pytest.mark.parametrize("kernel", POLICY_KERNELS)
-def test_small_processing_golden(goldens, kernel):
-    observed = compute_small_processing(kernel)
+def test_small_processing_golden(goldens, kernel, compute_under):
+    observed = compute_under(compute_small_processing)
     assert_matches_golden(observed, goldens["small_processing_frac50"])
 
 
 @pytest.mark.parametrize("kernel", POLICY_KERNELS)
-def test_small_offload_golden(goldens, kernel):
-    observed = compute_small_offload(kernel)
+def test_small_offload_golden(goldens, kernel, compute_under):
+    observed = compute_under(compute_small_offload)
     assert_matches_golden(observed, goldens["small_offload_frac50"])

@@ -136,3 +136,23 @@ class TestCommands:
                 ]
             )
         assert "sharded" in capsys.readouterr().err
+
+
+class TestKernelChoices:
+    """The scalar loops are test oracles; neither the flag nor the
+    environment accepts them as a kernel."""
+
+    def test_flag_rejects_scalar(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--scale", "tiny", "--kernel", "scalar", "analyze"])
+        err = capsys.readouterr().err
+        assert "'scalar'" in err
+        assert "batched" in err and "sharded" in err
+
+    def test_env_rejects_scalar(self, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_KERNEL", "scalar")
+        with pytest.raises(SystemExit):
+            main(["--scale", "tiny", "analyze"])
+        err = capsys.readouterr().err
+        assert "$REPRO_KERNEL" in err
+        assert "batched|sharded, got 'scalar'" in err

@@ -1,0 +1,38 @@
+"""The import-layering lint (``scripts/check_layering.py``)."""
+
+import importlib.util
+import pathlib
+
+import pytest
+
+_SCRIPT = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "check_layering.py"
+
+
+@pytest.fixture(scope="module")
+def lint():
+    spec = importlib.util.spec_from_file_location("check_layering", _SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_source_tree_is_clean(lint):
+    assert lint.check() == []
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "from tests.oracles.scalar_greedy import absorb_scalar",
+        "import tests.oracles.argmin_greedy",
+        "import oracles",
+        "from oracles import scalar_greedy",
+    ],
+)
+def test_production_may_not_import_oracles(lint, tmp_path, line):
+    package = tmp_path / "src" / "repro" / "core"
+    package.mkdir(parents=True)
+    (package / "engine.py").write_text(f"def f():\n    {line}\n")
+    (violation,) = lint.check(tmp_path / "src" / "repro")
+    assert violation.startswith("src/repro/core/engine.py:2: ")
+    assert "oracles" in violation
