@@ -29,13 +29,13 @@ reconciled result asserted **bit-identical** to the shared arm's
 (allocation marks, replica sets, objective and phase list).  The
 acceptance floor there is **≥4× at paper scale with ≥4 cores**
 (skipped on smaller machines — a 1-core box serialises the shards and
-only measures dispatch overhead).  The sharded warm run also records
-the off-loading scatter's per-round transport accounting — actual
-delta-protocol bytes next to the full-state-protocol baseline — and
-asserts the **≥10× reduction** the worker-resident delta rounds are
-for (paper scale; recorded, not gated, at smaller scales).
+only measures dispatch overhead).
 
-Every record also carries a per-layer ledger from one more (untimed)
+Every record says whether the warm run ends feasible: ``feasible`` and
+the Eq. 9 ``repo_load`` / ``repo_capacity`` / ``repo_slack`` from its
+constraint report, so a number timed on an instance OFF_LOADING cannot
+restore is labelled as such.  Every record also carries a per-layer
+ledger from one more (untimed)
 shared run under a recording registry: each phase's span seconds, the
 greedy actions taken (evictions, switches, absorptions), the candidates
 each restoration loop rescored, microseconds per action, and
@@ -81,18 +81,12 @@ SANITY_FLOOR = 1.0
 
 #: Sharded-kernel arm: shard count (capped at the model's server count)
 #: and the speedup floor asserted at paper scale on a ≥4-core machine.
-#: Raised from 2x once workers stopped paying O(model) setup (shard-local
-#: contexts + shm column transport), then from 3x once off-loading rounds
-#: became delta rounds over worker-resident shard state (batched
-#: absorptions, O(round-delta) transport).
+#: Only PARTITION and the two restorations fan out; OFF_LOADING runs in
+#: the parent.  No committed record comes from a ≥4-core machine, so the
+#: 4x floor is unverified: on 2 cores the test skips.
 SHARD_COUNT = 4
 SHARD_FLOOR = 4.0
 SHARD_MIN_CORES = 4
-
-#: Steady-state off-loading transport: bytes shipped by the delta
-#: protocol must undercut the full-state baseline by this factor at
-#: paper scale (recorded at every scale).
-DELTA_BYTES_FLOOR = 10.0
 
 SCALE = os.environ.get("REPRO_BENCH_SCALE", "small").lower()
 REPEATS = int(
@@ -250,13 +244,7 @@ def e2e_results(bench_config, save_timings):
     assert sharded_warm.phases_run == warm.phases_run
     assert sharded_warm.objective == warm.objective
     assert sharded_warm.unconstrained_objective == warm.unconstrained_objective
-
-    # Per-round transport accounting from the delta-round scatter: what
-    # the worker-resident protocol actually shipped vs what the
-    # per-request full-state protocol would have shipped, same rounds.
-    round_bytes = list(sharded_warm.offload_outcome.round_bytes)
-    delta_total = sum(r["delta_bytes"] for r in round_bytes)
-    full_total = sum(r["full_bytes"] for r in round_bytes)
+    assert sharded_warm.offload_outcome == warm.offload_outcome
 
     results = {
         "seed": SEED,
@@ -272,6 +260,10 @@ def e2e_results(bench_config, save_timings):
         },
         "objective": warm.objective,
         "phases_run": warm.phases_run,
+        "feasible": warm.feasible,
+        "repo_load": warm.constraints.repo_load,
+        "repo_capacity": warm.constraints.repo_capacity,
+        "repo_slack": warm.constraints.repo_slack,
         "shared_seconds": shared,
         "rebuild_seconds": rebuild,
         "shared_median": _median(shared),
@@ -282,13 +274,6 @@ def e2e_results(bench_config, save_timings):
         "sharded_seconds": sharded,
         "sharded_median": _median(sharded),
         "sharded_speedup": _median(shared) / _median(sharded),
-        "offload_round_bytes": round_bytes,
-        "offload_rounds": len(round_bytes),
-        "offload_delta_bytes": delta_total,
-        "offload_full_bytes": full_total,
-        # max(…, 1) keeps the record finite when a tiny run's rounds
-        # flip nothing (zero delta bytes shipped)
-        "offload_delta_reduction": full_total / max(delta_total, 1.0),
     }
     save_timings("policy_end_to_end", results)
     return results
@@ -320,25 +305,4 @@ def test_bench_sharded_kernel_floor(e2e_results):
     assert e2e_results["sharded_speedup"] >= SHARD_FLOOR, (
         f"sharded speedup {e2e_results['sharded_speedup']:.2f}x below the "
         f"{SHARD_FLOOR}x floor with {e2e_results['shard_workers']} workers"
-    )
-
-
-def test_bench_delta_round_bytes(e2e_results):
-    """Off-loading steady-state transport is O(round delta): the bytes
-    the worker-resident protocol shipped undercut the full-state
-    baseline recorded for the same rounds by ≥10x at paper scale."""
-    assert e2e_results["offload_rounds"] >= 1, (
-        "constrained run produced no off-loading rounds to account"
-    )
-    if SCALE != "paper":
-        pytest.skip(
-            f"delta-bytes floor is gated at paper scale (scale={SCALE!r}); "
-            f"recorded reduction: "
-            f"{e2e_results['offload_delta_reduction']:.1f}x"
-        )
-    assert e2e_results["offload_delta_reduction"] >= DELTA_BYTES_FLOOR, (
-        f"delta rounds shipped {e2e_results['offload_delta_bytes']:.0f} "
-        f"bytes vs {e2e_results['offload_full_bytes']:.0f} full-state — "
-        f"{e2e_results['offload_delta_reduction']:.1f}x, below the "
-        f"{DELTA_BYTES_FLOOR}x floor"
     )

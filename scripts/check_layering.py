@@ -85,10 +85,9 @@ MODULE_FORBIDDEN: dict[str, tuple[frozenset[str], str]] = {
         "the sharded kernel must take its worker pool by injection "
         "(ShardPool protocol) — pass experiments.executor."
         "persistent_pool(n) in from above, never import it here — and "
-        "its delta-round wire helpers (_absorb_shard_batch, "
-        "_ShardedScatter, the resident-shard store) must stay below "
+        "its worker entry point (_run_shard) must stay below "
         "experiments/cli/network so pool workers import nothing above "
-        "core when they unpickle a batch",
+        "core when they unpickle a task",
     ),
     "core/shm.py": (
         frozenset(

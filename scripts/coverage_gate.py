@@ -22,15 +22,11 @@ executor test file once more with ``REPRO_JOBS=2`` at tiny scale (and
 ``-p no:cacheprovider``, so two concurrent pytest processes can never
 race on ``.pytest_cache``), proving the multi-process path works in the
 gate environment and not just on developer machines — followed by a
-**sharded-kernel smoke**: tiny-scale CLI ``analyze`` runs with
-``REPRO_KERNEL=sharded REPRO_SHARDS=2`` — once with the default
-transport and once with ``REPRO_SHM=0`` — exercising both the
-shared-memory and the pickle-fallback fork → ship → reconcile paths end
-to end — a **delta-rounds smoke** plus a **forced-resync smoke**: the
-off-loading scatter identity tests re-run with ``REPRO_SHM=0`` and with
-``REPRO_OFFLOAD_RESYNC_EVERY=1``, covering the worker-resident delta
-protocol's pickle transport and its epoch-mismatch recovery path — and a
-a **mesh smoke**: one tiny-scale CLI ``analyze`` run with
+**sharded-kernel smoke**: one tiny-scale CLI ``analyze`` run with
+``REPRO_KERNEL=sharded REPRO_SHARDS=2``, exercising the fork → ship →
+merge path end to end (the pickle fallback is covered by the real-pool
+identity test in ``tests/core/test_shard_reconcile.py``) — and a
+**mesh smoke**: one tiny-scale CLI ``analyze`` run with
 ``--streams 3``, exercising the k-stream argmin-over-k engine beyond
 the degenerate k=2 topology — and a
 **dynamic smoke**: one small-scale CLI ``dynamic`` run with the
@@ -145,7 +141,7 @@ def main(argv: list[str]) -> int:
 
     # Sharded-kernel smoke: one end-to-end CLI run with the process-
     # parallel policy kernel forced on via the environment, proving the
-    # fork → pickle → reconcile path works in the gate environment.
+    # fork → ship → merge path works in the gate environment.
     shard_smoke = [
         sys.executable,
         "-m",
@@ -158,56 +154,6 @@ def main(argv: list[str]) -> int:
     shard_env.update(REPRO_KERNEL="sharded", REPRO_SHARDS="2")
     print("sharded smoke:", " ".join(shard_smoke), "(REPRO_KERNEL=sharded)")
     code = subprocess.call(shard_smoke, cwd=REPO_ROOT, env=shard_env)
-    if code != 0:
-        return code
-
-    # The same sharded run with shared-memory transport forced OFF,
-    # proving the pickle fallback stays healthy on platforms without
-    # usable /dev/shm (the bug class this guards against: a change that
-    # only works when ShmArena is available).
-    shm_off_env = dict(shard_env)
-    shm_off_env.update(REPRO_SHM="0")
-    print(
-        "sharded smoke:", " ".join(shard_smoke),
-        "(REPRO_KERNEL=sharded REPRO_SHM=0)",
-    )
-    code = subprocess.call(shard_smoke, cwd=REPO_ROOT, env=shm_off_env)
-    if code != 0:
-        return code
-
-    # Delta-rounds smoke: the off-loading scatter identity tests with
-    # shared memory forced OFF, driving the worker-resident delta-round
-    # protocol (batched absorptions, epoch bookkeeping) through a real
-    # process pool over the pickle transport.
-    delta_smoke = [
-        sys.executable,
-        "-m",
-        "pytest",
-        "-q",
-        "-p",
-        "no:cacheprovider",
-        "tests/core/test_shard_reconcile.py",
-        "-k",
-        "scatter or delta",
-    ]
-    delta_env = dict(env)
-    delta_env.update(REPRO_SHM="0")
-    print("delta-rounds smoke:", " ".join(delta_smoke), "(REPRO_SHM=0)")
-    code = subprocess.call(delta_smoke, cwd=REPO_ROOT, env=delta_env)
-    if code != 0:
-        return code
-
-    # Forced-resync smoke: the same scatter tests with a full epoch
-    # resync forced on every batch, proving the mismatch-recovery path
-    # (full state re-ship, frontier reads when shm is on) stays
-    # bit-identical — not just the steady-state fast path.
-    resync_env = dict(env)
-    resync_env.update(REPRO_OFFLOAD_RESYNC_EVERY="1")
-    print(
-        "forced-resync smoke:", " ".join(delta_smoke),
-        "(REPRO_OFFLOAD_RESYNC_EVERY=1)",
-    )
-    code = subprocess.call(delta_smoke, cwd=REPO_ROOT, env=resync_env)
     if code != 0:
         return code
 

@@ -234,47 +234,6 @@ class Allocation:
         self.opt_local[changed] = value
         self._bump_bulk(self.ctx.opt_pair[changed], +1 if value else -1)
 
-    def apply_server_delta(
-        self,
-        server_id: int,
-        comp_set: np.ndarray,
-        comp_clear: np.ndarray,
-        opt_set: np.ndarray,
-        opt_clear: np.ndarray,
-        replica_add: np.ndarray,
-        replica_remove: np.ndarray,
-    ) -> None:
-        """Apply one server's mark/replica delta (the sharded wire format).
-
-        ``comp_set``/``comp_clear``/``opt_set``/``opt_clear`` are flat
-        global entry ids on ``server_id`` whose marks flipped to / away
-        from local; ``replica_add``/``replica_remove`` are object ids
-        entering / leaving the server's replica set.  The arrays come
-        from a shard worker diffing its resident allocation before and
-        after an absorption (DESIGN.md Appendix I), so set/clear pairs
-        are disjoint and ``replica_remove`` never strands a mark — the
-        result is bit-identical to replaying the absorption in place.
-
-        Clears run before sets so the replica bookkeeping in
-        :meth:`set_comp_local_bulk` only ever sees the final state;
-        explicit replica edits run last (mark flips never *remove*
-        replicas, and stored-but-unmarked additions have no mark at
-        all, so both directions need the explicit pass).
-        """
-        if len(comp_clear):
-            self.set_comp_local_bulk(comp_clear, False)
-        if len(opt_clear):
-            self.set_opt_local_bulk(opt_clear, False)
-        if len(comp_set):
-            self.set_comp_local_bulk(comp_set, True)
-        if len(opt_set):
-            self.set_opt_local_bulk(opt_set, True)
-        reps = self.replicas[server_id]
-        for k in replica_remove.tolist():
-            reps.discard(int(k))
-        for k in replica_add.tolist():
-            reps.add(int(k))
-
     @staticmethod
     def _changed_entries(
         entries: np.ndarray, marks: np.ndarray, value: bool

@@ -561,39 +561,6 @@ class EvalContext:
             self._opt_counts[server_id],
         )
 
-    def comp_entries_of(self, server_id: int) -> np.ndarray:
-        """Server's compulsory entries in **ascending entry order**.
-
-        Unlike :meth:`comp_group` (grouped by object), this is the raw
-        per-entry id list sorted ascending — the order in which
-        ``Allocation.comp_local`` slices enumerate a server and the
-        order the sharded delta wire format ships mark columns in
-        (DESIGN.md Appendix I).  Built once per context via a stable
-        argsort over ``comp_server`` and cached.
-        """
-        order, bounds = self._entries_by_server("comp")
-        return order[bounds[server_id] : bounds[server_id + 1]]
-
-    def opt_entries_of(self, server_id: int) -> np.ndarray:
-        """Optional-entry counterpart of :meth:`comp_entries_of`."""
-        order, bounds = self._entries_by_server("opt")
-        return order[bounds[server_id] : bounds[server_id + 1]]
-
-    def _entries_by_server(self, which: str) -> tuple[np.ndarray, np.ndarray]:
-        attr = f"_lazy_{which}_by_server"
-        cached = getattr(self, attr, None)
-        if cached is None:
-            entry_server = (
-                self.comp_server if which == "comp" else self.opt_server
-            )
-            order = np.argsort(entry_server, kind="stable")
-            bounds = entry_server[order].searchsorted(
-                np.arange(self.n_servers + 1)
-            )
-            cached = (order, bounds)
-            setattr(self, attr, cached)
-        return cached
-
     @property
     def fast_comp(self):
         """Plain-list PARTITION views (see ``SystemModel.fast_comp``)."""
@@ -625,7 +592,7 @@ class EvalContext:
         entry columns, Eq. 3-5 stream seeds, pair table, per-server CSR
         groups, scalar views — is sized to the subset.  This is what
         makes a shard worker's setup cost proportional to its shard
-        instead of to the whole model (DESIGN.md Appendix H).
+        instead of to the whole model (DESIGN.md Appendix F).
 
         The returned context carries the global↔local index maps as
         ``global_servers`` / ``global_pages`` / ``global_comp_entries``

@@ -409,12 +409,13 @@ def absorb_round_serial(
     to the post-absorption state of every listed server and return the
     workload each actually achieved.
 
-    The contract a replacement scatter (e.g. the process-parallel one in
-    :mod:`repro.core.shard`) must honour: per-server absorptions are
-    **independent** — a server appears at most once per round, and
-    absorption at one server reads and writes only that server's pages,
-    entries and replica set, so any execution order (or parallel
-    execution) produces the same marks as this serial reference.  The
+    The contract a replacement scatter (e.g. the scalar test oracle's)
+    must honour: per-server absorptions are **independent** — a server
+    appears at most once per round, and absorption at one server reads
+    and writes only that server's pages, entries and replica set, so
+    any execution order produces the same marks as this serial
+    reference.  The scatter is a plain callable, run once per round
+    with no setup or teardown around the negotiation.  The
     round's order-sensitive bookkeeping (absorbed accumulation, L3
     demotion, the Eq. 9 load recompute) stays in
     :func:`offload_repository` — the gather side.
@@ -459,15 +460,6 @@ class OffloadOutcome:
     initial_repo_load: float
     final_repo_load: float
     absorbed_by_server: dict[int, float] = field(default_factory=dict)
-    round_bytes: list[dict[str, float]] = field(
-        default_factory=list, compare=False
-    )
-    """Per-round scatter transport accounting, filled by the sharded
-    kernel: each entry holds ``delta_bytes`` (bytes actually shipped by
-    the worker-resident delta protocol) and ``full_bytes`` (what the
-    per-request full-state protocol would have shipped).  Empty for
-    serial negotiations; excluded from equality — transport cost is not
-    part of the negotiation outcome."""
 
     @property
     def total_absorbed(self) -> float:
@@ -500,18 +492,11 @@ def offload_repository(
         Validated policy kernel name, forwarded to the scatter.
     scatter:
         Absorption-round executor with the signature and contract of
-        :func:`absorb_round_serial` (the default).  The sharded kernel
-        injects a process-parallel scatter here; because per-server
-        absorptions are independent, every conforming scatter yields
-        bit-identical marks, and this function keeps all the
-        order-sensitive gather bookkeeping either way.  A scatter may
-        additionally expose ``begin(alloc)`` / ``finish()`` lifecycle
-        hooks: ``begin`` runs once before the first round (after the
-        nothing-to-do early return, so trivial negotiations never pay
-        for scatter setup) and ``finish`` runs exactly once on every
-        exit path — normal, early break, or an exception raised
-        mid-round — so round-scoped resources (the sharded kernel's
-        shared-memory mark frontier) are never leaked.
+        :func:`absorb_round_serial` (the default), called once per
+        round.  Because per-server absorptions are independent, every
+        conforming scatter yields bit-identical marks, and this function
+        keeps all the order-sensitive gather bookkeeping either way.
+        The scalar test oracle substitutes its own absorptions here.
     """
     cfg = config or OffloadConfig()
     kernel = resolve_kernel(kernel)
@@ -533,51 +518,43 @@ def offload_repository(
 
     reg = get_registry()
     absorb_round = absorb_round_serial if scatter is None else scatter
-    begin = getattr(absorb_round, "begin", None)
-    finish = getattr(absorb_round, "finish", None)
     demoted: set[int] = set()
     load = initial
-    if begin is not None:
-        begin(alloc)
-    try:
-        with reg.span("off-loading"):
-            for _ in range(cfg.max_rounds):
-                if load <= repo_cap + _TOL:
-                    break
-                statuses = compute_all_server_statuses(alloc)
-                plan = plan_offload_round(statuses, repo_cap, demoted)
-                if plan is None or not plan:
-                    break
-                outcome.rounds += 1
-                outcome.messages += len(plan)  # NewReq messages
-                # Scatter: each server appears at most once per round and
-                # absorption at one server never changes another's
-                # constraint slack, so the round-start statuses stay exact
-                # for every request and the absorptions commute.
-                requests = [
-                    (i, req, statuses[i].free_space > _TOL)
-                    for i, req in plan.items()
-                ]
-                achieved_by = absorb_round(
-                    alloc,
-                    cost,
-                    requests,
-                    allow_swap=cfg.allow_swap,
-                    kernel=kernel,
+    with reg.span("off-loading"):
+        for _ in range(cfg.max_rounds):
+            if load <= repo_cap + _TOL:
+                break
+            statuses = compute_all_server_statuses(alloc)
+            plan = plan_offload_round(statuses, repo_cap, demoted)
+            if plan is None or not plan:
+                break
+            outcome.rounds += 1
+            outcome.messages += len(plan)  # NewReq messages
+            # Scatter: each server appears at most once per round and
+            # absorption at one server never changes another's
+            # constraint slack, so the round-start statuses stay exact
+            # for every request and the absorptions commute.
+            requests = [
+                (i, req, statuses[i].free_space > _TOL)
+                for i, req in plan.items()
+            ]
+            achieved_by = absorb_round(
+                alloc,
+                cost,
+                requests,
+                allow_swap=cfg.allow_swap,
+                kernel=kernel,
+            )
+            # Gather: the order-sensitive bookkeeping, in plan order.
+            for i, req in plan.items():
+                achieved = achieved_by[i]
+                outcome.absorbed_by_server[i] = (
+                    outcome.absorbed_by_server.get(i, 0.0) + achieved
                 )
-                # Gather: the order-sensitive bookkeeping, in plan order.
-                for i, req in plan.items():
-                    achieved = achieved_by[i]
-                    outcome.absorbed_by_server[i] = (
-                        outcome.absorbed_by_server.get(i, 0.0) + achieved
-                    )
-                    if achieved < req - _TOL:
-                        demoted.add(i)  # joins L3 for subsequent rounds
-                outcome.messages += len(plan)  # answers
-                load = repository_load(alloc)
-    finally:
-        if finish is not None:
-            finish()
+                if achieved < req - _TOL:
+                    demoted.add(i)  # joins L3 for subsequent rounds
+            outcome.messages += len(plan)  # answers
+            load = repository_load(alloc)
     outcome.messages += m.n_servers  # Off_Loading_END broadcast
     outcome.final_repo_load = float(load)
     outcome.restored = bool(load <= repo_cap + _TOL)

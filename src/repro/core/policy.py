@@ -13,6 +13,11 @@ automatically when the respective constraint already holds, so running
 the policy on an unconstrained model reduces to pure PARTITION — the
 paper's "optimised" reference point in Figure 1.
 
+Steps 1-3 are per server, so ``kernel="sharded"`` may fan them out to
+worker processes (:func:`repro.core.shard.run_shard_fanout`).  Step 4,
+the constraint report, the objective and the result are one code path
+for both kernels.
+
 Observability: each phase runs inside a :mod:`repro.obs` span and the
 result feeds phase-level counters/gauges into the active registry.  With
 observability disabled (the default) every hook is a no-op and results
@@ -108,14 +113,19 @@ class RepositoryReplicationPolicy:
         Tunables for the Eq. 9 negotiation.
     kernel:
         Policy kernel: ``"batched"`` (default, the vectorized engine of
-        every phase) or ``"sharded"`` (per-server shards on a process
-        pool running that engine; see :mod:`repro.core.shard`).  Both
-        produce bit-identical results.  Validated on construction
+        every phase) or ``"sharded"`` (PARTITION and both restorations
+        fan out as per-server shards on a process pool running that
+        engine, see :mod:`repro.core.shard`; OFF_LOADING and the rest
+        run in this process as for ``"batched"``).  Both produce
+        bit-identical results.  Validated on construction
         (surrounding whitespace and case are ignored); an unknown name
         raises :class:`ValueError`.
     shards:
         Shard count for ``kernel="sharded"`` (default: ``REPRO_SHARDS``
-        if set, else ``min(n_servers, cpu_count)``).  Ignored by the
+        if set, else ``min(n_servers, cpu_count)``).  An explicit value
+        must be a positive integer under either kernel (checked on
+        construction); one above the model's server count is rejected
+        when :meth:`run` meets the model.  Unused by the
         single-process kernel.
     pool:
         Worker pool for ``kernel="sharded"`` — anything with a
@@ -150,6 +160,11 @@ class RepositoryReplicationPolicy:
         self.optional_policy: OptionalPolicy = optional_policy
         self.offload_config = offload_config or OffloadConfig()
         self.kernel: Kernel = resolve_kernel(kernel)
+        if shards is not None:
+            from repro.core.shard import resolve_shards
+
+            # type and sign now; the server-count bound needs the model
+            resolve_shards(shards)
         self.shards = shards
         self.pool = pool
 
@@ -184,56 +199,66 @@ class RepositoryReplicationPolicy:
         return holder["result"]
 
     def _run(self, model: SystemModel) -> PolicyResult:
-        if self.kernel == "sharded":
-            # Process-parallel dispatch: per-server shards run PARTITION
-            # and the restorations in workers, the parent reconciles and
-            # replays OFF_LOADING — bit-identical to the inline pipeline
-            # below (see repro.core.shard).
-            from repro.core.shard import run_sharded_policy
-
-            return run_sharded_policy(
-                model,
-                alpha1=self.alpha1,
-                alpha2=self.alpha2,
-                optional_policy=self.optional_policy,
-                offload_config=self.offload_config,
-                shards=self.shards,
-                pool=self.pool,
-            )
         reg = obs.get_registry()
         cost = self.cost_model(model)
         spans: dict[str, obs.SpanRecord] = {}
+        fanout_seconds: dict[str, float] = {}
         with reg.span("policy"):
-            with reg.span("partition") as sp:
-                spans["partition"] = sp
-                alloc = partition_all(
+            if self.kernel == "sharded":
+                # PARTITION and both restorations are per server: worker
+                # shards run them and the parent merges their frontiers,
+                # bit-identical to the inline phases below.  Imported
+                # here so batched runs never load the process-pool code.
+                from repro.core.shard import run_shard_fanout
+
+                fan = run_shard_fanout(
                     model,
+                    alpha1=self.alpha1,
+                    alpha2=self.alpha2,
                     optional_policy=self.optional_policy,
-                    kernel=self.kernel,
+                    shards=self.shards,
+                    pool=self.pool,
                 )
-            unconstrained_d = cost.D(alloc)
-            phases: list[str] = ["partition"]
-
-            report = evaluate_constraints(alloc)
-            storage_stats = StorageRestorationStats()
-            if not report.storage_ok:
-                with reg.span("storage-restoration") as sp:
-                    spans["storage-restoration"] = sp
-                    storage_stats = restore_storage_capacity(
-                        alloc, cost, kernel=self.kernel
-                    )
-                phases.append("storage-restoration")
+                alloc = fan.allocation
+                unconstrained_d = cost.D(
+                    Allocation(model, fan.comp_partition, fan.opt_partition)
+                )
+                storage_stats = fan.storage_stats
+                processing_stats = fan.processing_stats
+                phases = fan.phases
+                fanout_seconds = fan.phase_seconds
                 report = evaluate_constraints(alloc)
-
-            processing_stats = ProcessingRestorationStats()
-            if not report.local_ok:
-                with reg.span("processing-restoration") as sp:
-                    spans["processing-restoration"] = sp
-                    processing_stats = restore_processing_capacity(
-                        alloc, cost, kernel=self.kernel
+            else:
+                with reg.span("partition") as sp:
+                    spans["partition"] = sp
+                    alloc = partition_all(
+                        model,
+                        optional_policy=self.optional_policy,
+                        kernel=self.kernel,
                     )
-                phases.append("processing-restoration")
+                unconstrained_d = cost.D(alloc)
+                phases = ["partition"]
+
                 report = evaluate_constraints(alloc)
+                storage_stats = StorageRestorationStats()
+                if not report.storage_ok:
+                    with reg.span("storage-restoration") as sp:
+                        spans["storage-restoration"] = sp
+                        storage_stats = restore_storage_capacity(
+                            alloc, cost, kernel=self.kernel
+                        )
+                    phases.append("storage-restoration")
+                    report = evaluate_constraints(alloc)
+
+                processing_stats = ProcessingRestorationStats()
+                if not report.local_ok:
+                    with reg.span("processing-restoration") as sp:
+                        spans["processing-restoration"] = sp
+                        processing_stats = restore_processing_capacity(
+                            alloc, cost, kernel=self.kernel
+                        )
+                    phases.append("processing-restoration")
+                    report = evaluate_constraints(alloc)
 
             offload_outcome: OffloadOutcome | None = None
             if not report.repo_ok:
@@ -249,7 +274,10 @@ class RepositoryReplicationPolicy:
 
         phase_seconds: dict[str, float] = {}
         if reg.enabled:
-            phase_seconds = {name: sp.seconds for name, sp in spans.items()}
+            phase_seconds = {
+                **fanout_seconds,
+                **{name: sp.seconds for name, sp in spans.items()},
+            }
             reg.count("policy.runs")
             reg.gauge("policy.objective", objective)
             reg.gauge("policy.unconstrained_objective", unconstrained_d)

@@ -1,20 +1,16 @@
-"""Sharded process-parallel policy kernel (``kernel="sharded"``).
+"""Sharded process-parallel fan-out (``kernel="sharded"``).
 
-The paper's pipeline pins every page to exactly one server, which makes
-the hot phases *per-server decomposable*:
+The paper's pipeline pins every page to exactly one server, so its
+restoring phases are *per-server decomposable*:
 
 * **PARTITION** (Section 4.2) is per page — a page's greedy depends only
   on its own server's link parameters and its own objects;
 * **storage restoration** (Eq. 10) and **processing restoration**
   (Eq. 8) are per server — every candidate score, eviction,
   re-partition and switch reads and writes only the target server's
-  pages, entries and replica set;
-* even **OFF_LOADING**'s server-side *absorption* (the inner loop of
-  Eq. 9's negotiation) only touches the absorbing server — only the
-  repository-side round bookkeeping (``NewReq`` shares, ``L3``
-  demotion, message counts) is order-sensitive.
+  pages, entries and replica set.
 
-The sharded kernel exploits all three:
+The sharded kernel fans exactly these phases out:
 
 1. it splits the servers into ``shards`` groups (deterministic balanced
    LPT over per-server entry counts, :func:`plan_shards`);
@@ -24,56 +20,41 @@ The sharded kernel exploits all three:
    groups and page streams for exactly its servers' pages, so worker
    setup is O(shard) instead of O(model) — and runs PARTITION + both
    restorations on the restricted model (:func:`_run_shard`);
-3. the parent reconciles: scatters the per-shard mark/replica frontiers
-   (shipped as *global* entry indices) back into one global
-   :class:`~repro.core.allocation.Allocation`, recomputes objectives
-   and constraints over the merged state, and replays the
-   OFF_LOADING rounds with the repository-side bookkeeping in-process
-   while each round's per-server absorptions scatter to the pool
-   (:class:`_ShardedScatter` → :func:`_absorb_shard_batch`).
+3. the parent merges the per-shard mark/replica frontiers (shipped as
+   *global* entry indices) into one global
+   :class:`~repro.core.allocation.Allocation` (:func:`run_shard_fanout`).
 
-OFF_LOADING rounds are **delta rounds** (DESIGN.md Appendix I): each
-worker keeps its shard's ``Allocation`` + shard-local ``EvalContext``
-*resident* between submissions, keyed by ``(session, shard)`` and
-validated by an exact-match round epoch.  The fan-out seeds the
-resident state for free (a shard's post-restoration allocation *is*
-the merged allocation restricted to that shard), so in steady state a
-round ships only the round's absorption requests down and the flipped
-``(server, object)`` marks back — O(round delta), not O(model).  All
-of a round's absorptions addressed to the same shard travel in **one
-batched submission**, routed to a pinned worker process by
-:class:`_AffinityPool.submit_to`.  An epoch mismatch (different pool,
-evicted state, forced ``REPRO_OFFLOAD_RESYNC_EVERY``) degrades to a
-full resync: the parent re-ships the shard's mark/replica state —
-through the parent-owned shared-memory **mark frontier** the workers
-attach read-only when shm is on, or as pickled arrays otherwise —
-and the round proceeds identically (bit-identity never depends on the
-fast path being taken).
+Everything after the merge — OFF_LOADING (one repository-side
+negotiation over the global Eq. 9 frontier), the constraint report, the
+objectives and the :class:`~repro.core.policy.PolicyResult` — runs once,
+in :meth:`RepositoryReplicationPolicy._run
+<repro.core.policy.RepositoryReplicationPolicy._run>`'s tail, the same
+code the ``"batched"`` kernel runs.
 
 Bit-identity is the contract, not an aspiration: the merged allocation,
-objective, stats and phase list equal the ``"batched"`` kernel's exactly
+stats and phase list equal the ``"batched"`` kernel's exactly
 (property-tested in ``tests/properties/test_property_sharded_policy.py``
-and pinned by the golden regressions).  Three details make that hold:
+and pinned by the golden regressions).  Two details make that hold:
 
-* objectives are evaluated in the **parent** over merged marks — a
-  per-shard partial ``np.dot`` would change float summation order;
 * restoration stats are merged in **global server order**, reproducing
   the reference loop's accumulation sequence;
 * the restricted model preserves *order*: objects keep their global
   ids, pages/entries are renumbered by a strictly increasing map, so
   every score, float partial sum and index tie-break inside a shard
   matches the full-model run restricted to that shard (DESIGN.md
-  Appendix H).
+  Appendix F).
+
+Objectives are never summed per shard: the policy evaluates them over
+the merged marks, so float summation order matches the batched run.
 
 Transport: models ship to workers through a
 :class:`~repro.core.shm.ShmArena` (one shared-memory segment holding
 the immutable flat columns; workers rebuild a
 :class:`~repro.core.types.ColumnarModel` over zero-copy views) when
-shared memory is available, falling back to a content-addressed pickle
-blob otherwise (``REPRO_SHM`` / the ``shm`` parameter override, see
-:func:`repro.core.shm.resolve_shm`).  Shard results ride back the same
-way.  Both sides cache by content digest in small LRUs that release
-their shm handles on eviction.
+:func:`~repro.core.shm.shm_available`, falling back to a
+content-addressed pickle blob otherwise.  Both sides cache by content
+digest in small LRUs that release their shm handles on eviction.
+Shard results (index arrays, O(shard frontier)) come back pickled.
 
 Worker processes come from an *injected* pool: anything with a
 ``submit(fn, *args) -> future`` method (the layering lint enforces that
@@ -86,14 +67,13 @@ from __future__ import annotations
 
 import atexit
 import hashlib
-import itertools
 import os
 import pickle
 import time
 from collections import OrderedDict
 from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Protocol, Sequence
+from typing import Any, Callable, Protocol, Sequence
 
 import numpy as np
 
@@ -103,41 +83,27 @@ from repro.core.constraints import evaluate_constraints
 from repro.core.context import EvalContext
 from repro.core.cost_model import CostModel
 from repro.core.fast_partition import optional_marks_batched, partition_pages_batched
-from repro.core.offload import (
-    OffloadConfig,
-    OffloadOutcome,
-    absorb_extra_workload,
-    offload_repository,
-)
 from repro.core.restoration import (
     ProcessingRestorationStats,
     StorageRestorationStats,
     restore_processing_capacity,
     restore_storage_capacity,
 )
-from repro.core.shm import ShmArena, resolve_shm
-from repro.core.types import (
-    MODEL_COLUMN_FIELDS,
-    ColumnarModel,
-    SystemModel,
-    pack_replicas,
-    unpack_replicas,
-)
+from repro.core.shm import ShmArena, shm_available
+from repro.core.types import MODEL_COLUMN_FIELDS, ColumnarModel, SystemModel
 from repro.obs.manifest import WORKER_ENV_VAR
 from repro.obs.registry import MetricsRegistry, use_registry
 from repro.util.validation import env_positive_int
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.policy import PolicyResult
-
 __all__ = [
     "ShardPool",
     "InlineShardPool",
+    "ShardFanout",
     "default_pool",
     "shutdown_shard_pool",
     "resolve_shards",
     "plan_shards",
-    "run_sharded_policy",
+    "run_shard_fanout",
 ]
 
 
@@ -145,7 +111,7 @@ __all__ = [
 # pool injection
 # ----------------------------------------------------------------------
 class ShardPool(Protocol):
-    """What the sharded driver needs from a worker pool.
+    """What the sharded fan-out needs from a worker pool.
 
     :class:`concurrent.futures.ProcessPoolExecutor` satisfies it, as
     does the persistent pool in ``repro.experiments.executor`` — which
@@ -163,7 +129,7 @@ class InlineShardPool:
     The deterministic no-subprocess harness for the differential tests
     (Hypothesis drives hundreds of examples; forking per example would
     dominate) and a zero-dependency fallback anywhere process pools are
-    unavailable.  Because it runs in-process, the driver skips both the
+    unavailable.  Because it runs in-process, the fan-out skips both the
     pickle round-trip and the shared-memory transport (``inline =
     True``).
     """
@@ -179,7 +145,7 @@ class InlineShardPool:
         return future
 
 
-_POOL: "_AffinityPool | None" = None
+_POOL: ProcessPoolExecutor | None = None
 _POOL_SIZE = 0
 
 
@@ -188,61 +154,21 @@ def _shard_worker_init() -> None:
     os.environ[WORKER_ENV_VAR] = str(os.getpid())
 
 
-class _AffinityPool:
-    """``workers`` single-process executors with stable index routing.
-
-    Worker-resident shard state (DESIGN.md Appendix I) only pays off if
-    shard ``g``'s submissions keep landing on the same OS process — a
-    shared :class:`~concurrent.futures.ProcessPoolExecutor` routes to
-    whichever worker is free, which would turn every delta round into
-    an epoch-mismatch resync.  This pool pins routing instead:
-    :meth:`submit_to` sends a task to executor ``idx % workers``, so
-    the sharded driver maps shard → worker one-to-one.  Plain
-    :meth:`submit` (the :class:`ShardPool` protocol) round-robins.
-
-    Pools without ``submit_to`` still work everywhere it is used — the
-    driver falls back to ``submit`` and the epoch validation downgrades
-    misrouted batches to resyncs (correct, just slower).
-    """
-
-    def __init__(self, workers: int):
-        self._execs = tuple(
-            ProcessPoolExecutor(max_workers=1, initializer=_shard_worker_init)
-            for _ in range(workers)
-        )
-        self._rr = itertools.count()
-
-    def __len__(self) -> int:
-        return len(self._execs)
-
-    def submit(self, fn, /, *args, **kwargs) -> Any:
-        return self.submit_to(next(self._rr), fn, *args, **kwargs)
-
-    def submit_to(self, idx: int, fn, /, *args, **kwargs) -> Any:
-        """Schedule ``fn`` on the executor pinned to ``idx`` (mod size)."""
-        return self._execs[idx % len(self._execs)].submit(fn, *args, **kwargs)
-
-    def shutdown(self, wait: bool = True, cancel_futures: bool = False) -> None:
-        for ex in self._execs:
-            ex.shutdown(wait=wait, cancel_futures=cancel_futures)
-
-
-def default_pool(workers: int) -> _AffinityPool:
+def default_pool(workers: int) -> ProcessPoolExecutor:
     """A persistent private pool of at least ``workers`` processes.
 
     Used when no pool is injected.  Persistent for the same reason the
-    experiment executor's pool is: workers cache unpickled models by
+    experiment executor's pool is: workers cache materialised models by
     content digest, so back-to-back runs (benchmark repeats, golden
-    tests) skip the per-run model transfer cost — and, since PR 9,
-    worker-resident shard state survives across a run's off-loading
-    rounds.  The pool is an :class:`_AffinityPool`, so shard → process
-    routing is stable.
+    tests) skip the per-run model transfer cost.
     """
     global _POOL, _POOL_SIZE
     if _POOL is None or _POOL_SIZE < workers:
         if _POOL is not None:
             _POOL.shutdown(wait=True, cancel_futures=True)
-        _POOL = _AffinityPool(workers)
+        _POOL = ProcessPoolExecutor(
+            max_workers=workers, initializer=_shard_worker_init
+        )
         _POOL_SIZE = workers
     return _POOL
 
@@ -422,7 +348,7 @@ def _model_digest(model: SystemModel) -> str:
 #: (e.g. a benchmark alternating between a constrained and an
 #: unconstrained clone); eviction destroys the segment — safe because
 #: every payload referencing an arena is consumed within its own
-#: ``run_sharded_policy`` call, before any other model can evict it.
+#: ``run_shard_fanout`` call, before any other model can evict it.
 _PARENT_ARENAS = _Lru(2, lambda _digest, arena: arena.destroy())
 
 
@@ -432,8 +358,7 @@ def _model_arena(model: SystemModel) -> tuple[str, ShmArena]:
     arena = _PARENT_ARENAS.get(digest)
     if arena is None:
         arena = ShmArena.create(
-            {name: getattr(model, name) for name in MODEL_COLUMN_FIELDS},
-            owner=True,
+            {name: getattr(model, name) for name in MODEL_COLUMN_FIELDS}
         )
         _PARENT_ARENAS.put(digest, arena)
     return digest, arena
@@ -478,7 +403,7 @@ def _model_from_payload(payload: tuple) -> SystemModel:
         return cached[0]
     if kind == "shm":
         _, _, handle, repo_blob = payload
-        arena = ShmArena.attach(handle, owner=False)
+        arena = ShmArena.attach(handle)
         model: SystemModel = ColumnarModel.from_columns(
             arena.arrays(), pickle.loads(repo_blob)
         )
@@ -501,48 +426,29 @@ class _ShardOptions:
     alpha2: float
     optional_policy: str
     record: bool
-    use_shm: bool = False
-    session: str | None = None
-    """Run-unique token keying worker-resident shard state.  ``None``
-    disables residency seeding (the state is then built lazily by the
-    first off-loading batch's resync)."""
-
-
-#: Result arrays eligible for the shared-memory return path.
-_RESULT_ARRAY_FIELDS = (
-    "comp_partition_idx",
-    "opt_partition_idx",
-    "comp_final_idx",
-    "opt_final_idx",
-    "replica_objects",
-    "replica_indptr",
-)
 
 
 @dataclass
 class _ShardResult:
-    """One shard's candidate frontier, shipped back for reconciliation.
+    """One shard's candidate frontier, shipped back for the merge.
 
     Marks travel as **global entry indices** (only the set positions)
     rather than full-length booleans: a shard can only set entries it
-    owns, so the parent reconcile is a plain index assignment, and the
+    owns, so the parent merge is a plain index assignment, and the
     payload shrinks from O(model) to O(shard frontier).  Replicas are a
     CSR pair (``replica_objects`` concatenated per server in
-    ``server_ids`` order, ``replica_indptr`` bounds).  When the run uses
-    shared memory the arrays ride a worker-created
-    :class:`~repro.core.shm.ShmArena` whose ownership transfers to the
-    parent (:meth:`ship_shm` / :meth:`load_shm`).
+    ``server_ids`` order, ``replica_indptr`` bounds).
     """
 
     server_ids: tuple[int, ...]
     n_pages: int
     n_entries: int
-    comp_partition_idx: np.ndarray | None
-    opt_partition_idx: np.ndarray | None
-    comp_final_idx: np.ndarray | None
-    opt_final_idx: np.ndarray | None
-    replica_objects: np.ndarray | None
-    replica_indptr: np.ndarray | None
+    comp_partition_idx: np.ndarray
+    opt_partition_idx: np.ndarray
+    comp_final_idx: np.ndarray
+    opt_final_idx: np.ndarray
+    replica_objects: np.ndarray
+    replica_indptr: np.ndarray
     storage_ran: bool
     processing_ran: bool
     storage_stats: list[tuple[int, StorageRestorationStats]]
@@ -550,45 +456,11 @@ class _ShardResult:
     phase_seconds: dict[str, float] = field(default_factory=dict)
     seconds: float = 0.0
     snapshot: dict | None = None
-    shm_handle: dict | None = None
-    shm_bytes: int = 0
-
-    def ship_shm(self) -> None:
-        """Move the result arrays into a shm segment (worker side).
-
-        The worker creates the segment as a *non-owner* — the parent,
-        the only reader, adopts ownership on :meth:`load_shm` and
-        unlinks after reconcile, so a worker crash between the two never
-        strands anonymous segments beyond the run's pool lifetime.
-        """
-        arena = ShmArena.create(
-            {f: getattr(self, f) for f in _RESULT_ARRAY_FIELDS}, owner=False
-        )
-        self.shm_bytes = arena.nbytes
-        self.shm_handle = arena.handle
-        for f in _RESULT_ARRAY_FIELDS:
-            setattr(self, f, None)
-        arena.close()
-
-    def load_shm(self) -> ShmArena | None:
-        """Re-point the result arrays at the shm views (parent side)."""
-        if self.shm_handle is None:
-            return None
-        arena = ShmArena.attach(self.shm_handle, owner=True)
-        for f in _RESULT_ARRAY_FIELDS:
-            setattr(self, f, arena.get(f))
-        self.shm_handle = None
-        return arena
-
-    def release_arrays(self) -> None:
-        """Drop the array references so a backing arena can close cleanly."""
-        for f in _RESULT_ARRAY_FIELDS:
-            setattr(self, f, None)
 
 
 def _shard_pipeline(
     model: SystemModel, server_ids: Sequence[int], opts: _ShardOptions
-) -> tuple[_ShardResult, EvalContext, CostModel, Allocation]:
+) -> _ShardResult:
     """PARTITION + per-server restorations for one group of servers.
 
     Runs on the **restricted model**: ``EvalContext.for_servers`` builds
@@ -604,12 +476,6 @@ def _shard_pipeline(
     non-violating server is a no-op, so gating on the local report
     yields the same allocation — and the parent ORs the per-shard flags
     to reconstruct the global phase list.
-
-    Returns the shippable :class:`_ShardResult` plus the live
-    ``(ctx, cost, alloc)`` triple so :func:`_run_shard` can seed the
-    worker-resident shard state: the final shard-restricted allocation
-    *is* the parent's merged allocation restricted to this shard at
-    off-loading start, so residency costs zero extra shipping.
     """
     t0 = time.perf_counter()
     ctx = EvalContext.for_servers(model, server_ids)
@@ -669,7 +535,7 @@ def _shard_pipeline(
 
     ge_c = ctx.global_comp_entries
     ge_o = ctx.global_opt_entries
-    result = _ShardResult(
+    return _ShardResult(
         server_ids=tuple(int(i) for i in server_ids),
         n_pages=int(sub.n_pages),
         n_entries=int(len(sub.comp_objects) + len(sub.opt_objects)),
@@ -686,559 +552,77 @@ def _shard_pipeline(
         phase_seconds=phase_seconds,
         seconds=time.perf_counter() - t0,
     )
-    return result, ctx, cost, alloc
 
 
 def _run_shard(
-    payload: tuple,
-    server_ids: tuple[int, ...],
-    opts: _ShardOptions,
-    shard_id: int = -1,
+    payload: tuple, server_ids: tuple[int, ...], opts: _ShardOptions
 ) -> _ShardResult:
     """Worker entry point: resolve the model, record into a private
-    registry when the parent is collecting, return the shard frontier.
-
-    When the run carries a residency ``session`` (and a real
-    ``shard_id``), the pipeline's final context/cost/allocation are
-    parked in :data:`_RESIDENT_SHARDS` at epoch 0 so the off-loading
-    scatter's delta rounds start hot."""
+    registry when the parent is collecting, return the shard frontier."""
     model = _model_from_payload(payload)
     registry = MetricsRegistry() if opts.record else None
     with use_registry(registry):
-        result, ctx, cost, alloc = _shard_pipeline(model, server_ids, opts)
+        result = _shard_pipeline(model, server_ids, opts)
     if registry is not None:
         result.snapshot = registry.snapshot()
-    if opts.session is not None and shard_id >= 0:
-        _RESIDENT_SHARDS.put(
-            (opts.session, int(shard_id)),
-            _ResidentShard(ctx=ctx, cost=cost, alloc=alloc, epoch=0),
-        )
-    if opts.use_shm:
-        result.ship_shm()
     return result
 
 
 # ----------------------------------------------------------------------
-# parallel off-loading scatter: worker-resident delta rounds
+# parent side: fan out and merge
 # ----------------------------------------------------------------------
 @dataclass
-class _ResidentShard:
-    """One shard's live state parked in a worker between round batches.
+class ShardFanout:
+    """The merged frontier of one sharded PARTITION + restoration pass.
 
-    ``alloc`` mirrors the parent's merged allocation restricted to this
-    shard — exactly current as long as every batch the parent sent for
-    the shard was processed here, which the exact-match ``epoch``
-    validates (per-server absorptions only touch the absorbing server,
-    so nothing outside the shard can invalidate the mirror)."""
-
-    ctx: EvalContext
-    cost: CostModel
-    alloc: Allocation
-    epoch: int
-
-
-#: Worker-side resident shard states, keyed by ``(session, shard id)``.
-#: Bounded so abandoned sessions (benchmark repeats, failed runs) age
-#: out; an evicted entry just means the next batch for that shard
-#: resyncs.  No eviction callback — the values are plain heap state.
-_RESIDENT_SHARDS: _Lru = _Lru(16)
-
-_SESSION_SEQ = itertools.count()
-
-
-def _absorb_shard_batch(
-    payload: tuple,
-    opts: _ShardOptions,
-    session: str,
-    shard_id: int,
-    server_ids: tuple[int, ...],
-    epoch: int,
-    requests: list[tuple[int, float, bool]],
-    allow_swap: bool,
-    kernel: str,
-    sync: tuple | None,
-) -> dict:
-    """Absorb one round's requests for one shard on its resident state.
-
-    The delta-round worker half (DESIGN.md Appendix I).  ``requests``
-    holds every ``(global_server_id, target, allow_new)`` of this
-    round addressed to servers in ``server_ids``; all of them replay
-    :func:`~repro.core.offload.absorb_extra_workload` on the shard's
-    resident allocation in one submission — one pickle/shm hop, one
-    context lookup.  Per-server decomposability (the
-    ``absorb_round_serial`` contract) makes any batch grouping
-    bit-identical to the serial reference.
-
-    Epoch protocol: the fast path (``sync is None``) requires the
-    resident state to exist **and** match ``epoch`` exactly — anything
-    else returns ``{"resync": True}`` and the parent resubmits with a
-    ``sync`` payload.  ``sync`` is either ``("state", comp_marks,
-    opt_marks, replica_objects, replica_indptr)`` — the shard's mark
-    slices in ascending global entry order plus its replica CSR — or
-    ``("frontier", handle, replica_objects, replica_indptr)``, where
-    marks are read in place from the parent-owned shared-memory mark
-    frontier instead of travelling in the submission.  Either way the
-    rebuilt state is bit-identical to the lost mirror, so a resync
-    changes transport cost only, never results.
-
-    Returns per-request mark/replica deltas in global ids, concatenated
-    in request order, plus the advanced epoch.
-    """
-    key = (session, int(shard_id))
-    res: _ResidentShard | None = _RESIDENT_SHARDS.get(key)
-    frontier_read = False
-    if sync is None:
-        if res is None or res.epoch != int(epoch):
-            return {"resync": True}
-    else:
-        model = _model_from_payload(payload)
-        ctx = EvalContext.for_servers(model, server_ids)
-        sub = ctx.model
-        if sync[0] == "frontier":
-            _, handle, rep_objs, rep_indptr = sync
-            arena = ShmArena.attach(handle, owner=False)
-            # fancy indexing copies, so no view survives the close
-            comp0 = arena.get("comp_local")[ctx.global_comp_entries]
-            opt0 = arena.get("opt_local")[ctx.global_opt_entries]
-            arena.close()
-            frontier_read = True
-        else:
-            _, comp_state, opt_state, rep_objs, rep_indptr = sync
-            comp0 = np.array(comp_state, dtype=bool)
-            opt0 = np.array(opt_state, dtype=bool)
-        res = _ResidentShard(
-            ctx=ctx,
-            cost=CostModel(sub, opts.alpha1, opts.alpha2),
-            alloc=Allocation(
-                sub, comp0, opt0,
-                replicas=unpack_replicas(rep_objs, rep_indptr),
-            ),
-            epoch=int(epoch),
-        )
-        _RESIDENT_SHARDS.put(key, res)
-
-    ctx, cost, alloc = res.ctx, res.cost, res.alloc
-    local_of = {int(g): li for li, g in enumerate(server_ids)}
-    ge_c = ctx.global_comp_entries
-    ge_o = ctx.global_opt_entries
-    registry = MetricsRegistry() if opts.record else None
-    out: list[dict] = []
-    with use_registry(registry):
-        for gi, target, allow_new in requests:
-            li = local_of[int(gi)]
-            comp_e = ctx.comp_entries_of(li)
-            opt_e = ctx.opt_entries_of(li)
-            comp_before = alloc.comp_local[comp_e]  # fancy-index copies
-            opt_before = alloc.opt_local[opt_e]
-            reps_before = set(alloc.replicas[li])
-            achieved = absorb_extra_workload(
-                alloc,
-                cost,
-                li,
-                float(target),
-                allow_new_replicas=bool(allow_new),
-                allow_swap=bool(allow_swap),
-                kernel=kernel,
-            )
-            comp_after = alloc.comp_local[comp_e]
-            opt_after = alloc.opt_local[opt_e]
-            added = sorted(alloc.replicas[li] - reps_before)
-            removed = sorted(reps_before - alloc.replicas[li])
-            out.append(
-                {
-                    "server": int(gi),
-                    "achieved": float(achieved),
-                    "comp_set": ge_c[comp_e[comp_after & ~comp_before]],
-                    "comp_clear": ge_c[comp_e[comp_before & ~comp_after]],
-                    "opt_set": ge_o[opt_e[opt_after & ~opt_before]],
-                    "opt_clear": ge_o[opt_e[opt_before & ~opt_after]],
-                    "replica_add": np.fromiter(
-                        added, dtype=np.int64, count=len(added)
-                    ),
-                    "replica_remove": np.fromiter(
-                        removed, dtype=np.int64, count=len(removed)
-                    ),
-                }
-            )
-    res.epoch = int(epoch) + 1
-    return {
-        "epoch": res.epoch,
-        "frontier_read": frontier_read,
-        "results": out,
-        "snapshot": registry.snapshot() if registry is not None else None,
-    }
-
-
-def _entries_by_group(
-    entry_group: np.ndarray, n_groups: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stable ``(order, bounds)`` grouping entry ids by owning group.
-
-    ``order[bounds[g]:bounds[g+1]]`` is group ``g``'s flat entry ids in
-    ascending order — the same order ``restrict_to_servers`` selects
-    them, which is what keeps a sync payload's mark slices aligned with
-    the worker's shard-restricted context."""
-    order = np.argsort(entry_group, kind="stable")
-    bounds = np.searchsorted(entry_group[order], np.arange(n_groups + 1))
-    return order, bounds
-
-
-def _delta_nbytes(r: dict) -> float:
-    """Actual array bytes one request's result delta ships upward."""
-    return float(
-        r["comp_set"].nbytes
-        + r["comp_clear"].nbytes
-        + r["opt_set"].nbytes
-        + r["opt_clear"].nbytes
-        + r["replica_add"].nbytes
-        + r["replica_remove"].nbytes
-    )
-
-
-class _ShardedScatter:
-    """Process-parallel absorption scatter for ``offload_repository``.
-
-    Satisfies the :func:`~repro.core.offload.absorb_round_serial`
-    contract — and its ``begin``/``finish`` lifecycle hooks — while
-    running each round as **delta rounds over worker-resident shard
-    state**: requests group per shard into one
-    :func:`_absorb_shard_batch` submission (routed to the shard's
-    pinned worker via ``pool.submit_to`` when the pool has it), workers
-    validate the round epoch and ship back only the flipped marks, and
-    the parent applies the returned deltas in **plan order**, so the
-    mutation sequence the order-sensitive gather observes matches the
-    serial reference exactly.
-
-    Parameters
-    ----------
-    groups:
-        The shard plan (ascending server ids per group, together
-        covering every server).  Defaults to one server per shard —
-        the standalone configuration the property harness drives.
-    sync_mode:
-        ``"delta"`` (resident fast path, the default) or ``"full"``
-        (ship the full shard state with every batch — the PR-8-shaped
-        baseline the delta/full byte accounting is measured against).
-    resync_every:
-        Force a full sync on every Nth batch per shard (defaults from
-        ``REPRO_OFFLOAD_RESYNC_EVERY``); exercises the epoch-mismatch
-        recovery path deterministically.
-
-    Transport accounting: :attr:`rounds_bytes` records, per round,
-    the actual bytes shipped (``delta_bytes``) next to what the
-    per-request full-state protocol would have shipped
-    (``full_bytes``), and ``finish`` publishes the
-    ``shard.N.delta_bytes`` / ``shard.N.resyncs`` /
-    ``offload.batched_submissions`` / ``shm.frontier_reads`` gauges.
+    What :meth:`RepositoryReplicationPolicy._run
+    <repro.core.policy.RepositoryReplicationPolicy._run>` needs to carry
+    on exactly where the batched kernel's restorations leave off.
     """
 
-    def __init__(
-        self,
-        pool: ShardPool,
-        payload: tuple,
-        model: SystemModel,
-        opts: _ShardOptions,
-        *,
-        groups: tuple[tuple[int, ...], ...] | None = None,
-        sync_mode: str = "delta",
-        resync_every: int | None = None,
-    ):
-        if sync_mode not in ("delta", "full"):
-            raise ValueError(
-                f'sync_mode must be "delta" or "full", got {sync_mode!r}'
-            )
-        self._pool = pool
-        self._payload = payload
-        self._opts = opts
-        if groups is None:
-            groups = tuple((i,) for i in range(model.n_servers))
-        self._groups = tuple(tuple(int(i) for i in g) for g in groups)
-        self._sync_mode = sync_mode
-        if resync_every is None:
-            resync_every = env_positive_int(
-                "REPRO_OFFLOAD_RESYNC_EVERY", default=None
-            )
-        self._resync_every = resync_every
-        #: session keying worker-resident state; when the driver seeded
-        #: residency through the fan-out this matches ``opts.session``
-        #: and shards start synced at epoch 0.
-        self._session = (
-            opts.session
-            if opts.session is not None
-            else f"scatter-{os.getpid()}-{next(_SESSION_SEQ)}"
+    allocation: Allocation
+    """The merged post-restoration allocation."""
+    comp_partition: np.ndarray
+    """Compulsory marks right after PARTITION (global entry order)."""
+    opt_partition: np.ndarray
+    """Optional marks right after PARTITION (global entry order)."""
+    storage_stats: StorageRestorationStats
+    processing_stats: ProcessingRestorationStats
+    phases: list[str]
+    """Phases run so far: ``"partition"`` plus each restoration that
+    ran in any shard."""
+    phase_seconds: dict[str, float] = field(default_factory=dict)
+    """Per-phase wall clock (slowest shard) and the whole fan-out;
+    populated only when a recording registry was active."""
+
+
+def _model_payload(model: SystemModel) -> tuple:
+    """How the fan-out ships ``model``: shm column arena, else pickle."""
+    if shm_available():
+        digest, arena = _model_arena(model)
+        return (
+            "shm",
+            "shm:" + digest,
+            arena.handle,
+            pickle.dumps(model.repository, protocol=pickle.HIGHEST_PROTOCOL),
         )
-        self._ctx = EvalContext.for_model(model)
-        shard_of = np.full(model.n_servers, -1, dtype=np.intp)
-        for g, grp in enumerate(self._groups):
-            shard_of[list(grp)] = g
-        self._shard_of = shard_of
-        self._comp_order, self._comp_bounds = _entries_by_group(
-            shard_of[self._ctx.comp_server], len(self._groups)
-        )
-        self._opt_order, self._opt_bounds = _entries_by_group(
-            shard_of[self._ctx.opt_server], len(self._groups)
-        )
-        n = len(self._groups)
-        self._epochs = [0] * n
-        self._synced = [opts.session is not None] * n
-        self._batches = [0] * n
-        self._delta_bytes = [0.0] * n
-        self._resyncs = [0] * n
-        self._submissions = 0
-        self._frontier_reads = 0
-        self._total_delta = 0.0
-        self._total_full = 0.0
-        #: per-round ``{"delta_bytes", "full_bytes"}`` records (the
-        #: end-to-end bench persists these into BENCH json).
-        self.rounds_bytes: list[dict[str, float]] = []
-        self._frontier: ShmArena | None = None
-        self._f_comp: np.ndarray | None = None
-        self._f_opt: np.ndarray | None = None
-        self._began = False
-        self._finished = False
-
-    # -- lifecycle (driven by ``offload_repository``) -------------------
-    def begin(self, alloc: Allocation) -> None:
-        """Create the shm mark frontier over the negotiation's marks."""
-        if self._began:
-            return
-        self._began = True
-        if self._opts.use_shm:
-            self._frontier = ShmArena.create(
-                {"comp_local": alloc.comp_local, "opt_local": alloc.opt_local},
-                owner=True,
-            )
-            self._f_comp = self._frontier.get("comp_local", writeable=True)
-            self._f_opt = self._frontier.get("opt_local", writeable=True)
-
-    def finish(self) -> None:
-        """Destroy the frontier and publish gauges (idempotent; runs on
-        every ``offload_repository`` exit path, exceptions included)."""
-        if self._finished:
-            return
-        self._finished = True
-        self._f_comp = None
-        self._f_opt = None
-        if self._frontier is not None:
-            self._frontier.destroy()
-            self._frontier = None
-        reg = obs.get_registry()
-        if reg.enabled:
-            for g in range(len(self._groups)):
-                reg.gauge(f"shard.{g}.delta_bytes", self._delta_bytes[g])
-                reg.gauge(f"shard.{g}.resyncs", float(self._resyncs[g]))
-            reg.gauge("offload.batched_submissions", float(self._submissions))
-            reg.gauge("shm.frontier_reads", float(self._frontier_reads))
-            reg.gauge("offload.delta_bytes", self._total_delta)
-            reg.gauge("offload.full_bytes", self._total_full)
-
-    # -- wire helpers ---------------------------------------------------
-    def _needs_sync(self, g: int) -> bool:
-        if self._sync_mode == "full" or not self._synced[g]:
-            return True
-        every = self._resync_every
-        return every is not None and self._batches[g] % every == 0
-
-    def _sync_payload(self, g: int, alloc: Allocation) -> tuple[tuple, float]:
-        """The shard's full current state, plus its shipped byte count."""
-        grp = self._groups[g]
-        rep_objs, rep_indptr = pack_replicas([alloc.replicas[i] for i in grp])
-        if self._frontier is not None:
-            # marks ride the shared frontier — only the CSR travels
-            payload = ("frontier", self._frontier.handle, rep_objs, rep_indptr)
-            nbytes = float(rep_objs.nbytes + rep_indptr.nbytes)
-        else:
-            comp_idx = self._comp_order[
-                self._comp_bounds[g] : self._comp_bounds[g + 1]
-            ]
-            opt_idx = self._opt_order[
-                self._opt_bounds[g] : self._opt_bounds[g + 1]
-            ]
-            comp_state = alloc.comp_local[comp_idx]
-            opt_state = alloc.opt_local[opt_idx]
-            payload = ("state", comp_state, opt_state, rep_objs, rep_indptr)
-            nbytes = float(
-                comp_state.nbytes
-                + opt_state.nbytes
-                + rep_objs.nbytes
-                + rep_indptr.nbytes
-            )
-        return payload, nbytes
-
-    def _submit(
-        self,
-        g: int,
-        reqs: list[tuple[int, float, bool]],
-        allow_swap: bool,
-        kernel: str,
-        sync: tuple | None,
-    ):
-        self._submissions += 1
-        args = (
-            self._payload,
-            self._opts,
-            self._session,
-            int(g),
-            self._groups[g],
-            int(self._epochs[g]),
-            reqs,
-            bool(allow_swap),
-            str(kernel),
-            sync,
-        )
-        submit_to = getattr(self._pool, "submit_to", None)
-        if submit_to is not None:
-            return submit_to(g, _absorb_shard_batch, *args)
-        return self._pool.submit(_absorb_shard_batch, *args)
-
-    # -- the round ------------------------------------------------------
-    def __call__(
-        self,
-        alloc: Allocation,
-        cost: CostModel,
-        requests: list[tuple[int, float, bool]],
-        *,
-        allow_swap: bool = True,
-        kernel: str = "batched",
-    ) -> dict[int, float]:
-        self.begin(alloc)  # no-op when offload_repository already did
-        by_shard: dict[int, list[tuple[int, float, bool]]] = {}
-        for i, req, allow_new in requests:
-            g = int(self._shard_of[i])
-            by_shard.setdefault(g, []).append(
-                (int(i), float(req), bool(allow_new))
-            )
-        round_delta = 0.0
-        round_full = 0.0
-        jobs = []
-        for g, reqs in sorted(by_shard.items()):
-            sync = None
-            if self._needs_sync(g):
-                sync, sent = self._sync_payload(g, alloc)
-                self._resyncs[g] += 1
-                self._delta_bytes[g] += sent
-                round_delta += sent
-            jobs.append((g, self._submit(g, reqs, allow_swap, kernel, sync)))
-
-        reg = obs.get_registry()
-        by_server: dict[int, dict] = {}
-        for g, future in jobs:
-            res = future.result()
-            if res.get("resync"):
-                # stale/missing resident state — re-ship the shard
-                sync, sent = self._sync_payload(g, alloc)
-                self._resyncs[g] += 1
-                self._delta_bytes[g] += sent
-                round_delta += sent
-                res = self._submit(
-                    g, by_shard[g], allow_swap, kernel, sync
-                ).result()
-                if res.get("resync"):  # pragma: no cover - protocol bug
-                    raise RuntimeError(
-                        f"shard {g} refused a sync payload (epoch "
-                        f"{self._epochs[g]})"
-                    )
-            self._epochs[g] = int(res["epoch"])
-            self._synced[g] = True
-            self._batches[g] += 1
-            self._frontier_reads += int(bool(res["frontier_read"]))
-            for r in res["results"]:
-                by_server[r["server"]] = r
-                nb = _delta_nbytes(r)
-                self._delta_bytes[g] += nb
-                round_delta += nb
-            if res["snapshot"] is not None and reg.enabled:
-                reg.merge_snapshot(res["snapshot"])
-
-        # Apply in plan order — the serial reference's mutation sequence.
-        achieved: dict[int, float] = {}
-        for i, req, allow_new in requests:
-            r = by_server[i]
-            reps_before = len(alloc.replicas[i])
-            alloc.apply_server_delta(
-                i,
-                r["comp_set"],
-                r["comp_clear"],
-                r["opt_set"],
-                r["opt_clear"],
-                r["replica_add"],
-                r["replica_remove"],
-            )
-            if self._f_comp is not None:
-                self._f_comp[r["comp_set"]] = True
-                self._f_comp[r["comp_clear"]] = False
-                self._f_opt[r["opt_set"]] = True
-                self._f_opt[r["opt_clear"]] = False
-            achieved[i] = r["achieved"]
-            # What the pre-resident protocol would have shipped for this
-            # request: full mark slices + replicas down, mark deltas +
-            # full replicas back.
-            mark_delta = (
-                _delta_nbytes(r)
-                - r["replica_add"].nbytes
-                - r["replica_remove"].nbytes
-            )
-            round_full += float(
-                len(self._ctx.comp_entries_of(i))
-                + len(self._ctx.opt_entries_of(i))
-                + 8 * reps_before
-                + mark_delta
-                + 8 * len(alloc.replicas[i])
-            )
-        self._total_delta += round_delta
-        self._total_full += round_full
-        self.rounds_bytes.append(
-            {"delta_bytes": round_delta, "full_bytes": round_full}
-        )
-        return achieved
+    blob = pickle.dumps(model, protocol=pickle.HIGHEST_PROTOCOL)
+    return ("blob", "blob:" + hashlib.sha256(blob).hexdigest(), blob)
 
 
-# ----------------------------------------------------------------------
-# parent side: fan out, reconcile, replay the global phases
-# ----------------------------------------------------------------------
-def _gather_shard_results(futures: list) -> list[_ShardResult]:
-    """Collect every fan-out result, releasing arenas if any shard failed.
-
-    Waits on *all* futures even after a failure: a successful shard may
-    have created a worker-side result arena whose ownership only
-    transfers to the parent on load, so bailing out at the first
-    exception would strand ``/dev/shm`` segments for the pool's
-    lifetime.  On failure, every successfully returned result is
-    adopted-and-destroyed before the first exception re-raises.
-    """
-    results: list[_ShardResult] = []
-    first_exc: BaseException | None = None
-    for f in futures:
-        try:
-            results.append(f.result())
-        except BaseException as exc:  # noqa: BLE001 - re-raised below
-            if first_exc is None:
-                first_exc = exc
-    if first_exc is not None:
-        for r in results:
-            arena = r.load_shm()
-            r.release_arrays()
-            if arena is not None:
-                arena.destroy()
-        raise first_exc
-    return results
-
-
-def run_sharded_policy(
+def run_shard_fanout(
     model: SystemModel,
     alpha1: float = 2.0,
     alpha2: float = 1.0,
     optional_policy: str = "all",
-    offload_config: OffloadConfig | None = None,
     shards: int | None = None,
     pool: ShardPool | None = None,
-    shm: bool | None = None,
-) -> "PolicyResult":
-    """The full policy pipeline, sharded over a worker pool.
+) -> ShardFanout:
+    """PARTITION + both restorations, sharded over a worker pool.
 
-    Bit-identical to ``RepositoryReplicationPolicy(kernel="batched")``
-    on allocation, objectives, stats, constraint report and phase list
-    — see the module docstring for why.
+    Bit-identical to the batched kernel's first three phases on the
+    allocation, the post-PARTITION marks, the stats and the phase list —
+    see the module docstring for why.
 
     Parameters
     ----------
@@ -1249,14 +633,7 @@ def run_sharded_policy(
         Injected :class:`ShardPool`; defaults to this module's private
         persistent :func:`default_pool`.  Pass
         :class:`InlineShardPool` to run serially in-process.
-    shm:
-        Shared-memory transport override, resolved via
-        :func:`repro.core.shm.resolve_shm` (explicit → ``REPRO_SHM`` →
-        available).  Ignored (off) for inline pools — there is no
-        process boundary to cross.
     """
-    from repro.core.policy import PolicyResult
-
     if getattr(model, "n_streams", 2) > 2:
         raise NotImplementedError(
             "the sharded kernel supports the k=2 topology only; run "
@@ -1264,131 +641,59 @@ def run_sharded_policy(
             "(sharded k>2 is a planned follow-up)"
         )
     reg = obs.get_registry()
-    cost = CostModel(model, alpha1, alpha2)
     n_shards = resolve_shards(shards, n_servers=model.n_servers)
     groups = plan_shards(model, n_shards)
     if pool is None:
         pool = default_pool(len(groups))
-    inline = bool(getattr(pool, "inline", False))
-    use_shm = False if inline else resolve_shm(shm)
-    pickle_bytes_avoided = 0.0
-    if inline:
+    if getattr(pool, "inline", False):
         payload: tuple = ("model", model)
-    elif use_shm:
-        digest, arena = _model_arena(model)
-        payload = (
-            "shm",
-            "shm:" + digest,
-            arena.handle,
-            pickle.dumps(model.repository, protocol=pickle.HIGHEST_PROTOCOL),
-        )
-        pickle_bytes_avoided += float(arena.nbytes)
     else:
-        blob = pickle.dumps(model, protocol=pickle.HIGHEST_PROTOCOL)
-        payload = ("blob", "blob:" + hashlib.sha256(blob).hexdigest(), blob)
+        payload = _model_payload(model)
     opts = _ShardOptions(
         alpha1=alpha1,
         alpha2=alpha2,
         optional_policy=optional_policy,
         record=reg.enabled,
-        use_shm=use_shm,
-        session=f"run-{os.getpid()}-{next(_SESSION_SEQ)}",
     )
 
-    submit_to = getattr(pool, "submit_to", None)
-    spans: dict[str, obs.SpanRecord] = {}
-    with reg.span("policy"):
-        with reg.span("shard-fanout") as fan:
-            spans["shard-fanout"] = fan
-            # Pin shard g to worker g when the pool supports routing, so
-            # the residency each fan-out task seeds is the same state
-            # the off-loading delta rounds will find.
-            if submit_to is not None:
-                futures = [
-                    submit_to(g, _run_shard, payload, group, opts, g)
-                    for g, group in enumerate(groups)
-                ]
-            else:
-                futures = [
-                    pool.submit(_run_shard, payload, group, opts, g)
-                    for g, group in enumerate(groups)
-                ]
-            results = _gather_shard_results(futures)
+    with reg.span("shard-fanout") as fan:
+        futures = [pool.submit(_run_shard, payload, g, opts) for g in groups]
+        results: list[_ShardResult] = [f.result() for f in futures]
 
-        ne_c = len(model.comp_objects)
-        ne_o = len(model.opt_objects)
-        comp_part = np.zeros(ne_c, dtype=bool)
-        opt_part = np.zeros(ne_o, dtype=bool)
-        comp_fin = np.zeros(ne_c, dtype=bool)
-        opt_fin = np.zeros(ne_o, dtype=bool)
-        replicas: list[set[int] | None] = [None] * model.n_servers
-        result_arenas: list[ShmArena] = []
-        for r in results:
-            arena = r.load_shm()
-            if arena is not None:
-                arena.unlink()  # name gone now; memory lives until close
-                result_arenas.append(arena)
-                pickle_bytes_avoided += float(arena.nbytes)
-            comp_part[r.comp_partition_idx] = True
-            opt_part[r.opt_partition_idx] = True
-            comp_fin[r.comp_final_idx] = True
-            opt_fin[r.opt_final_idx] = True
-            indptr = r.replica_indptr
-            objs = r.replica_objects
-            for li, gi in enumerate(r.server_ids):
-                replicas[gi] = set(
-                    objs[int(indptr[li]) : int(indptr[li + 1])].tolist()
-                )
-            r.release_arrays()
-        for arena in result_arenas:
-            arena.close()
-        assert all(r is not None for r in replicas), "shard plan missed a server"
+    ne_c = len(model.comp_objects)
+    ne_o = len(model.opt_objects)
+    comp_part = np.zeros(ne_c, dtype=bool)
+    opt_part = np.zeros(ne_o, dtype=bool)
+    comp_fin = np.zeros(ne_c, dtype=bool)
+    opt_fin = np.zeros(ne_o, dtype=bool)
+    replicas: list[set[int] | None] = [None] * model.n_servers
+    for r in results:
+        comp_part[r.comp_partition_idx] = True
+        opt_part[r.opt_partition_idx] = True
+        comp_fin[r.comp_final_idx] = True
+        opt_fin[r.opt_final_idx] = True
+        indptr = r.replica_indptr
+        objs = r.replica_objects
+        for li, gi in enumerate(r.server_ids):
+            replicas[gi] = set(objs[int(indptr[li]) : int(indptr[li + 1])].tolist())
+    assert all(r is not None for r in replicas), "shard plan missed a server"
 
-        unconstrained_d = cost.D(Allocation(model, comp_part, opt_part))
-        phases: list[str] = ["partition"]
+    phases: list[str] = ["partition"]
+    # Stats merge in global server order — the reference loop's
+    # accumulation sequence, so float partial sums match bitwise.
+    storage_stats = StorageRestorationStats()
+    if any(r.storage_ran for r in results):
+        phases.append("storage-restoration")
+        by_server = {i: s for r in results for i, s in r.storage_stats}
+        for i in sorted(by_server):
+            storage_stats.merge(by_server[i])
 
-        # Stats merge in global server order — the reference loop's
-        # accumulation sequence, so float partial sums match bitwise.
-        storage_stats = StorageRestorationStats()
-        if any(r.storage_ran for r in results):
-            phases.append("storage-restoration")
-            by_server = {i: s for r in results for i, s in r.storage_stats}
-            for i in sorted(by_server):
-                storage_stats.merge(by_server[i])
-
-        processing_stats = ProcessingRestorationStats()
-        if any(r.processing_ran for r in results):
-            phases.append("processing-restoration")
-            by_server = {i: s for r in results for i, s in r.processing_stats}
-            for i in sorted(by_server):
-                processing_stats.merge(by_server[i])
-
-        alloc = Allocation(model, comp_fin, opt_fin, replicas=replicas)
-        report = evaluate_constraints(alloc)
-
-        # OFF_LOADING's repository-side bookkeeping (NewReq shares, L3
-        # demotion, message counts) negotiates against the *global*
-        # Eq. 9 frontier, so it replays in the parent — but each round's
-        # per-server absorptions are independent, so they scatter back
-        # to the pool.
-        offload_outcome: OffloadOutcome | None = None
-        if not report.repo_ok:
-            scatter = _ShardedScatter(
-                pool, payload, model, opts, groups=groups
-            )
-            with reg.span("off-loading") as sp:
-                spans["off-loading"] = sp
-                offload_outcome = offload_repository(
-                    alloc,
-                    cost,
-                    offload_config or OffloadConfig(),
-                    scatter=scatter,
-                )
-            offload_outcome.round_bytes = list(scatter.rounds_bytes)
-            phases.append("off-loading")
-            report = evaluate_constraints(alloc)
-
-        objective = cost.D(alloc)
+    processing_stats = ProcessingRestorationStats()
+    if any(r.processing_ran for r in results):
+        phases.append("processing-restoration")
+        by_server = {i: s for r in results for i, s in r.processing_stats}
+        for i in sorted(by_server):
+            processing_stats.merge(by_server[i])
 
     phase_seconds: dict[str, float] = {}
     if reg.enabled:
@@ -1396,7 +701,6 @@ def run_sharded_policy(
             reg.gauge(f"shard.{idx}.servers", float(len(r.server_ids)))
             reg.gauge(f"shard.{idx}.pages", float(r.n_pages))
             reg.gauge(f"shard.{idx}.entries", float(r.n_entries))
-            reg.gauge(f"shard.{idx}.context_entries", float(r.n_entries))
             reg.gauge(f"shard.{idx}.seconds", r.seconds)
             if r.snapshot is not None:
                 reg.merge_snapshot(r.snapshot)
@@ -1406,33 +710,19 @@ def run_sharded_policy(
             "shm.bytes_shared",
             float(sum(a.nbytes for a in _PARENT_ARENAS.values())),
         )
-        reg.gauge("shard.pickle_bytes_avoided", pickle_bytes_avoided)
-        # Per-phase wall clock: the slowest shard bounds each fanned-out
-        # phase; the reconcile-side phases time their own spans.
-        for name in ("partition", "storage-restoration", "processing-restoration"):
-            worst = max(
-                (r.phase_seconds.get(name, 0.0) for r in results), default=0.0
+        # The slowest shard bounds each fanned-out phase.
+        for name in phases:
+            phase_seconds[name] = max(
+                r.phase_seconds.get(name, 0.0) for r in results
             )
-            if name in phases or name == "partition":
-                phase_seconds[name] = worst
-        phase_seconds["shard-fanout"] = spans["shard-fanout"].seconds
-        if "off-loading" in spans:
-            phase_seconds["off-loading"] = spans["off-loading"].seconds
-        reg.count("policy.runs")
-        reg.count("policy.kernel.sharded")
-        reg.gauge("policy.objective", objective)
-        reg.gauge("policy.unconstrained_objective", unconstrained_d)
-        reg.gauge("policy.feasible", float(report.ok))
-        reg.gauge("policy.phases_run", float(len(phases)))
+        phase_seconds["shard-fanout"] = fan.seconds
 
-    return PolicyResult(
-        allocation=alloc,
-        objective=objective,
-        constraints=report,
+    return ShardFanout(
+        allocation=Allocation(model, comp_fin, opt_fin, replicas=replicas),
+        comp_partition=comp_part,
+        opt_partition=opt_part,
         storage_stats=storage_stats,
         processing_stats=processing_stats,
-        offload_outcome=offload_outcome,
-        unconstrained_objective=unconstrained_d,
-        phases_run=phases,
+        phases=phases,
         phase_seconds=phase_seconds,
     )

@@ -1,21 +1,18 @@
-"""Shared-memory arena for zero-copy model/result shipping.
+"""Shared-memory arena for zero-copy model shipping.
 
-The sharded kernel (:mod:`repro.core.shard`) moves two kinds of bulk
-array data between the parent and its worker processes:
-
-* the model's **immutable flat columns** (``MODEL_COLUMN_FIELDS`` of
-  :mod:`repro.core.types`) — identical for every worker and every run
-  over the same model, yet previously re-pickled per run and
-  re-unpickled per worker;
-* each shard's **result arrays** (mark-index frontiers, replica lists)
-  — produced once in a worker and read exactly once by the parent's
-  reconcile.
+The sharded fan-out (:mod:`repro.core.shard`) ships the model's
+**immutable flat columns** (``MODEL_COLUMN_FIELDS`` of
+:mod:`repro.core.types`) to its worker processes.  They are identical
+for every worker and every run over the same model, so pickling them
+per run and unpickling them per worker would be wasted work.
 
 :class:`ShmArena` packs a ``{name: ndarray}`` mapping into **one**
 ``multiprocessing.shared_memory`` segment with an 64-byte-aligned
-layout, and re-exposes the arrays as zero-copy views on attach.  The
-picklable :attr:`ShmArena.handle` (segment name + layout) is all that
-crosses the process boundary.
+layout, and re-exposes the arrays as zero-copy read-only views on
+attach.  The picklable :attr:`ShmArena.handle` (segment name + layout)
+is all that crosses the process boundary.  Where
+:func:`shm_available` is false the sharded fan-out pickles the model
+instead.
 
 Lifecycle (and the CPython < 3.13 resource-tracker pitfall)
 -----------------------------------------------------------
@@ -31,12 +28,10 @@ cannot be controlled, the arena takes the tracker out of the picture
 entirely: **every** create and attach unregisters immediately, and
 :meth:`unlink` re-registers just before unlinking so the library's own
 unregister-on-unlink finds the name (no tracker KeyError noise).
-Cleanup is therefore explicit — the designated *owner* process must
-call :meth:`unlink`/:meth:`destroy` (the sharded kernel does so after
-reconcile and from its ``atexit`` pool shutdown).  Ownership follows
-the reader for result arenas (worker creates, parent owns and unlinks
-after reading) and the writer for model arenas (parent creates and
-owns, workers only attach).
+Cleanup is therefore explicit — the creating (*owner*) process must
+call :meth:`unlink`/:meth:`destroy` (the sharded kernel's parent owns
+its model arenas and destroys them on LRU eviction and from its
+``atexit`` pool shutdown; workers only attach).
 
 Callers must drop every view before :meth:`close`.  Depending on the
 platform's buffer accounting, closing with live views either raises
@@ -44,11 +39,11 @@ platform's buffer accounting, closing with live views either raises
 returns ``False`` and the mapping stays pinned until the views die) or
 succeeds and leaves the views **dangling** (reads segfault) — CPython
 3.11 + NumPy on Linux does the latter, because NumPy's buffer export
-lands on the memoryview chain rather than the ``mmap``.  The consumers
-in :mod:`repro.core.shard` therefore always null their array
-references before closing.  Once the owner has unlinked, the segment's
-memory is reclaimed when the last mapping goes away (at process exit
-at the latest).
+lands on the memoryview chain rather than the ``mmap``.  The worker
+model cache in :mod:`repro.core.shard` therefore closes an arena only
+once the model viewing it is unreachable.  Once the owner has unlinked,
+the segment's memory is reclaimed when the last mapping goes away (at
+process exit at the latest).
 
 This module sits below the core layer proper: it imports nothing above
 ``util`` (enforced by ``scripts/check_layering.py``), so any layer —
@@ -58,22 +53,13 @@ kernels in.
 
 from __future__ import annotations
 
-import os
 from typing import Mapping
 
 import numpy as np
 
-__all__ = ["ShmArena", "shm_available", "resolve_shm", "ENV_FLAG"]
-
-#: Environment flag gating shared-memory transport: ``0/false/no/off``
-#: forces the pickle fallback, ``1/true/yes/on`` requests shm (still
-#: subject to availability), unset means "use it when available".
-ENV_FLAG = "REPRO_SHM"
+__all__ = ["ShmArena", "shm_available"]
 
 _ALIGN = 64
-
-_TRUE = frozenset({"1", "true", "yes", "on"})
-_FALSE = frozenset({"0", "false", "no", "off"})
 
 
 def shm_available() -> bool:
@@ -83,32 +69,6 @@ def shm_available() -> bool:
     except Exception:  # pragma: no cover - platform without shm
         return False
     return hasattr(shared_memory, "SharedMemory")
-
-
-def resolve_shm(flag: bool | None = None) -> bool:
-    """Resolve the shm on/off decision: explicit → ``REPRO_SHM`` → probe.
-
-    An explicit ``flag`` wins; otherwise the :data:`ENV_FLAG`
-    environment variable decides (malformed values raise
-    :class:`ValueError` naming the variable); otherwise shm is used
-    whenever the platform provides it.  A ``True`` from any source is
-    still conditioned on :func:`shm_available` — callers always get a
-    decision they can act on, with the pickle path as the fallback.
-    """
-    if flag is not None:
-        return bool(flag) and shm_available()
-    raw = os.environ.get(ENV_FLAG)
-    if raw is not None:
-        value = raw.strip().lower()
-        if value in _FALSE:
-            return False
-        if value in _TRUE:
-            return shm_available()
-        raise ValueError(
-            f"{ENV_FLAG} must be one of "
-            f"{'/'.join(sorted(_TRUE | _FALSE))}, got {raw!r}"
-        )
-    return shm_available()
 
 
 def _untrack(shm) -> None:
@@ -143,14 +103,14 @@ class ShmArena:
 
     Construct with :meth:`create` (allocates + copies) or
     :meth:`attach` (maps an existing segment from its picklable
-    :attr:`handle`).  Exactly one process should hold ``owner=True``
-    and eventually call :meth:`unlink` (or :meth:`destroy`).
+    :attr:`handle`).  The creating process owns the segment and must
+    eventually call :meth:`unlink` (or :meth:`destroy`); attaching
+    processes only :meth:`close`.
     """
 
-    def __init__(self, shm, layout: dict, owner: bool):
+    def __init__(self, shm, layout: dict):
         self._shm = shm
         self._layout = layout
-        self._owner = owner
         self._closed = False
         self._unlinked = False
 
@@ -158,14 +118,11 @@ class ShmArena:
     # construction
     # ------------------------------------------------------------------
     @classmethod
-    def create(
-        cls, arrays: Mapping[str, np.ndarray], owner: bool = True
-    ) -> "ShmArena":
+    def create(cls, arrays: Mapping[str, np.ndarray]) -> "ShmArena":
         """Allocate a segment holding copies of ``arrays``.
 
-        ``owner`` records lifecycle responsibility: the owning process
-        must eventually :meth:`unlink`.  Tracker registration is dropped
-        either way (see the module docstring).
+        The caller owns the segment and must eventually :meth:`unlink`
+        it; tracker registration is dropped (see the module docstring).
         """
         from multiprocessing import shared_memory
 
@@ -183,21 +140,16 @@ class ShmArena:
         for a, off in staged:
             dst = np.ndarray(a.shape, dtype=a.dtype, buffer=shm.buf, offset=off)
             dst[...] = a
-        return cls(shm, layout, owner=owner)
+        return cls(shm, layout)
 
     @classmethod
-    def attach(cls, handle: dict, owner: bool = False) -> "ShmArena":
-        """Map an existing segment from a :attr:`handle`.
-
-        ``owner=True`` adopts lifecycle responsibility — this process
-        must eventually :meth:`unlink` (the protocol for worker-created
-        result arenas read once by the parent).
-        """
+    def attach(cls, handle: dict) -> "ShmArena":
+        """Map an existing segment from a :attr:`handle` (read side)."""
         from multiprocessing import shared_memory
 
         shm = shared_memory.SharedMemory(name=handle["name"])
         _untrack(shm)
-        return cls(shm, dict(handle["layout"]), owner=owner)
+        return cls(shm, dict(handle["layout"]))
 
     # ------------------------------------------------------------------
     # access
@@ -216,41 +168,18 @@ class ShmArena:
         """The packed array names."""
         return self._layout.keys()
 
-    def get(self, name: str, writeable: bool = False) -> np.ndarray:
-        """Zero-copy view of one packed array (read-only by default)."""
+    def get(self, name: str) -> np.ndarray:
+        """Zero-copy read-only view of one packed array."""
         offset, dtype, shape = self._layout[name]
         view = np.ndarray(
             shape, dtype=np.dtype(dtype), buffer=self._shm.buf, offset=offset
         )
-        view.flags.writeable = writeable
+        view.flags.writeable = False
         return view
 
-    def arrays(self, writeable: bool = False) -> dict[str, np.ndarray]:
-        """All packed arrays as views, keyed by name."""
-        return {name: self.get(name, writeable) for name in self._layout}
-
-    def put(self, name: str, values: np.ndarray) -> None:
-        """Overwrite one packed array in place (shape/dtype must match).
-
-        This is the parent's write half of the mark-frontier protocol
-        (DESIGN.md Appendix I): the owner updates the shared copy
-        between rounds while workers hold read-only attachments, so a
-        frontier resync ships only the segment *handle*.  No
-        synchronisation is provided — callers must not write while a
-        reader is mid-read (the sharded scatter writes strictly between
-        round submissions).
-        """
-        offset, dtype, shape = self._layout[name]
-        arr = np.asarray(values)
-        if arr.shape != tuple(shape) or arr.dtype != np.dtype(dtype):
-            raise ValueError(
-                f"put({name!r}): expected {shape} {dtype}, "
-                f"got {arr.shape} {arr.dtype.str}"
-            )
-        dst = np.ndarray(
-            shape, dtype=np.dtype(dtype), buffer=self._shm.buf, offset=offset
-        )
-        dst[...] = arr
+    def arrays(self) -> dict[str, np.ndarray]:
+        """All packed arrays as read-only views, keyed by name."""
+        return {name: self.get(name) for name in self._layout}
 
     # ------------------------------------------------------------------
     # lifecycle

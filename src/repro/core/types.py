@@ -771,7 +771,7 @@ def restrict_to_servers(
     back to the parent without translation.
 
     Order preservation is what makes shard-local computation
-    bit-identical to masked global computation (DESIGN.md Appendix H):
+    bit-identical to masked global computation (DESIGN.md Appendix F):
     ascending local ids enumerate the same pages/entries in the same
     relative order as ascending global ids, and ``comp_sorted`` is
     *filtered* from the parent's permutation rather than re-sorted, so
@@ -858,34 +858,3 @@ def restrict_to_servers(
         "opt_entries": opt_sel,
     }
     return sub, maps
-
-
-def pack_replicas(
-    replicas: Sequence[set[int]],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pack per-server replica sets into a CSR pair.
-
-    Returns ``(objects, indptr)`` where ``objects`` concatenates each
-    server's replica object ids in ascending order and ``indptr`` holds
-    the per-server bounds (``len(replicas) + 1`` entries).  The sorted
-    packing makes the encoding canonical: equal replica state always
-    produces byte-equal arrays, which keeps delta/frontier payloads
-    deterministic across processes.
-    """
-    indptr = np.zeros(len(replicas) + 1, dtype=np.int64)
-    for li, objs in enumerate(replicas):
-        indptr[li + 1] = indptr[li] + len(objs)
-    objects = np.zeros(int(indptr[-1]), dtype=np.int64)
-    for li, objs in enumerate(replicas):
-        objects[indptr[li] : indptr[li + 1]] = sorted(objs)
-    return objects, indptr
-
-
-def unpack_replicas(
-    objects: np.ndarray, indptr: np.ndarray
-) -> list[set[int]]:
-    """Invert :func:`pack_replicas` back into per-server sets."""
-    return [
-        set(int(o) for o in objects[indptr[li] : indptr[li + 1]])
-        for li in range(len(indptr) - 1)
-    ]

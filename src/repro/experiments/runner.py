@@ -76,9 +76,10 @@ class ExperimentConfig:
     """Actual-vs-estimated deviation model."""
     kernel: str = "batched"
     """Policy kernel (``"batched"`` | ``"sharded"``); both bit-identical —
-    the sharded path fans per-server shards over worker processes (shard
-    count from ``REPRO_SHARDS``, see :mod:`repro.core.shard`) running the
-    batched engine of every phase."""
+    the sharded path fans PARTITION and both restorations out as
+    per-server shards over worker processes (shard count from
+    ``REPRO_SHARDS``, see :mod:`repro.core.shard`) running the batched
+    engines, then runs OFF_LOADING in the parent."""
     jobs: int = 1
     """Worker processes for the sweep executor (1 = serial; results are
     bit-identical either way — see :mod:`repro.experiments.executor`)."""

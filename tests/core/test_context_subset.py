@@ -179,8 +179,8 @@ class TestForServers:
         assert a is not b
 
     def test_single_server_entry_order_matches_argsort_grouping(self, model):
-        """The scatter relies on it: a one-server restriction's global
-        entry map equals the server's ascending flat entry ids."""
+        """Restriction preserves entry order: a one-server restriction's
+        global entry map equals the server's ascending flat entry ids."""
         full = EvalContext.for_model(model)
         for i in range(model.n_servers):
             ctx = EvalContext.for_servers(model, (i,))

@@ -27,7 +27,7 @@ _STREAM_ATTRS = {"n_streams", "n_rem", "k"}
 GUARDS = {
     ("offload.py", "_require_two_streams"),
     ("fast_restoration.py", "absorb_extra_workload_batched"),
-    ("shard.py", "run_sharded_policy"),
+    ("shard.py", "run_shard_fanout"),
 }
 
 

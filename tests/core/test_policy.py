@@ -9,6 +9,7 @@ import pytest
 from repro.core.cost_model import CostModel
 from repro.core.partition import partition_all
 from repro.core.policy import RepositoryReplicationPolicy
+from repro.core.shard import InlineShardPool, run_shard_fanout
 from tests.conftest import build_micro_model
 
 
@@ -97,19 +98,43 @@ class TestKernelValidation:
 
     @pytest.mark.parametrize("name", ["Sharded", " sharded"])
     def test_spelling_variants_dispatch_sharded(self, micro_model, name):
-        policy = RepositoryReplicationPolicy(kernel=name)
+        policy = RepositoryReplicationPolicy(kernel=name, pool=InlineShardPool())
         assert policy.kernel == "sharded"
-        sentinel = object()
         with mock.patch(
-            "repro.core.shard.run_sharded_policy", return_value=sentinel
-        ) as sharded:
-            assert policy.run(micro_model) is sentinel
-        sharded.assert_called_once()
+            "repro.core.shard.run_shard_fanout", wraps=run_shard_fanout
+        ) as fanout:
+            result = policy.run(micro_model)
+        fanout.assert_called_once()
+        assert result.objective == RepositoryReplicationPolicy().run(
+            micro_model
+        ).objective
 
     @pytest.mark.parametrize("name", ["bogus", "scalar"])
     def test_unknown_kernel_rejected_at_construction(self, name):
         with pytest.raises(ValueError, match=r"batched\|sharded"):
             RepositoryReplicationPolicy(kernel=name)
+
+
+class TestShardValidation:
+    """An explicit shard count is checked on construction, whatever the
+    kernel; the bound against the model's server count waits for run."""
+
+    @pytest.mark.parametrize("kernel", ["batched", "sharded"])
+    @pytest.mark.parametrize("shards", [0, -1, -3, 2.5, True, "2"])
+    def test_invalid_shards_rejected_at_construction(self, kernel, shards):
+        with pytest.raises(ValueError, match="shards"):
+            RepositoryReplicationPolicy(kernel=kernel, shards=shards)
+
+    def test_valid_shards_kept_as_given(self):
+        assert RepositoryReplicationPolicy(shards=3).shards == 3
+        assert RepositoryReplicationPolicy().shards is None
+
+    def test_more_shards_than_servers_rejected_at_run(self, micro_model):
+        policy = RepositoryReplicationPolicy(
+            kernel="sharded", shards=5, pool=InlineShardPool()
+        )
+        with pytest.raises(ValueError, match="server count"):
+            policy.run(micro_model)
 
 
 class TestOnGenerated:

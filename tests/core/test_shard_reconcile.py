@@ -11,14 +11,11 @@ sharded kernel must survive:
   its Eq. 10 capacity, another just below, in different groups),
 * invalid shard counts (``shards > n_servers``, non-positive) raising
   validated errors,
-* one **real subprocess** identity run, so the pickle → worker →
-  reconcile path is covered outside the inline pool,
-* the **delta-round scatter** (worker-resident shard state, batched
-  absorptions, epoch/resync protocol, shm mark frontier) driven
-  deterministically — steady-state batching, forced resyncs, the
-  full-state baseline mode, and frontier lifecycle,
-* **fan-out failure** cleanup: a dying shard must not strand the
-  surviving shards' ``/dev/shm`` result segments.
+* **real subprocess** identity runs, so the ship → worker → merge path
+  is covered outside the inline pool, over both model transports and
+  with OFF_LOADING running in the parent after the merge,
+* **fan-out failure** cleanup: a dying shard must not strand a
+  ``/dev/shm`` segment.
 """
 
 from __future__ import annotations
@@ -26,32 +23,25 @@ from __future__ import annotations
 import math
 import os
 import pathlib
-from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
-from repro.core.constraints import repository_load
-from repro.core.cost_model import CostModel
-from repro.core.offload import OffloadConfig, offload_repository
+import repro.core.shard as shard_mod
 from repro.core.partition import partition_all
 from repro.core.policy import RepositoryReplicationPolicy
 from repro.core.shard import (
     InlineShardPool,
-    _gather_shard_results,
     _Lru,
     _model_digest,
     _run_shard,
-    _shard_pipeline,
-    _ShardedScatter,
-    _ShardOptions,
     default_pool,
     plan_shards,
     resolve_shards,
-    run_sharded_policy,
+    run_shard_fanout,
     shutdown_shard_pool,
 )
-from repro.core.shm import ShmArena, shm_available
+from repro.core.shm import shm_available
 from repro.core.types import (
     ObjectSpec,
     PageSpec,
@@ -210,7 +200,7 @@ class TestInvalidShardCounts:
         with pytest.raises(ValueError, match="server count"):
             resolve_shards(3, n_servers=2)
         with pytest.raises(ValueError, match="server count"):
-            run_sharded_policy(model, shards=5, pool=InlineShardPool())
+            run_shard_fanout(model, shards=5, pool=InlineShardPool())
 
     def test_non_positive_rejected(self):
         model = build_micro_model()
@@ -331,12 +321,21 @@ def _offload_constrained_model():
     )
 
 
+def _run_sharded(model, pool=None):
+    return RepositoryReplicationPolicy(
+        kernel="sharded", shards=2, pool=pool
+    ).run(model)
+
+
 class TestRealProcessPool:
     @pytest.mark.parametrize("shm", [True, False])
-    def test_subprocess_identity_small_scale(self, shm):
+    def test_subprocess_identity_small_scale(self, shm, monkeypatch):
         """One real fork round trip per transport: both the shm column
-        arena and the pickle fallback must reconcile to the batched
+        arena and the pickle fallback must merge to the batched
         kernel's exact result."""
+        if shm and not shm_available():
+            pytest.skip("no usable shared memory on this platform")
+        monkeypatch.setattr(shard_mod, "shm_available", lambda: shm)
         model = generate_workload(WorkloadParams.small(), seed=11)
         ref = partition_all(model)
         m2 = clone_with_capacities(
@@ -345,165 +344,24 @@ class TestRealProcessPool:
         )
         batched = RepositoryReplicationPolicy().run(m2)
         try:
-            sharded = run_sharded_policy(m2, shards=2, shm=shm)
+            sharded = _run_sharded(m2)
         finally:
             shutdown_shard_pool()
         _assert_identical(sharded, batched)
 
     def test_subprocess_offload_scatter_identity(self):
-        """Constrain the repository so OFF_LOADING runs: the per-round
-        absorptions scatter to real worker processes (delta rounds over
-        worker-resident state, residency seeded by the fan-out) and the
-        gathered outcome must match the serial reference bit for bit."""
+        """Constrain the repository so OFF_LOADING runs: the fan-out
+        merges real worker frontiers, the parent negotiates Eq. 9 on
+        the merged allocation, and the outcome must match the batched
+        kernel bit for bit."""
         m2 = _offload_constrained_model()
         batched = RepositoryReplicationPolicy().run(m2)
         assert "off-loading" in batched.phases_run
         try:
-            sharded = run_sharded_policy(m2, shards=2, shm=True)
+            sharded = _run_sharded(m2)
         finally:
             shutdown_shard_pool()
         _assert_identical(sharded, batched)
-
-    def test_subprocess_delta_rounds_forced_resync_identity(self, monkeypatch):
-        """``REPRO_OFFLOAD_RESYNC_EVERY=2`` interleaves resident fast
-        paths with full epoch resyncs on a real pool — the recovery
-        path must be bit-identical, not just the steady state."""
-        monkeypatch.setenv("REPRO_OFFLOAD_RESYNC_EVERY", "2")
-        m2 = _offload_constrained_model()
-        batched = RepositoryReplicationPolicy().run(m2)
-        assert "off-loading" in batched.phases_run
-        try:
-            sharded = run_sharded_policy(m2, shards=2, shm=True)
-        finally:
-            shutdown_shard_pool()
-        _assert_identical(sharded, batched)
-
-
-# ----------------------------------------------------------------------
-# delta-round scatter: batching, epochs, resyncs, frontier lifecycle
-# ----------------------------------------------------------------------
-def _tiny_offload_case(seed: int = 7):
-    """A tiny model plus a repository capacity that forces off-loading."""
-    model = generate_workload(WorkloadParams.tiny(), seed=seed)
-    base = partition_all(model, optional_policy="none")
-    before = repository_load(base)
-    assert before > 0, "seed must produce repository load to off-load"
-    return model, max(0.3 * before, 1e-6)
-
-
-def _scatter_offload_arms(model, capacity, opts=None, **scatter_kwargs):
-    """Serial vs scatter-driven OFF_LOADING; asserts identity, returns
-    the scatter so callers can inspect its protocol counters."""
-    cost = CostModel(model)
-    serial_alloc = partition_all(model, optional_policy="none")
-    serial_out = offload_repository(
-        serial_alloc, cost, OffloadConfig(), capacity=capacity
-    )
-    if opts is None:
-        opts = _ShardOptions(
-            alpha1=2.0, alpha2=1.0, optional_policy="none", record=False
-        )
-    par_alloc = partition_all(model, optional_policy="none")
-    scatter = _ShardedScatter(
-        InlineShardPool(), ("model", model), model, opts, **scatter_kwargs
-    )
-    par_out = offload_repository(
-        par_alloc, cost, OffloadConfig(), capacity=capacity, scatter=scatter
-    )
-    assert np.array_equal(serial_alloc.comp_local, par_alloc.comp_local)
-    assert np.array_equal(serial_alloc.opt_local, par_alloc.opt_local)
-    for i in range(model.n_servers):
-        assert serial_alloc.replicas[i] == par_alloc.replicas[i]
-    assert serial_out == par_out
-    par_alloc.check_invariants()
-    return scatter
-
-
-class TestDeltaRoundScatter:
-    def test_delta_scatter_one_submission_per_shard_per_round(
-        self, monkeypatch
-    ):
-        """Steady state: each shard syncs exactly once (its first batch,
-        lazily — no fan-out seeded residency here), then rides the
-        resident fast path; submissions equal processed batches (no
-        hidden two-phase resubmits)."""
-        monkeypatch.delenv("REPRO_OFFLOAD_RESYNC_EVERY", raising=False)
-        model, capacity = _tiny_offload_case()
-        groups = plan_shards(model, min(2, model.n_servers))
-        scatter = _scatter_offload_arms(model, capacity, groups=groups)
-        assert scatter._submissions == sum(scatter._batches)
-        assert len(scatter.rounds_bytes) >= 1
-        for g, batches in enumerate(scatter._batches):
-            assert scatter._resyncs[g] == (1 if batches else 0)
-        for rec in scatter.rounds_bytes:
-            assert rec["delta_bytes"] >= 0.0
-            assert rec["full_bytes"] >= 0.0
-
-    def test_delta_scatter_forced_resync_identity(self):
-        """``resync_every=1``: every batch re-ships full shard state —
-        transport only; decisions stay bit-identical."""
-        model, capacity = _tiny_offload_case()
-        scatter = _scatter_offload_arms(model, capacity, resync_every=1)
-        for g, batches in enumerate(scatter._batches):
-            assert scatter._resyncs[g] == batches
-
-    def test_full_sync_mode_scatter_identity(self):
-        """``sync_mode="full"`` is the pre-resident baseline the byte
-        accounting measures against — still bit-identical."""
-        model, capacity = _tiny_offload_case()
-        scatter = _scatter_offload_arms(model, capacity, sync_mode="full")
-        for g, batches in enumerate(scatter._batches):
-            assert scatter._resyncs[g] == batches
-
-    def test_invalid_sync_mode_rejected(self):
-        model, _ = _tiny_offload_case()
-        opts = _ShardOptions(
-            alpha1=2.0, alpha2=1.0, optional_policy="none", record=False
-        )
-        with pytest.raises(ValueError, match="sync_mode"):
-            _ShardedScatter(
-                InlineShardPool(), ("model", model), model, opts,
-                sync_mode="bogus",
-            )
-
-    def test_delta_scatter_frontier_lifecycle(self):
-        """shm mark frontier: syncs read marks from the parent-owned
-        segment instead of shipping them, and ``finish`` destroys the
-        segment on every exit path (no ``/dev/shm`` leak)."""
-        if not shm_available():
-            pytest.skip("no usable shared memory on this platform")
-        model, capacity = _tiny_offload_case()
-        opts = _ShardOptions(
-            alpha1=2.0, alpha2=1.0, optional_policy="none", record=False,
-            use_shm=True,
-        )
-        cost = CostModel(model)
-        serial_alloc = partition_all(model, optional_policy="none")
-        serial_out = offload_repository(
-            serial_alloc, cost, OffloadConfig(), capacity=capacity
-        )
-        par_alloc = partition_all(model, optional_policy="none")
-        scatter = _ShardedScatter(
-            InlineShardPool(), ("model", model), model, opts
-        )
-        scatter.begin(par_alloc)
-        assert scatter._frontier is not None
-        handle = dict(scatter._frontier.handle)
-        par_out = offload_repository(
-            par_alloc, cost, OffloadConfig(), capacity=capacity,
-            scatter=scatter,
-        )
-        assert serial_out == par_out
-        assert np.array_equal(serial_alloc.comp_local, par_alloc.comp_local)
-        assert np.array_equal(serial_alloc.opt_local, par_alloc.opt_local)
-        for i in range(model.n_servers):
-            assert serial_alloc.replicas[i] == par_alloc.replicas[i]
-        # every sync was a frontier read, not a mark ship
-        assert scatter._frontier_reads == sum(scatter._resyncs) > 0
-        # offload_repository's finally ran finish(): segment gone
-        assert scatter._frontier is None
-        with pytest.raises(FileNotFoundError):
-            ShmArena.attach(handle)
 
 
 # ----------------------------------------------------------------------
@@ -514,49 +372,23 @@ def _boom_run_shard(*_args, **_kwargs):
 
 
 class _PoisonedFanoutPool:
-    """Delegates to a real pool but fails one shard's fan-out task."""
+    """Delegates to a real pool but fails the n-th shard's fan-out task."""
 
     def __init__(self, inner, poison_idx: int):
         self._inner = inner
         self._poison = poison_idx
-
-    def submit_to(self, idx, fn, /, *args, **kwargs):
-        if idx == self._poison and fn is _run_shard:
-            return self._inner.submit_to(idx, _boom_run_shard)
-        return self._inner.submit_to(idx, fn, *args, **kwargs)
+        self._shards_seen = 0
 
     def submit(self, fn, /, *args, **kwargs):
+        if fn is _run_shard:
+            idx = self._shards_seen
+            self._shards_seen += 1
+            if idx == self._poison:
+                return self._inner.submit(_boom_run_shard)
         return self._inner.submit(fn, *args, **kwargs)
 
 
 class TestFanoutFailureCleanup:
-    def test_gather_failure_destroys_result_arenas(self):
-        """A failed shard must not strand the successful shards' shm
-        result segments: the gather adopts and destroys them before
-        re-raising the first failure."""
-        if not shm_available():
-            pytest.skip("no usable shared memory on this platform")
-        model = generate_workload(WorkloadParams.tiny(), seed=3)
-        opts = _ShardOptions(
-            alpha1=2.0, alpha2=1.0, optional_policy="all", record=False,
-            use_shm=True,
-        )
-        groups = plan_shards(model, 2)
-        result, _ctx, _cost, _alloc = _shard_pipeline(model, groups[0], opts)
-        result.ship_shm()
-        handle = dict(result.shm_handle)
-        ok: Future = Future()
-        ok.set_result(result)
-        bad: Future = Future()
-        bad.set_exception(RuntimeError("shard worker boom"))
-        with pytest.raises(RuntimeError, match="boom"):
-            _gather_shard_results([ok, bad])
-        with pytest.raises(FileNotFoundError):
-            ShmArena.attach(handle)
-        # views were released before the arena closed (no dangling refs)
-        assert result.comp_final_idx is None
-        assert result.replica_objects is None
-
     def test_fanout_failure_leaves_no_shm_segments(self):
         """End to end: kill one shard of a real-pool run mid-fan-out and
         diff ``/dev/shm`` — after the failure propagates and the pool
@@ -569,7 +401,7 @@ class TestFanoutFailureCleanup:
         pool = _PoisonedFanoutPool(default_pool(2), poison_idx=1)
         try:
             with pytest.raises(RuntimeError, match="boom"):
-                run_sharded_policy(m2, shards=2, pool=pool, shm=True)
+                _run_sharded(m2, pool=pool)
         finally:
             shutdown_shard_pool()
         leaked = set(os.listdir(shm_dir)) - before

@@ -20,7 +20,7 @@ from repro.core.context import is_frequency_clone
 from repro.core.cost_model import CostModel
 from repro.core.partition import partition_all
 from repro.core.policy import RepositoryReplicationPolicy
-from repro.core.shard import run_sharded_policy
+from repro.core.shard import run_shard_fanout
 from repro.core.types import resolve_streams
 from repro.dynamic.drift import replace_frequencies
 from repro.dynamic.incremental import IncrementalReplanner
@@ -200,7 +200,7 @@ class TestK2OnlyGuards:
     def test_sharded_kernel_rejects_mesh(self):
         model = generate_workload(_mesh_params(3), seed=5)
         with pytest.raises(NotImplementedError, match="k=2"):
-            run_sharded_policy(model)
+            run_shard_fanout(model)
 
     def test_offload_absorption_rejects_mesh(self):
         from repro.core.offload import absorb_extra_workload

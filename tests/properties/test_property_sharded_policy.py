@@ -21,21 +21,13 @@ process forks.  (Real-subprocess identity is covered once, at fixed
 scale, by ``tests/core/test_shard_reconcile.py`` and the benchmark's
 identity assertion.)
 
-Two sub-contracts get their own differential properties on top of the
+One sub-contract gets its own differential property on top of the
 end-to-end runs: the **shard-local context build** (PARTITION and
 optional marking over a :func:`~repro.core.context.EvalContext.for_servers`
 restriction must map back through the global entry maps to the masked
-full-model computation, for *any* server subset) and the
-**scatter/gather OFF_LOADING split** (``offload_repository`` driven by
-the process-parallel :class:`~repro.core.shard._ShardedScatter` must
-leave the allocation and outcome bit-identical to the serial default).
-
-A third property pins the **delta-round wire protocol** itself: random
-off-loading sequences replayed through worker-resident delta shipping —
-with resyncs randomly forced every 1-3 batches — and through the
-full-state-per-batch baseline (``sync_mode="full"``) must land on the
-same marks, replica sets, achieved loads and outcome as the serial
-reference, for any shard plan the planner can produce.
+full-model computation, for *any* server subset).  OFF_LOADING needs
+none: it runs once, in the parent, on the merged allocation, through
+the same code the batched kernel runs.
 """
 
 from __future__ import annotations
@@ -44,22 +36,14 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.constraints import repository_load
 from repro.core.context import EvalContext
-from repro.core.cost_model import CostModel
 from repro.core.fast_partition import (
     optional_marks_batched,
     partition_pages_batched,
 )
-from repro.core.offload import OffloadConfig, offload_repository
 from repro.core.partition import partition_all
 from repro.core.policy import PolicyResult, RepositoryReplicationPolicy
-from repro.core.shard import (
-    InlineShardPool,
-    _ShardedScatter,
-    _ShardOptions,
-    plan_shards,
-)
+from repro.core.shard import InlineShardPool, plan_shards
 from repro.experiments.scaling import (
     clone_with_capacities,
     processing_capacities_for_fraction,
@@ -131,8 +115,8 @@ def test_sharded_identical_unconstrained(model, data):
 @settings(max_examples=40, deadline=None)
 def test_sharded_identical_constrained(model, sfrac, pfrac, rfrac, data):
     """Randomly tightened storage / processing / repository capacities:
-    the restorations run inside shards, off-loading replays in the
-    parent — decisions, stats and tie-breaks must match the reference."""
+    the restorations run inside shards, off-loading runs in the
+    parent on the merged allocation — decisions, stats and tie-breaks must match the reference."""
     ref = partition_all(model)
     m2 = clone_with_capacities(
         model,
@@ -223,96 +207,3 @@ def test_shard_local_context_matches_masked_full(model, data):
     got_opt = np.zeros(len(model.opt_objects), dtype=bool)
     got_opt[ctx.global_opt_entries[sub_opt]] = True
     np.testing.assert_array_equal(got_opt, full_opt)
-
-
-@given(system_models(max_servers=4, max_pages=10), st.floats(0.05, 0.9))
-@settings(max_examples=25, deadline=None)
-def test_parallel_scatter_matches_serial_offload(model, rfrac):
-    """Scatter/gather OFF_LOADING: ``offload_repository`` driven by the
-    process-parallel scatter (one single-server restricted absorption
-    per addressed server, deltas applied in plan order) must leave the
-    allocation and the outcome bit-identical to the serial default."""
-    serial_alloc = partition_all(model, optional_policy="none")
-    before = repository_load(serial_alloc)
-    if before <= 0:
-        return
-    capacity = max(rfrac * before, 1e-6)
-    cost = CostModel(model)
-    serial_out = offload_repository(
-        serial_alloc, cost, OffloadConfig(), capacity=capacity
-    )
-
-    par_alloc = partition_all(model, optional_policy="none")
-    opts = _ShardOptions(
-        alpha1=2.0, alpha2=1.0, optional_policy="none", record=False
-    )
-    scatter = _ShardedScatter(
-        InlineShardPool(), ("model", model), model, opts
-    )
-    par_out = offload_repository(
-        par_alloc, cost, OffloadConfig(), capacity=capacity, scatter=scatter
-    )
-
-    assert np.array_equal(serial_alloc.comp_local, par_alloc.comp_local)
-    assert np.array_equal(serial_alloc.opt_local, par_alloc.opt_local)
-    for i in range(model.n_servers):
-        assert serial_alloc.replicas[i] == par_alloc.replicas[i]
-    assert serial_out == par_out
-    par_alloc.check_invariants()
-
-
-@given(
-    system_models(max_servers=4, max_pages=10),
-    st.floats(0.05, 0.9),
-    st.data(),
-)
-@settings(max_examples=25, deadline=None)
-def test_delta_rounds_identical_to_full_state_and_serial(model, rfrac, data):
-    """Delta-round wire protocol: random OFF_LOADING sequences replayed
-    through worker-resident delta shipping (resyncs randomly forced
-    every 1-3 batches, or never) and through the full-state-per-batch
-    baseline must both match the serial reference bit for bit — marks,
-    replica sets, achieved loads and outcome — under any shard plan.
-    A resync may only ever change transport cost, never decisions."""
-    serial_alloc = partition_all(model, optional_policy="none")
-    before = repository_load(serial_alloc)
-    if before <= 0:
-        return
-    capacity = max(rfrac * before, 1e-6)
-    cost = CostModel(model)
-    serial_out = offload_repository(
-        serial_alloc, cost, OffloadConfig(), capacity=capacity
-    )
-
-    opts = _ShardOptions(
-        alpha1=2.0, alpha2=1.0, optional_policy="none", record=False
-    )
-    groups = plan_shards(
-        model, data.draw(st.integers(1, model.n_servers), label="shards")
-    )
-    resync_every = data.draw(
-        st.none() | st.integers(1, 3), label="resync every"
-    )
-    arms = {
-        "delta": {"groups": groups, "resync_every": resync_every},
-        "full": {"groups": groups, "sync_mode": "full"},
-    }
-    for label, kwargs in arms.items():
-        alloc = partition_all(model, optional_policy="none")
-        scatter = _ShardedScatter(
-            InlineShardPool(), ("model", model), model, opts, **kwargs
-        )
-        out = offload_repository(
-            alloc, cost, OffloadConfig(), capacity=capacity, scatter=scatter
-        )
-        assert np.array_equal(serial_alloc.comp_local, alloc.comp_local), label
-        assert np.array_equal(serial_alloc.opt_local, alloc.opt_local), label
-        for i in range(model.n_servers):
-            assert serial_alloc.replicas[i] == alloc.replicas[i], label
-        assert out == serial_out, label
-        alloc.check_invariants()
-        # transport accounting: one record per round, both sides finite
-        # and non-negative (the delta side includes sync payloads)
-        for rec in scatter.rounds_bytes:
-            assert rec["delta_bytes"] >= 0.0
-            assert rec["full_bytes"] >= 0.0
