@@ -45,6 +45,18 @@ TRAJECTORY = REPO_ROOT / "BENCH_trajectory.json"
 #: ``headline`` summary so the trajectory diff tracks medians, not noise.
 _NOISE_SUFFIXES = ("_seconds", "_samples", "_times")
 
+#: Fields a record must carry, per ``(scale, bench)``: a paper-scale
+#: end-to-end number means little unless it says whether Eq. 8-10 hold
+#: at exit and how far the repository is from its capacity (Eq. 9).
+REQUIRED_FIELDS = {
+    ("paper", "policy_end_to_end"): (
+        "feasible",
+        "repo_load",
+        "repo_capacity",
+        "repo_slack",
+    ),
+}
+
 
 def _headline(payload: dict) -> dict:
     """Scalar summary of one bench payload (see module docstring)."""
@@ -63,7 +75,8 @@ def collect(out_dir: pathlib.Path = OUT_DIR, strict: bool = False) -> dict:
     ``strict`` turns a malformed timing file from a skip-with-warning
     into a hard :class:`ValueError` — the ``--check`` CI mode uses it so
     a truncated or hand-mangled bench record fails the gate instead of
-    silently dropping out of the trajectory.
+    silently dropping out of the trajectory.  A record missing one of
+    its :data:`REQUIRED_FIELDS` counts as malformed.
     """
     sources: list[str] = []
     scales: dict[str, dict] = {}
@@ -89,6 +102,16 @@ def collect(out_dir: pathlib.Path = OUT_DIR, strict: bool = False) -> dict:
             print(f"collect_bench: skipping malformed {path}: not an object",
                   file=sys.stderr)
             continue
+        missing = [
+            key
+            for key in REQUIRED_FIELDS.get((scale, name), ())
+            if key not in payload
+        ]
+        if missing:
+            message = f"bench record {path} lacks {', '.join(missing)}"
+            if strict:
+                raise ValueError(message)
+            print(f"collect_bench: {message}", file=sys.stderr)
         sources.append(str(path.relative_to(REPO_ROOT)))
         scales.setdefault(scale, {})[name] = {
             "git_sha": payload.get("git_sha"),

@@ -12,7 +12,7 @@ live with the tests as the reference
 decisions bit for bit** — every eviction, switch and absorption happens
 for the same candidate with the same score.
 
-Two pieces make a step cheap:
+Three pieces make a step cheap:
 
 1. **Dirty-set rescoring.**  An action only moves the byte totals of the
    pages it touches, so only candidates with a term on those pages score
@@ -21,10 +21,17 @@ Two pieces make a step cheap:
    one ``np.bincount`` segment sum whose in-order accumulation replays
    the scalar per-candidate ``+=`` fold term for term.
 
-2. **An argmin picker** (:class:`ArgminPicker`).  A score vector aligned
-   with the server's candidates in ascending key order, dead candidates
-   at ``+inf``: ``np.argmin`` returns the first minimum, which is the
+2. **An argmin picker** (:class:`ArgminPicker`).  A score row aligned
+   with a server's candidates in ascending key order, dead candidates
+   at ``+inf``: ``argmin`` returns the first minimum, which is the
    lowest key among the best scores.
+
+3. **Lockstep across servers.**  The two restorations are independent
+   per server, so every violating server is one row of the picker's
+   score matrix: a step takes one action in every row still violating
+   its constraint, and one fused flush rescores all their dirty sets.
+   Python-level steps drop from the sum of the servers' step counts to
+   their maximum.
 
 See DESIGN.md Appendix D for the full argument.
 """
@@ -36,7 +43,7 @@ import numpy as np
 from repro.core.allocation import Allocation
 from repro.core.constraints import local_processing_load, storage_used
 from repro.core.cost_model import CostModel
-from repro.core.partition import partition_page
+from repro.core.partition import _partition_page
 
 __all__ = [
     "ArgminPicker",
@@ -50,38 +57,44 @@ _TOL = 1e-9
 
 
 class ArgminPicker:
-    """Exact argmin over one server's candidates, ties to the lowest key.
+    """Exact argmin per row of candidates, ties to the lowest key.
 
-    ``keys`` lists the candidates in ascending order; every one starts
-    alive at score ``+inf`` until :meth:`set` scores it.  A dead
-    candidate is pinned at ``+inf``, so one ``np.argmin`` over the
-    persistent score vector is one selection — no per-step gather.
-    Keys outside the candidate list map to a trailing sentinel slot that
-    is never alive and never selected.
+    Each row lists its candidates' keys in ascending order (keys are
+    distinct across rows); the rows are padded to one width in a
+    row-major score matrix, every candidate alive at score ``+inf``
+    until :meth:`set` scores it.  A dead candidate or a pad slot is
+    pinned at ``+inf``, so one ``argmin`` per row is one selection — no
+    per-step gather.  Keys outside every row map to a trailing sentinel
+    slot that is never alive and never selected.
     """
 
-    def __init__(self, keys: np.ndarray, n_keys: int):
-        n = len(keys)
-        self.keys = keys
+    def __init__(self, rows: list[np.ndarray], n_keys: int):
+        lens = np.array([len(r) for r in rows], dtype=np.intp)
+        self.width = width = int(lens.max(initial=0))
+        n = len(rows) * width
+        at = _expand(np.arange(len(rows), dtype=np.intp) * width, lens)[0]
+        self.keys = np.full(n + 1, -1, dtype=np.intp)
         self.pos = np.full(n_keys, n, dtype=np.intp)
-        self.pos[keys] = np.arange(n)
-        self._score = np.full(n + 1, np.inf)
         self.alive = np.zeros(n + 1, dtype=bool)
-        self.alive[:n] = True
-        self._view = self._score[:n]
+        if len(at):
+            self.keys[at] = np.concatenate(rows)
+            self.pos[self.keys[at]] = at
+            self.alive[at] = True
+        self._score = np.full(n + 1, np.inf)
+        self._rows = self._score[:n].reshape(len(rows), width)
 
     def live(self, keys: np.ndarray) -> np.ndarray:
         """The members of ``keys`` that are live candidates."""
         return keys[self.alive[self.pos[keys]]]
 
     def live_distinct(self, keys: np.ndarray) -> np.ndarray:
-        """The distinct live candidates among ``keys``, ascending — a
-        mask over the candidate list, cheaper than ``np.unique`` on a
-        long key list full of repeats."""
+        """The distinct live candidates among ``keys``, row after row and
+        ascending within a row — a mask over the candidate slots,
+        cheaper than ``np.unique`` on a long key list full of repeats."""
         hit = np.zeros(len(self.alive), dtype=bool)
         hit[self.pos[keys]] = True
         hit &= self.alive
-        return self.keys[hit[:-1].nonzero()[0]]
+        return self.keys[hit.nonzero()[0]]
 
     def set(self, keys: np.ndarray, scores: np.ndarray) -> None:
         """Install fresh scores for live candidates ``keys``."""
@@ -97,21 +110,33 @@ class ArgminPicker:
         rescores them."""
         self.alive[pos] = True
 
+    def pick_rows(self, rows: list[int]) -> list[tuple[float, int] | None]:
+        """For each of ``rows`` (ascending, distinct): ``(score, key)`` of
+        its live candidate with the lowest ``(score, key)``, or ``None``
+        when none is left — one ``argmin(axis=1)`` over the matrix."""
+        w = self.width
+        if not w:
+            return [None] * len(rows)
+        r = np.asarray(rows, dtype=np.intp)
+        mat = self._rows if len(r) == len(self._rows) else self._rows[r]
+        at = r * w + mat.argmin(axis=1)
+        out: list[tuple[float, int] | None] = []
+        for row, s, p in zip(rows, self._score[at].tolist(), at.tolist()):
+            if s == np.inf:
+                # every live candidate of the row scores +inf (or none is
+                # left): the lowest live key wins, as in the (score, key)
+                # order
+                live = self.alive[row * w : (row + 1) * w].nonzero()[0]
+                if not len(live):
+                    out.append(None)
+                    continue
+                p = row * w + int(live[0])
+            out.append((s, int(self.keys[p])))
+        return out
+
     def pick(self) -> tuple[float, int] | None:
-        """``(score, key)`` of the live candidate with the lowest
-        ``(score, key)``, or ``None`` when none is left."""
-        if not len(self._view):
-            return None
-        i = int(self._view.argmin())
-        s = float(self._view[i])
-        if s == np.inf:
-            # every live candidate scores +inf (or none is left): the
-            # lowest live key wins, as in the scalar (score, key) order
-            live = self.alive[:-1].nonzero()[0]
-            if not len(live):
-                return None
-            i = int(live[0])
-        return s, int(self.keys[i])
+        """:meth:`pick_rows` of a one-row picker."""
+        return self.pick_rows([0])[0]
 
 
 # ----------------------------------------------------------------------
@@ -195,30 +220,63 @@ def _best_stream(ctx, RBs, j: int, size: float) -> int:
     return best
 
 
+def _server_list(servers) -> list[int]:
+    """One server id or an iterable of them, as an ascending list."""
+    return sorted({int(i) for i in np.atleast_1d(np.asarray(servers))})
+
+
+def _finish(out: dict, failed: dict, logs: list, decisions: list | None) -> dict:
+    """Hand the decision logs over server after server and return the
+    per-server stats, or raise the lowest failing server's error — the
+    one an ascending one-server-at-a-time sweep raises first."""
+    from repro.core.restoration import InfeasibleError
+
+    if decisions is not None:
+        for log in logs:
+            decisions.extend(log)
+    if failed:
+        raise InfeasibleError(failed[min(failed)])
+    return out
+
+
+def _grouped(group, servers: list[int]):
+    """Concatenate ``servers``' object-grouped entries (``group`` is the
+    context's :meth:`comp_group` or :meth:`opt_group`).  The start and
+    count tables are flat over ``row * n_objects + k``; each row's
+    starts are offset to its slice of the concatenation."""
+    parts = [group(i) for i in servers]
+    off = np.cumsum([0] + [len(p[0]) for p in parts[:-1]])
+    return (
+        np.concatenate([p[0] for p in parts]),
+        np.concatenate([p[1] + o for p, o in zip(parts, off)]),
+        np.concatenate([p[2] for p in parts]),
+    )
+
+
 # ----------------------------------------------------------------------
 # storage restoration (Eq. 10)
 # ----------------------------------------------------------------------
 class _EvictionScorer:
-    """Bulk eviction-delta evaluation for one server.
+    """Bulk eviction-delta evaluation for a list of servers.
 
-    Precomputes a per-compulsory-entry attribute matrix (one 2-D fancy
-    gather per flush) and per-object CSR group tables so that scoring a
-    set of candidate objects is a single fused Eq. 3-5 pipeline plus one
-    ``np.bincount`` segment sum.  The bincount accumulates weights
-    sequentially in input order — compulsory terms in ascending entry
-    order, then optional terms — replaying the scalar
-    ``_eviction_delta`` ``+=`` fold bit-for-bit.
+    A candidate is the flat key ``row * n_objects + k`` (object ``k`` at
+    the server of row ``row``).  The servers' object-grouped entries are
+    concatenated with flat start/count tables, and a per-compulsory-
+    entry attribute matrix (one 2-D fancy gather per flush) is built
+    over them, so scoring the candidates of every server at once is a
+    single fused Eq. 3-5 pipeline plus one ``np.bincount`` segment sum.
+    The bincount accumulates weights sequentially in input order —
+    each candidate's compulsory terms in ascending entry order, then
+    its optional terms — replaying the scalar ``_eviction_delta``
+    ``+=`` fold bit-for-bit.
     """
 
-    def __init__(self, cost: CostModel, alloc: Allocation, server_id: int):
+    def __init__(self, cost: CostModel, alloc: Allocation, servers: list[int]):
         m = alloc.model
-        self.m = m
         ctx = alloc.ctx
         n_rem = ctx.n_streams - 1
         self.sites = range(1, n_rem)
-        # the per-server object-grouped CSR tables live in the shared
-        # EvalContext (same layout _group_by_object produced per phase)
-        self.ce, self.cstarts, self.ccounts = ctx.comp_group(server_id)
+        self.ce, self.cstarts, self.ccounts = _grouped(ctx.comp_group, servers)
         pg = ctx.comp_pages[self.ce].astype(np.intp)
         self.pg = pg
         # rows: ovhd_l, spb_l, [ovhd_r, spb_r per remote stream],
@@ -235,18 +293,18 @@ class _EvictionScorer:
             ]
         )
         self.attrs = np.vstack(rows)
-        self.oe, self.ostarts, self.ocounts = ctx.opt_group(server_id)
+        self.oe, self.ostarts, self.ocounts = _grouped(ctx.opt_group, servers)
         self.oterm = cost.bulk_optional_entry_delta(self.oe, to_local=False)
-        self.sizes = m.sizes
+        self.sizes = np.tile(m.sizes, len(servers))
 
-    def comp_entries(self, k: int) -> np.ndarray:
-        """This object's compulsory entries on the server (ascending)."""
-        s = self.cstarts[k]
-        return self.ce[s : s + self.ccounts[k]]
+    def comp_entries(self, key: int) -> np.ndarray:
+        """This candidate's compulsory entries on its server (ascending)."""
+        s = self.cstarts[key]
+        return self.ce[s : s + self.ccounts[key]]
 
-    def opt_entries(self, k: int) -> np.ndarray:
-        s = self.ostarts[k]
-        return self.oe[s : s + self.ocounts[k]]
+    def opt_entries(self, key: int) -> np.ndarray:
+        s = self.ostarts[key]
+        return self.oe[s : s + self.ocounts[key]]
 
     def flush(
         self,
@@ -257,7 +315,7 @@ class _EvictionScorer:
         RBs: list[np.ndarray],
         amortise: bool,
     ) -> np.ndarray:
-        """Fresh eviction scores for candidate objects ``cand``.
+        """Fresh eviction scores for candidates ``cand`` (flat keys).
 
         ``RBs[r-1]`` is stream ``r``'s per-page byte totals.  Each
         marked entry is scored as moving to the remote stream that ends
@@ -308,45 +366,56 @@ class _EvictionScorer:
 def restore_storage_batched(
     alloc: Allocation,
     cost: CostModel,
-    server_id: int,
+    servers,
     amortise: bool = True,
     counters: dict | None = None,
     decisions: list | None = None,
-):
-    """Storage restoration (Eq. 10) of one server.
+) -> dict:
+    """Storage restoration (Eq. 10) of ``servers`` (one id or several).
 
-    Evicts, step after step, the replica whose deallocation damages the
-    objective least (per byte when ``amortise``) and re-partitions the
-    pages it leaves, until the server fits.  Flips go through the
-    per-entry setters in the reference loop's order.  ``decisions``,
-    when given, receives one ``(object, score)`` pair per eviction.
+    Each step evicts, in every server still over capacity (one
+    :class:`ArgminPicker` row each), the replica whose deallocation
+    damages the objective least (per byte when ``amortise``) and
+    re-partitions the pages it leaves; one fused flush then rescores
+    every row's dirty candidates.  Servers share no page, replica or
+    byte total, so each one's evictions are those of a run on it alone.
+    Returns each server's stats, ascending.  ``decisions``, when given,
+    receives one ``(object, score)`` pair per eviction, server after
+    server.  An error names the server an ascending sweep would.
     """
     # deferred: restoration imports this module at load
-    from repro.core.restoration import InfeasibleError, StorageRestorationStats
+    from repro.core.restoration import StorageRestorationStats
 
     m = alloc.model
-    stats = StorageRestorationStats()
-    capacity = m.server_storage[server_id]
-    html_bytes = (
-        float(
-            m.html_sizes[
-                np.asarray(m.pages_by_server[server_id], dtype=np.intp)
-            ].sum()
-        )
-        if m.pages_by_server[server_id]
-        else 0.0
-    )
-    used = html_bytes + alloc.stored_bytes(server_id)
-    if used <= capacity + _TOL:
-        return stats
-    if html_bytes > capacity + _TOL:
-        raise InfeasibleError(
-            f"server {server_id}: hosted HTML ({html_bytes:.0f} B) alone "
-            f"exceeds storage capacity ({capacity:.0f} B)"
-        )
-
-    scorer = _EvictionScorer(cost, alloc, server_id)
+    servers = _server_list(servers)
+    out = {i: StorageRestorationStats() for i in servers}
+    failed: dict[int, str] = {}
+    rows: list[int] = []
+    used: list[float] = []
+    cap: list = []
+    for i in servers:
+        capacity = m.server_storage[i]
+        pages = np.asarray(m.pages_by_server[i], dtype=np.intp)
+        html_bytes = float(m.html_sizes[pages].sum()) if len(pages) else 0.0
+        u = html_bytes + alloc.stored_bytes(i)
+        if u <= capacity + _TOL:
+            continue
+        if html_bytes > capacity + _TOL:
+            failed[i] = (
+                f"server {i}: hosted HTML ({html_bytes:.0f} B) alone "
+                f"exceeds storage capacity ({capacity:.0f} B)"
+            )
+            break  # the sweep never reaches a higher server
+        rows.append(i)
+        used.append(u)
+        cap.append(capacity)
+    if not rows:
+        return _finish(out, failed, [], decisions)
+    stats = [out[i] for i in rows]
+    logs: list[list] = [[] for _ in rows]
     ctx = alloc.ctx
+    n_obj = len(m.sizes)
+    scorer = _EvictionScorer(cost, alloc, rows)
     LB = cost.local_mo_bytes(alloc)
     RBs = cost.remote_mo_bytes_by_stream(alloc)
     comp_stream = alloc.comp_stream
@@ -356,24 +425,32 @@ def restore_storage_batched(
     comp_objects = m.comp_objects
     comp_indptr = m.comp_indptr
     entry_objects, entry_indptr = m.fast_comp[1], m.fast_comp[3]
+    scalars, fast_comp = ctx.scalars, m.fast_comp
+    row_of = np.zeros(m.n_servers, dtype=np.intp)
+    row_of[rows] = np.arange(len(rows))
 
-    replicas = alloc.replicas[server_id]
-    keys = np.sort(np.fromiter(replicas, dtype=np.intp, count=len(replicas)))
-    picker = ArgminPicker(keys, len(m.sizes))
+    replicas = [alloc.replicas[i] for i in rows]
+    picker = ArgminPicker(
+        [
+            r * n_obj + np.sort(np.fromiter(rep, dtype=np.intp, count=len(rep)))
+            for r, rep in enumerate(replicas)
+        ],
+        len(rows) * n_obj,
+    )
 
-    def rescore(objs: np.ndarray) -> None:
-        """Fresh scores for the live replicas among ``objs``."""
-        objs = picker.live_distinct(objs)
-        if len(objs):
+    def rescore(keys: np.ndarray) -> None:
+        """Fresh scores for the live candidates among ``keys``."""
+        keys = picker.live_distinct(keys)
+        if len(keys):
             picker.set(
-                objs,
-                scorer.flush(objs, comp_local, opt_local, LB, RBs, amortise),
+                keys,
+                scorer.flush(keys, comp_local, opt_local, LB, RBs, amortise),
             )
-            _bump(counters, len(objs))
+            _bump(counters, len(keys))
 
-    rescore(keys)
+    rescore(picker.keys[picker.alive])
 
-    def apply_marks(j: int, marks: np.ndarray, streams: np.ndarray) -> None:
+    def apply_marks(j: int, marks: np.ndarray, streams: np.ndarray, st) -> None:
         """Install page ``j``'s re-partitioned marks and streams.
 
         Only the entries whose mark or stream differs are walked, in
@@ -418,57 +495,66 @@ def restore_storage_batched(
             LB[j] = lb
             for rb, v in zip(RBs, rbs):
                 rb[j] = v
-            stats.repartitioned_pages += 1
+            st.repartitioned_pages += 1
 
-    def repartition(pages: list[int]) -> None:
-        """Re-run PARTITION on ``pages`` restricted to the remaining
-        replicas.  A flip set averages a handful of pages, too few to
-        amortise the batched PARTITION's fixed NumPy dispatch."""
-        for j in pages:
-            pm, ps, _, _ = partition_page(m, j, allowed=replicas)
-            apply_marks(j, pm, ps)
-
-    while used > capacity + _TOL:
-        picked = picker.pick()
-        if picked is None:
-            raise InfeasibleError(
-                f"server {server_id}: storage constraint unrestorable "
-                f"(used {used:.0f} B > capacity {capacity:.0f} B with no "
-                "replicas left)"
-            )
-        delta, k = picked
-        size = sizes_list[k]
-        comp_e = scorer.comp_entries(k)
-        flip_e = comp_e[comp_local[comp_e]]
-        flip_pages = m.comp_pages[flip_e]
-        flipped_pages = flip_pages.tolist()
-        for e, j in zip(flip_e.tolist(), flipped_pages):
-            alloc.set_comp_local(e, False)
-            r = _best_stream(ctx, RBs, j, size)
-            comp_stream[e] = r + 1
-            LB[j] -= size
-            RBs[r][j] += size
-        opt_e = scorer.opt_entries(k)
-        for e in opt_e[opt_local[opt_e]].tolist():
-            alloc.set_opt_local(e, False)
-        replicas.discard(k)
-        picker.kill(picker.pos[k])
-        used -= size
-        stats.evictions += 1
-        stats.bytes_freed += size
-        stats.objective_delta += delta * size if amortise else delta
-        stats.evicted_objects.append((server_id, k))
-        if decisions is not None:
-            decisions.append((k, delta))
-        if flipped_pages:
+    active = list(range(len(rows)))
+    while active:
+        going: list[int] = []
+        touched: list[tuple[int, np.ndarray]] = []
+        for row, picked in zip(active, picker.pick_rows(active)):
+            if picked is None:
+                failed[rows[row]] = (
+                    f"server {rows[row]}: storage constraint unrestorable "
+                    f"(used {used[row]:.0f} B > capacity {cap[row]:.0f} B "
+                    "with no replicas left)"
+                )
+                break  # the rows above it can no longer decide the error
+            delta, key = picked
+            k = key - row * n_obj
+            size = sizes_list[k]
+            comp_e = scorer.comp_entries(key)
+            flip_e = comp_e[comp_local[comp_e]]
+            flip_pages = m.comp_pages[flip_e]
+            for e, j in zip(flip_e.tolist(), flip_pages.tolist()):
+                alloc.set_comp_local(e, False)
+                r = _best_stream(ctx, RBs, j, size)
+                comp_stream[e] = r + 1
+                LB[j] -= size
+                RBs[r][j] += size
+            opt_e = scorer.opt_entries(key)
+            for e in opt_e[opt_local[opt_e]].tolist():
+                alloc.set_opt_local(e, False)
+            replicas[row].discard(k)
+            picker.kill(picker.pos[key])
+            used[row] -= size
+            st = stats[row]
+            st.evictions += 1
+            st.bytes_freed += size
+            st.objective_delta += delta * size if amortise else delta
+            st.evicted_objects.append((rows[row], k))
+            logs[row].append((k, delta))
+            if len(flip_pages):
+                touched.append((row, flip_pages))
+            if used[row] > cap[row] + _TOL:
+                going.append(row)
+        if touched:
             # Paper: re-partition the affected pages with the replicas
             # left.  Every replica marked local on one of them, before
             # or after the re-partition, now scores against moved totals.
-            ents = _page_entries(comp_indptr, flip_pages)
+            ents = _page_entries(
+                comp_indptr, np.concatenate([p for _, p in touched])
+            )
             was_local = comp_local[ents]
-            repartition(flipped_pages)
-            rescore(comp_objects[ents[was_local | comp_local[ents]]])
-    return stats
+            for row, pages in touched:
+                for j in pages.tolist():
+                    pm, ps, _, _ = _partition_page(
+                        scalars, fast_comp, j, replicas[row]
+                    )
+                    apply_marks(j, pm, ps, stats[row])
+            ents = ents[was_local | comp_local[ents]]
+            rescore(row_of[ctx.comp_server[ents]] * n_obj + comp_objects[ents])
+        active = going
+    return _finish(out, failed, logs, decisions)
 
 
 # ----------------------------------------------------------------------
@@ -477,39 +563,55 @@ def restore_storage_batched(
 def restore_processing_batched(
     alloc: Allocation,
     cost: CostModel,
-    server_id: int,
+    servers,
     counters: dict | None = None,
     decisions: list | None = None,
-):
-    """Processing restoration (Eq. 8) of one server.
+) -> dict:
+    """Processing restoration (Eq. 8) of ``servers`` (one id or several).
 
-    Switches, step after step, the local download whose move to its best
-    remote stream damages the objective least per request/second shed,
-    until the server's load fits.  Candidates are the server's local
-    compulsory entries (key ``e``) and local optional entries (key
-    ``NC + e``).  ``decisions``, when given, receives one
-    ``(key, score)`` pair per switch.
+    Each step switches, in every server whose load still exceeds its
+    capacity, the local download whose move to its best remote stream
+    damages the objective least per request/second shed; one fused
+    pipeline then rescores every switched page's other local entries.
+    A row's candidates are its server's local compulsory entries (key
+    ``e``) and local optional entries (key ``NC + e``).  A step that
+    reaches any termination check evaluates the loads once for all
+    rows.  Returns and logs as :func:`restore_storage_batched` does.
     """
-    # deferred: restoration imports this module at load
-    from repro.core.restoration import InfeasibleError, ProcessingRestorationStats
+    from repro.core.restoration import ProcessingRestorationStats
 
     m = alloc.model
-    stats = ProcessingRestorationStats()
-    capacity = float(m.server_capacity[server_id])
-    if np.isinf(capacity):
-        return stats
-
-    pages_here = np.asarray(m.pages_by_server[server_id], dtype=np.intp)
-    html_load = float(m.frequencies[pages_here].sum()) if len(pages_here) else 0.0
-    load = float(local_processing_load(alloc)[server_id])
-    if load <= capacity + _TOL:
-        return stats
-    if html_load > capacity + _TOL:
-        raise InfeasibleError(
-            f"server {server_id}: HTML request load ({html_load:.2f} req/s) "
-            f"alone exceeds processing capacity ({capacity:.2f} req/s)"
-        )
-
+    servers = _server_list(servers)
+    out = {i: ProcessingRestorationStats() for i in servers}
+    failed: dict[int, str] = {}
+    rows: list[int] = []
+    cap: list[float] = []
+    load: list[float] = []
+    tol: list[float] = []
+    start_load = local_processing_load(alloc)
+    for i in servers:
+        capacity = float(m.server_capacity[i])
+        if np.isinf(capacity):
+            continue
+        pages = np.asarray(m.pages_by_server[i], dtype=np.intp)
+        html_load = float(m.frequencies[pages].sum()) if len(pages) else 0.0
+        ld = float(start_load[i])
+        if ld <= capacity + _TOL:
+            continue
+        if html_load > capacity + _TOL:
+            failed[i] = (
+                f"server {i}: HTML request load ({html_load:.2f} req/s) "
+                f"alone exceeds processing capacity ({capacity:.2f} req/s)"
+            )
+            break  # the sweep never reaches a higher server
+        rows.append(i)
+        cap.append(capacity)
+        load.append(ld)
+        tol.append(max(_TOL, 1e-9 * max(capacity, html_load, 1.0)))
+    if not rows:
+        return _finish(out, failed, [], decisions)
+    stats = [out[i] for i in rows]
+    logs: list[list] = [[] for _ in rows]
     ctx = alloc.ctx
     LB = cost.local_mo_bytes(alloc)
     RBs = cost.remote_mo_bytes_by_stream(alloc)
@@ -553,70 +655,102 @@ def restore_processing_batched(
         _bump(counters, len(entries))
         return out
 
-    ec = (alloc.comp_local & (ctx.comp_server == server_id)).nonzero()[0]
-    eo = (alloc.opt_local & (ctx.opt_server == server_id)).nonzero()[0]
-    picker = ArgminPicker(np.concatenate((ec, NC + eo)), NC + len(m.opt_objects))
-    picker.set(ec, comp_scores(ec))
-    picker.set(NC + eo, opt_scores(eo))
-
-    tol = max(_TOL, 1e-9 * max(capacity, html_load, 1.0))
-    switches_since_resync = 0
-    while True:
-        if switches_since_resync >= 4096:
-            load = float(local_processing_load(alloc)[server_id])
-            switches_since_resync = 0
-        if load <= capacity + tol:
-            load = float(local_processing_load(alloc)[server_id])
-            if load <= capacity + tol:
-                break
-        picked = picker.pick()
-        if picked is None:
-            load = float(local_processing_load(alloc)[server_id])
-            if load <= capacity + tol:
-                break
-            raise InfeasibleError(
-                f"server {server_id}: processing constraint unrestorable "
-                f"(load {load:.2f} req/s > capacity {capacity:.2f} req/s "
-                "with no local downloads left)"
-            )
-        amortised, key = picked
-        picker.kill(picker.pos[key])
-        if key < NC:
-            e = key
-            j = int(m.comp_pages[e])
-            k = int(m.comp_objects[e])
-            shed = float(ctx.comp_freq[e])
-            size = float(m.sizes[k])
-            alloc.set_comp_local(e, False)
-            r = _best_stream(ctx, RBs, j, size)
-            comp_stream[e] = r + 1
-            LB[j] -= size
-            RBs[r][j] += size
-            # the page's other local entries now score against new totals
-            sl = m.comp_slice(j)
-            sib = sl.start + alloc.comp_local[sl.start : sl.stop].nonzero()[0]
-            if len(sib):
-                picker.set(sib, comp_scores(sib))
-        else:
-            e = key - NC
-            k = int(m.opt_objects[e])
-            shed = float(ctx.opt_freq_weight[e])
-            alloc.set_opt_local(e, False)
-        stats.switches += 1
-        stats.load_shed += shed
-        stats.objective_delta += amortised * shed
-        if decisions is not None:
-            decisions.append((key, amortised))
-        load -= shed
-        switches_since_resync += 1
-        if alloc.mark_count(server_id, k) == 0 and k in alloc.replicas[server_id]:
-            alloc.replicas[server_id].discard(k)
-            stats.deallocations += 1
-    assert load <= capacity + tol, (
-        f"server {server_id}: Eq. 8 violated on exit "
-        f"({load:.6f} > {capacity:.6f} + tol)"
+    # each row's candidates, ascending: its server's local compulsory
+    # entries, then its local optional entries
+    row_of = np.full(m.n_servers, len(rows), dtype=np.intp)
+    row_of[rows] = np.arange(len(rows))
+    ec, eo = alloc.comp_local.nonzero()[0], alloc.opt_local.nonzero()[0]
+    keys = np.concatenate((ec, NC + eo))
+    owner = row_of[np.concatenate((ctx.comp_server[ec], ctx.opt_server[eo]))]
+    keys, owner = keys[owner < len(rows)], owner[owner < len(rows)]
+    picker = ArgminPicker(
+        np.split(
+            keys[np.argsort(owner, kind="stable")],
+            np.bincount(owner, minlength=len(rows)).cumsum()[:-1],
+        ),
+        NC + len(m.opt_objects),
     )
-    return stats
+    ec, eo = keys[keys < NC], keys[keys >= NC] - NC
+    if len(ec):
+        picker.set(ec, comp_scores(ec))
+    if len(eo):
+        picker.set(NC + eo, opt_scores(eo))
+
+    since_resync = [0] * len(rows)
+    active = list(range(len(rows)))
+    while active:
+        # the termination check (and the periodic resync of the running
+        # load): one exact evaluation serves every row that reaches it
+        check = [
+            row
+            for row in active
+            if since_resync[row] >= 4096 or load[row] <= cap[row] + tol[row]
+        ]
+        if check:
+            exact = local_processing_load(alloc)
+            for row in check:
+                if since_resync[row] >= 4096:
+                    since_resync[row] = 0
+                load[row] = float(exact[rows[row]])
+            active = [row for row in active if load[row] > cap[row] + tol[row]]
+        going: list[int] = []
+        dirty: list[np.ndarray] = []
+        for row, picked in zip(active, picker.pick_rows(active)):
+            i = rows[row]
+            if picked is None:
+                load[row] = float(local_processing_load(alloc)[i])
+                if load[row] <= cap[row] + tol[row]:
+                    continue
+                failed[i] = (
+                    f"server {i}: processing constraint unrestorable "
+                    f"(load {load[row]:.2f} req/s > capacity {cap[row]:.2f} "
+                    "req/s with no local downloads left)"
+                )
+                break  # the rows above it can no longer decide the error
+            amortised, key = picked
+            picker.kill(picker.pos[key])
+            if key < NC:
+                e = key
+                j = int(m.comp_pages[e])
+                k = int(m.comp_objects[e])
+                shed = float(ctx.comp_freq[e])
+                size = float(m.sizes[k])
+                alloc.set_comp_local(e, False)
+                r = _best_stream(ctx, RBs, j, size)
+                comp_stream[e] = r + 1
+                LB[j] -= size
+                RBs[r][j] += size
+                # the page's other local entries now score against new totals
+                sl = m.comp_slice(j)
+                sib = sl.start + alloc.comp_local[sl.start : sl.stop].nonzero()[0]
+                if len(sib):
+                    dirty.append(sib)
+            else:
+                e = key - NC
+                k = int(m.opt_objects[e])
+                shed = float(ctx.opt_freq_weight[e])
+                alloc.set_opt_local(e, False)
+            st = stats[row]
+            st.switches += 1
+            st.load_shed += shed
+            st.objective_delta += amortised * shed
+            logs[row].append((key, amortised))
+            load[row] -= shed
+            since_resync[row] += 1
+            if alloc.mark_count(i, k) == 0 and k in alloc.replicas[i]:
+                alloc.replicas[i].discard(k)
+                st.deallocations += 1
+            going.append(row)
+        if dirty:
+            sib = np.concatenate(dirty)
+            picker.set(sib, comp_scores(sib))
+        active = going
+    if not failed:
+        for i, ld, c, t in zip(rows, load, cap, tol):
+            assert ld <= c + t, (
+                f"server {i}: Eq. 8 violated on exit ({ld:.6f} > {c:.6f} + tol)"
+            )
+    return _finish(out, failed, logs, decisions)
 
 
 # ----------------------------------------------------------------------
@@ -706,7 +840,7 @@ def absorb_extra_workload_batched(
 
     ec = ((~alloc.comp_local) & (ctx.comp_server == server_id)).nonzero()[0]
     eo = ((~alloc.opt_local) & (ctx.opt_server == server_id)).nonzero()[0]
-    picker = ArgminPicker(np.concatenate((ec, NC + eo)), NC + len(m.opt_objects))
+    picker = ArgminPicker([np.concatenate((ec, NC + eo))], NC + len(m.opt_objects))
     picker.set(ec, comp_scores(ec))
     picker.set(NC + eo, opt_scores(eo))
     weight = np.concatenate((ctx.comp_freq[ec], ctx.opt_freq_weight[eo]))

@@ -99,7 +99,15 @@ def partition_page(
         ``local_time`` the Eq. 3 stream time and ``stream_times[r-1]``
         the Eq. 4 analog of remote stream ``r``.
     """
-    s = EvalContext.for_model(model).scalars
+    return _partition_page(
+        EvalContext.for_model(model).scalars, model.fast_comp, page_id, allowed, order
+    )
+
+
+def _partition_page(s, fast_comp, page_id, allowed=None, order="decreasing"):
+    """:func:`partition_page` over a context's scalar views ``s`` and the
+    model's ``fast_comp`` lists — storage restoration calls it with its
+    allocation's own context, so no context is looked up per page."""
     spb_local = s.spb_local[page_id]
     local_time = s.ovhd_local[page_id] + spb_local * s.html[page_id]
     # the repository (stream 1), then a mesh's replica sites (2..k-1)
@@ -113,7 +121,7 @@ def partition_page(
     # Pre-sorted by decreasing size (ties broken by entry position); see
     # SystemModel.comp_sorted.  Plain-list views keep this hot loop off
     # NumPy scalar indexing.
-    sorted_entries, comp_objects, entry_sizes, indptr = model.fast_comp
+    sorted_entries, comp_objects, entry_sizes, indptr = fast_comp
     start = indptr[page_id]
     stop = indptr[page_id + 1]
     if order == "decreasing":

@@ -26,9 +26,10 @@ object id for storage; ``e`` for a compulsory entry and ``NC + e`` for an
 optional one in processing).  An action only moves the byte totals of the
 pages it touches, so after each step exactly the candidates with a term on
 those pages (the *dirty set*) are rescored before the next selection.
-This module holds the phase entry points, their accounting and the
-per-server sweep; the loops themselves run on the batched engine of
-:mod:`repro.core.fast_restoration`, one ``np.argmin`` per step.  The
+This module holds the phase entry points and their accounting; the
+loops themselves run on the lockstep engines of
+:mod:`repro.core.fast_restoration`: every violating server advances in
+the same step, one ``argmin`` per row of a padded score matrix.  The
 scalar priority-queue loops they reproduce bit for bit live with the
 tests (``tests/oracles/scalar_greedy.py``).
 """
@@ -36,6 +37,7 @@ tests (``tests/oracles/scalar_greedy.py``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterable
 
 from repro.core.allocation import Allocation
@@ -65,8 +67,8 @@ def _resolve_servers(
     ``server_id`` (legacy single-server form) and ``servers`` (the
     incremental re-planner's localized-repair form) are mutually
     exclusive; with neither, every server is visited.  Duplicates
-    collapse and the ascending order matches the full sweep, so a
-    restricted run over all servers is bit-identical to the default.
+    collapse and the order is ascending, so a restricted run over all
+    servers is bit-identical to the default.
     """
     if servers is not None:
         if server_id is not None:
@@ -129,6 +131,43 @@ class ProcessingRestorationStats:
         self.load_shed += other.load_shed
 
 
+def _merged(stats, per_server: dict):
+    """``stats`` with every server's stats merged in, ascending."""
+    for i in sorted(per_server):
+        stats.merge(per_server[i])
+    return stats
+
+
+def _restore(phase: str, stats_type, engine, alloc, cost, servers, **kw) -> dict:
+    """Run ``engine`` over ``servers`` under the phase's span and
+    counters; return each server's stats (the sharded kernel merges
+    them across shards in global server order).  Every numeric stats
+    field becomes a ``restoration.<phase>.<field>`` counter."""
+    reg = get_registry()
+    rescore: dict = {}
+    with reg.span(f"restore-{phase}"):
+        per_server = engine(alloc, cost, servers, counters=rescore, **kw)
+    if reg.enabled:
+        reg.count(f"restoration.{phase}.runs")
+        for name, value in vars(_merged(stats_type(), per_server)).items():
+            if not isinstance(value, list):
+                reg.count(f"restoration.{phase}.{name}", value)
+        if rescore:
+            reg.count(f"restoration.{phase}.rescore_batches", rescore["batches"])
+            reg.count(
+                f"restoration.{phase}.rescored_candidates", rescore["candidates"]
+            )
+    return per_server
+
+
+_restore_storage = partial(
+    _restore, "storage", StorageRestorationStats, restore_storage_batched
+)
+_restore_processing = partial(
+    _restore, "processing", ProcessingRestorationStats, restore_processing_batched
+)
+
+
 # ----------------------------------------------------------------------
 # storage restoration (Eq. 10)
 # ----------------------------------------------------------------------
@@ -151,8 +190,7 @@ def restore_storage_capacity(
     server_id:
         Restrict to one server; default repairs every violating server.
     servers:
-        Restrict to an explicit server subset (ascending sweep, as the
-        default full sweep would visit them).  Mutually exclusive with
+        Restrict to an explicit server subset.  Mutually exclusive with
         ``server_id``.  The incremental re-planner passes the servers
         whose load or storage actually changed.
     amortise:
@@ -162,46 +200,28 @@ def restore_storage_capacity(
     kernel:
         Validated policy kernel name (see
         :func:`repro.core.context.resolve_kernel`).  Every kernel runs
-        the vectorised engine of :mod:`repro.core.fast_restoration`
-        (bulk dirty-set rescoring + one ``np.argmin`` per eviction);
-        ``"sharded"`` called directly runs it in-process.
+        the lockstep engine of :mod:`repro.core.fast_restoration` (one
+        ``argmin`` per step over every violating server, one fused
+        dirty-set rescore per step); ``"sharded"`` called directly runs
+        it in-process.
+
+    The registry counter ``restoration.storage.rescore_batches`` counts
+    fused flushes — one per lockstep step that touched a page, plus
+    the initial scoring — not per-server flushes;
+    ``rescored_candidates`` counts the candidates they rescored.
 
     Raises
     ------
     InfeasibleError
-        If a server's HTML alone exceeds its storage capacity.
+        If a server's HTML alone exceeds its storage capacity (the
+        lowest such server, as an ascending sweep would report).
     """
     resolve_kernel(kernel)
-    reg = get_registry()
-    stats = StorageRestorationStats()
-    server_list = _resolve_servers(alloc.model.n_servers, server_id, servers)
-    rescore: dict = {}
-    with reg.span("restore-storage"):
-        for i in server_list:
-            stats.merge(
-                restore_storage_batched(
-                    alloc, cost, i, amortise=amortise, counters=rescore
-                )
-            )
-    if reg.enabled:
-        reg.count("restoration.storage.runs")
-        reg.count("restoration.storage.evictions", stats.evictions)
-        reg.count(
-            "restoration.storage.repartitioned_pages", stats.repartitioned_pages
-        )
-        reg.count("restoration.storage.bytes_freed", stats.bytes_freed)
-        reg.count(
-            "restoration.storage.objective_delta", stats.objective_delta
-        )
-        if rescore:
-            reg.count(
-                "restoration.storage.rescore_batches", rescore.get("batches", 0)
-            )
-            reg.count(
-                "restoration.storage.rescored_candidates",
-                rescore.get("candidates", 0),
-            )
-    return stats
+    servers = _resolve_servers(alloc.model.n_servers, server_id, servers)
+    return _merged(
+        StorageRestorationStats(),
+        _restore_storage(alloc, cost, servers, amortise=amortise),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -216,41 +236,22 @@ def restore_processing_capacity(
 ) -> ProcessingRestorationStats:
     """Restore Eq. 8 in place; return accounting statistics.
 
-    Runs the vectorised engine of :mod:`repro.core.fast_restoration`
-    (one ``np.argmin`` per switch) for every validated ``kernel`` name.
-    ``servers`` restricts the sweep to an explicit subset (mutually
-    exclusive with ``server_id``); see :func:`restore_storage_capacity`.
+    Runs the lockstep engine of :mod:`repro.core.fast_restoration` (one
+    ``argmin`` per step over every violating server) for every
+    validated ``kernel`` name.  ``servers`` restricts the run to an
+    explicit subset (mutually exclusive with ``server_id``); see
+    :func:`restore_storage_capacity`.  ``rescore_batches`` counts fused
+    flushes: the initial scoring (compulsory and optional) and one per
+    step that switched a compulsory entry.
 
     Raises
     ------
     InfeasibleError
-        If a server's HTML request load alone exceeds ``C(S_i)``.
+        If a server's HTML request load alone exceeds ``C(S_i)`` (the
+        lowest such server, as an ascending sweep would report).
     """
     resolve_kernel(kernel)
-    reg = get_registry()
-    stats = ProcessingRestorationStats()
-    server_list = _resolve_servers(alloc.model.n_servers, server_id, servers)
-    rescore: dict = {}
-    with reg.span("restore-processing"):
-        for i in server_list:
-            stats.merge(
-                restore_processing_batched(alloc, cost, i, counters=rescore)
-            )
-    if reg.enabled:
-        reg.count("restoration.processing.runs")
-        reg.count("restoration.processing.switches", stats.switches)
-        reg.count("restoration.processing.deallocations", stats.deallocations)
-        reg.count("restoration.processing.load_shed", stats.load_shed)
-        reg.count(
-            "restoration.processing.objective_delta", stats.objective_delta
-        )
-        if rescore:
-            reg.count(
-                "restoration.processing.rescore_batches",
-                rescore.get("batches", 0),
-            )
-            reg.count(
-                "restoration.processing.rescored_candidates",
-                rescore.get("candidates", 0),
-            )
-    return stats
+    servers = _resolve_servers(alloc.model.n_servers, server_id, servers)
+    return _merged(
+        ProcessingRestorationStats(), _restore_processing(alloc, cost, servers)
+    )

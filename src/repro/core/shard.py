@@ -86,8 +86,8 @@ from repro.core.fast_partition import optional_marks_batched, partition_pages_ba
 from repro.core.restoration import (
     ProcessingRestorationStats,
     StorageRestorationStats,
-    restore_processing_capacity,
-    restore_storage_capacity,
+    _restore_processing,
+    _restore_storage,
 )
 from repro.core.shm import ShmArena, shm_available
 from repro.core.types import MODEL_COLUMN_FIELDS, ColumnarModel, SystemModel
@@ -461,7 +461,11 @@ class _ShardResult:
 def _shard_pipeline(
     model: SystemModel, server_ids: Sequence[int], opts: _ShardOptions
 ) -> _ShardResult:
-    """PARTITION + per-server restorations for one group of servers.
+    """PARTITION + both restorations for one group of servers.
+
+    Each restoration runs once, in lockstep over all of the group's
+    servers; its per-server stats are kept apart so the parent can
+    merge them across shards in global server order.
 
     Runs on the **restricted model**: ``EvalContext.for_servers`` builds
     columns, streams and CSR groups for exactly this group's pages, so
@@ -496,12 +500,12 @@ def _shard_pipeline(
 
     report = evaluate_constraints(alloc)
     n_local = len(server_ids)
+    local = list(range(n_local))
     storage_stats: list[tuple[int, StorageRestorationStats]] = []
     storage_ran = bool(report.violated_servers_storage())
     if storage_ran:
         t = time.perf_counter()
-        for li in range(n_local):
-            stats = restore_storage_capacity(alloc, cost, server_id=li)
+        for li, stats in _restore_storage(alloc, cost, local).items():
             # eviction records carry server ids — map back to global
             # (object ids are already global in the restricted model)
             stats.evicted_objects = [
@@ -515,13 +519,10 @@ def _shard_pipeline(
     processing_ran = bool(report.violated_servers_processing())
     if processing_ran:
         t = time.perf_counter()
-        for li in range(n_local):
-            processing_stats.append(
-                (
-                    int(server_ids[li]),
-                    restore_processing_capacity(alloc, cost, server_id=li),
-                )
-            )
+        processing_stats = [
+            (int(server_ids[li]), stats)
+            for li, stats in _restore_processing(alloc, cost, local).items()
+        ]
         phase_seconds["processing-restoration"] = time.perf_counter() - t
 
     replica_indptr = np.zeros(n_local + 1, dtype=np.int64)
