@@ -219,8 +219,10 @@ def e2e_results(bench_config, save_timings):
     )
     sharded: list[float] = []
     try:
-        # Warm-up outside the timings: pool spin-up + first model
-        # transfer (subsequent runs hit the workers' digest cache).
+        # Warm-up outside the timings: pool spin-up and worker imports.
+        # Nothing else carries over: each timed run restricts its
+        # shards, pickles their submodels to the workers and builds
+        # their contexts there, as the shared arm builds its context.
         sharded_warm = sharded_policy.run(fresh())
         for _ in range(REPEATS):
             m = fresh()

@@ -19,6 +19,10 @@ A third rule spans every layer: no module under ``src/repro`` imports
 the ``tests`` package or anything named ``oracles``.  Each greedy phase
 has one production engine; the scalar reference loops it is checked
 against live in ``tests/oracles/`` and must not leak back into it.
+A fourth does too: no module imports ``multiprocessing.shared_memory``.
+The sharded kernel's tasks carry their own pickled submodels, so
+nothing needs a segment that a crashed run could leak into
+``/dev/shm``.
 
 On top of the layer rules, ``MODULE_FORBIDDEN`` pins *module-specific*
 contracts with their rationale: ``core/shard.py`` fans work out to
@@ -89,27 +93,6 @@ MODULE_FORBIDDEN: dict[str, tuple[frozenset[str], str]] = {
         "experiments/cli/network so pool workers import nothing above "
         "core when they unpickle a task",
     ),
-    "core/shm.py": (
-        frozenset(
-            {
-                "analysis",
-                "baselines",
-                "cli",
-                "core",
-                "dynamic",
-                "experiments",
-                "io",
-                "network",
-                "obs",
-                "refdb",
-                "simulation",
-                "workload",
-            }
-        ),
-        "the shared-memory arena sits below the core layer proper — it "
-        "imports nothing above util, so any layer (including future "
-        "non-core pools) can use it without dragging the kernels in",
-    ),
     "core/types.py": (
         frozenset(
             {
@@ -142,6 +125,15 @@ MODULE_FORBIDDEN: dict[str, tuple[frozenset[str], str]] = {
 
 #: Import roots no production module may reach (see the module docstring).
 TEST_ONLY = frozenset({"tests", "oracles"})
+
+#: Modules (and their submodules) no production module may import, with
+#: the reason printed alongside each violation.
+FORBIDDEN_MODULES: dict[str, str] = {
+    "multiprocessing.shared_memory": (
+        "shard tasks ship their own pickled submodels; a shared-memory "
+        "segment is one more resource a failed run can leak"
+    ),
+}
 
 
 def _layer_of(path: pathlib.Path, package_root: pathlib.Path) -> str:
@@ -185,6 +177,28 @@ def _imported_test_code(tree: ast.AST):
                 yield node.lineno, name
 
 
+def _imported_forbidden_modules(tree: ast.AST):
+    """Yield ``(lineno, module)`` for each import of a
+    :data:`FORBIDDEN_MODULES` entry, once per import statement.
+    ``from a import b`` counts as importing ``a.b``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            module = node.module or ""
+            names = [module] + [f"{module}.{a.name}" for a in node.names]
+        else:
+            continue
+        hits = {
+            banned
+            for name in names
+            for banned in FORBIDDEN_MODULES
+            if name == banned or name.startswith(banned + ".")
+        }
+        for banned in sorted(hits):
+            yield node.lineno, banned
+
+
 def check(package_root: pathlib.Path = PACKAGE_ROOT) -> list[str]:
     """All layering violations in the tree, as printable strings."""
     violations = []
@@ -196,6 +210,11 @@ def check(package_root: pathlib.Path = PACKAGE_ROOT) -> list[str]:
             violations.append(
                 f"{rel}:{lineno}: production module imports {target} "
                 "(reference oracles live with the tests only)"
+            )
+        for lineno, target in _imported_forbidden_modules(tree):
+            violations.append(
+                f"{rel}:{lineno}: production module imports {target} "
+                f"({FORBIDDEN_MODULES[target]})"
             )
         layer = _layer_of(path, package_root)
         forbidden = FORBIDDEN.get(layer, frozenset())
@@ -229,7 +248,8 @@ def main() -> int:
     m = len(MODULE_FORBIDDEN)
     print(
         f"layering check: OK ({n} constrained layers, "
-        f"{m} module rules, no test-code imports, no violations)"
+        f"{m} module rules, no test-code or shared-memory imports, "
+        "no violations)"
     )
     return 0
 

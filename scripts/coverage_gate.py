@@ -97,7 +97,6 @@ def main(argv: list[str]) -> int:
             "--cov=repro.core.fast_restoration",
             "--cov=repro.core.context",
             "--cov=repro.core.shard",
-            "--cov=repro.core.shm",
             "--cov=repro.simulation.lru_sim",
             "--cov=repro.dynamic.incremental",
             "--cov=repro.baselines.closest",

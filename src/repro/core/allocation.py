@@ -26,6 +26,7 @@ the greedy loops can find fully-unmarked (deallocatable) objects in O(1).
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable
 
 import numpy as np
@@ -338,9 +339,23 @@ class Allocation:
         return float(sum(sizes[k] for k in self.replicas[server_id]))
 
     def stored_bytes_all(self) -> np.ndarray:
-        """Per-server stored MO bytes."""
-        return np.array(
-            [self.stored_bytes(i) for i in range(self.model.n_servers)]
+        """Per-server stored MO bytes, in one vectorised pass.
+
+        Concatenates the replica sets, each in its own iteration order
+        (the order :meth:`stored_bytes` sums in); ``np.bincount`` adds
+        its weights in input order, so every server's total is
+        bit-identical to :meth:`stored_bytes`.
+        """
+        counts = np.fromiter(map(len, self.replicas), dtype=np.intp)
+        objs = np.fromiter(
+            itertools.chain.from_iterable(self.replicas),
+            dtype=np.intp,
+            count=int(counts.sum()),
+        )
+        return np.bincount(
+            np.repeat(np.arange(len(counts)), counts),
+            weights=self.model.sizes[objs],
+            minlength=self.model.n_servers,
         )
 
     def unmarked_stored(self, server_id: int) -> set[int]:

@@ -34,7 +34,7 @@ from typing import Iterator, Literal
 
 import numpy as np
 
-from repro.core.types import SystemModel, restrict_to_servers
+from repro.core.types import SystemModel
 
 __all__ = [
     "EvalContext",
@@ -110,14 +110,10 @@ class ScalarViews:
 
 
 _CACHE_ATTR = "_repro_eval_context_cache"
-#: Per-model cache of server-subset contexts, keyed by the server-id
-#: tuple (see ``EvalContext.for_servers``).
-_SUBSET_CACHE_ATTR = "_repro_subset_context_cache"
 
 #: Derived-state cache attributes attached to SystemModel instances.
 _MODEL_CACHE_ATTRS = (
     _CACHE_ATTR,
-    _SUBSET_CACHE_ATTR,
     "_fast_comp_cache",
 )
 
@@ -143,8 +139,7 @@ def rebuild_contexts() -> Iterator[None]:
 def clear_derived_state(model: SystemModel) -> None:
     """Drop every derived-state cache attached to ``model``.
 
-    Covers the eval context (full and server-subset) and the plain-list
-    PARTITION views.  Benchmark helper (cold-start timings); production
+    Covers the eval context and the plain-list PARTITION views.  Benchmark helper (cold-start timings); production
     code never needs it — the caches are pure functions of the model.
     """
     for attr in _MODEL_CACHE_ATTRS:
@@ -328,13 +323,6 @@ class EvalContext:
       victim ranking and ``Allocation.deallocate`` without any
       per-phase scan-and-sort.
     """
-
-    #: Global↔local maps of a server-subset context (see
-    #: :meth:`for_servers`); ``None`` on a full-model context.
-    global_servers: np.ndarray | None = None
-    global_pages: np.ndarray | None = None
-    global_comp_entries: np.ndarray | None = None
-    global_opt_entries: np.ndarray | None = None
 
     def __init__(
         self,
@@ -579,51 +567,6 @@ class EvalContext:
         if ctx is None:
             ctx = cls(model)
             setattr(model, _CACHE_ATTR, ctx)
-        return ctx
-
-    @classmethod
-    def for_servers(cls, model: SystemModel, servers) -> "EvalContext":
-        """A context over only the sub-universe hosted by ``servers``.
-
-        Builds a :func:`repro.core.types.restrict_to_servers` submodel
-        (vectorised column slicing — objects keep global ids, pages and
-        entries are renumbered densely in global order) and runs the
-        normal :meth:`_build` over it, so **every** derived structure —
-        entry columns, Eq. 3-5 stream seeds, pair table, per-server CSR
-        groups, scalar views — is sized to the subset.  This is what
-        makes a shard worker's setup cost proportional to its shard
-        instead of to the whole model (DESIGN.md Appendix F).
-
-        The returned context carries the global↔local index maps as
-        ``global_servers`` / ``global_pages`` / ``global_comp_entries``
-        / ``global_opt_entries`` (ascending global ids per local
-        position), and its model is cached under the parent model per
-        server subset so repeated requests (e.g. benchmark runs) build
-        once.  Because the restriction preserves relative order
-        everywhere — including the filtered ``comp_sorted`` permutation
-        — any per-server decision sequence computed on the subset is
-        bit-identical to the same computation on the full model masked
-        to those servers (property-tested in
-        ``tests/properties/test_property_sharded_policy.py``).
-        """
-        key = tuple(int(i) for i in servers)
-        cache: dict | None = None
-        if _CACHE_ENABLED[0]:
-            cache = getattr(model, _SUBSET_CACHE_ATTR, None)
-            if cache is None:
-                cache = {}
-                setattr(model, _SUBSET_CACHE_ATTR, cache)
-            ctx = cache.get(key)
-            if ctx is not None:
-                return ctx
-        sub, maps = restrict_to_servers(model, key)
-        ctx = cls.for_model(sub)
-        ctx.global_servers = maps["servers"]
-        ctx.global_pages = maps["pages"]
-        ctx.global_comp_entries = maps["comp_entries"]
-        ctx.global_opt_entries = maps["opt_entries"]
-        if cache is not None:
-            cache[key] = ctx
         return ctx
 
 

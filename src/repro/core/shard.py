@@ -14,12 +14,13 @@ The sharded kernel fans exactly these phases out:
 
 1. it splits the servers into ``shards`` groups (deterministic balanced
    LPT over per-server entry counts, :func:`plan_shards`);
-2. each worker process builds a **shard-local**
-   :class:`~repro.core.context.EvalContext` via
-   :meth:`~repro.core.context.EvalContext.for_servers` — columns, CSR
+2. the parent cuts each group's submodel out of the model with
+   :func:`~repro.core.types.restrict_to_servers` and ships it, with its
+   local→global index maps, as the shard's task; the worker builds the
+   submodel's :class:`~repro.core.context.EvalContext` — columns, CSR
    groups and page streams for exactly its servers' pages, so worker
    setup is O(shard) instead of O(model) — and runs PARTITION + both
-   restorations on the restricted model (:func:`_run_shard`);
+   restorations on it (:func:`_run_shard`);
 3. the parent merges the per-shard mark/replica frontiers (shipped as
    *global* entry indices) into one global
    :class:`~repro.core.allocation.Allocation` (:func:`run_shard_fanout`).
@@ -47,14 +48,11 @@ and pinned by the golden regressions).  Two details make that hold:
 Objectives are never summed per shard: the policy evaluates them over
 the merged marks, so float summation order matches the batched run.
 
-Transport: models ship to workers through a
-:class:`~repro.core.shm.ShmArena` (one shared-memory segment holding
-the immutable flat columns; workers rebuild a
-:class:`~repro.core.types.ColumnarModel` over zero-copy views) when
-:func:`~repro.core.shm.shm_available`, falling back to a
-content-addressed pickle blob otherwise.  Both sides cache by content
-digest in small LRUs that release their shm handles on eviction.
-Shard results (index arrays, O(shard frontier)) come back pickled.
+Transport: each task pickles its own submodel
+(a :class:`~repro.core.types.ColumnarModel` of flat columns, no spec
+tuples, O(shard) bytes) and its index maps; shard results (index
+arrays, O(shard frontier)) come back pickled.  Nothing is cached
+across runs and nothing outlives a task.
 
 Worker processes come from an *injected* pool: anything with a
 ``submit(fn, *args) -> future`` method (the layering lint enforces that
@@ -66,21 +64,17 @@ this module never imports ``repro.experiments`` — pass
 from __future__ import annotations
 
 import atexit
-import hashlib
 import os
-import pickle
 import time
-from collections import OrderedDict
 from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Callable, Protocol, Sequence
+from typing import Any, Protocol
 
 import numpy as np
 
 from repro import obs
 from repro.core.allocation import Allocation
 from repro.core.constraints import evaluate_constraints
-from repro.core.context import EvalContext
 from repro.core.cost_model import CostModel
 from repro.core.fast_partition import optional_marks_batched, partition_pages_batched
 from repro.core.restoration import (
@@ -89,8 +83,7 @@ from repro.core.restoration import (
     _restore_processing,
     _restore_storage,
 )
-from repro.core.shm import ShmArena, shm_available
-from repro.core.types import MODEL_COLUMN_FIELDS, ColumnarModel, SystemModel
+from repro.core.types import ColumnarModel, SystemModel, restrict_to_servers
 from repro.obs.manifest import WORKER_ENV_VAR
 from repro.obs.registry import MetricsRegistry, use_registry
 from repro.util.validation import env_positive_int
@@ -129,12 +122,9 @@ class InlineShardPool:
     The deterministic no-subprocess harness for the differential tests
     (Hypothesis drives hundreds of examples; forking per example would
     dominate) and a zero-dependency fallback anywhere process pools are
-    unavailable.  Because it runs in-process, the fan-out skips both the
-    pickle round-trip and the shared-memory transport (``inline =
-    True``).
+    unavailable.  Tasks receive the fan-out's submodels and maps as
+    they are, without a pickle round trip.
     """
-
-    inline = True
 
     def submit(self, fn, /, *args, **kwargs) -> Future:
         future: Future = Future()
@@ -158,9 +148,8 @@ def default_pool(workers: int) -> ProcessPoolExecutor:
     """A persistent private pool of at least ``workers`` processes.
 
     Used when no pool is injected.  Persistent for the same reason the
-    experiment executor's pool is: workers cache materialised models by
-    content digest, so back-to-back runs (benchmark repeats, golden
-    tests) skip the per-run model transfer cost.
+    experiment executor's pool is: back-to-back runs (benchmark repeats,
+    golden tests) skip the process start-up and worker imports.
     """
     global _POOL, _POOL_SIZE
     if _POOL is None or _POOL_SIZE < workers:
@@ -174,13 +163,12 @@ def default_pool(workers: int) -> ProcessPoolExecutor:
 
 
 def shutdown_shard_pool() -> None:
-    """Tear down the private default pool and release parent shm arenas."""
+    """Tear down the private default pool."""
     global _POOL, _POOL_SIZE
     if _POOL is not None:
         _POOL.shutdown(wait=True, cancel_futures=True)
         _POOL = None
         _POOL_SIZE = 0
-    _PARENT_ARENAS.clear()
 
 
 atexit.register(shutdown_shard_pool)
@@ -271,151 +259,6 @@ def plan_shards(model: SystemModel, shards: int) -> tuple[tuple[int, ...], ...]:
 
 
 # ----------------------------------------------------------------------
-# content-addressed model transport
-# ----------------------------------------------------------------------
-class _Lru:
-    """Tiny ordered LRU with an eviction callback.
-
-    Both model caches (worker-side unpickled/attached models, parent-side
-    model arenas) hold shared-memory resources that must be released the
-    moment an entry falls out — a plain dict would leak segments until
-    process exit.
-    """
-
-    def __init__(
-        self, cap: int, on_evict: Callable[[str, Any], None] | None = None
-    ):
-        self._cap = cap
-        self._on_evict = on_evict
-        self._data: OrderedDict[str, Any] = OrderedDict()
-
-    def get(self, key: str) -> Any | None:
-        value = self._data.get(key)
-        if value is not None:
-            self._data.move_to_end(key)
-        return value
-
-    def put(self, key: str, value: Any) -> None:
-        self._data[key] = value
-        self._data.move_to_end(key)
-        while len(self._data) > self._cap:
-            k, v = self._data.popitem(last=False)
-            if self._on_evict is not None:
-                self._on_evict(k, v)
-
-    def values(self):
-        return self._data.values()
-
-    def clear(self) -> None:
-        while self._data:
-            k, v = self._data.popitem(last=False)
-            if self._on_evict is not None:
-                self._on_evict(k, v)
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-
-def _model_digest(model: SystemModel) -> str:
-    """Content digest of the model's flat columns (cached on the model).
-
-    Hashes the raw column buffers plus the repository spec and shape
-    header — no full-model pickle, so the shm fast path never serialises
-    the arrays at all.  Cached under an underscore attribute, which the
-    model's ``__getstate__`` strips, so the digest never travels.
-    """
-    cached = getattr(model, "_repro_model_digest", None)
-    if cached is not None:
-        return cached
-    h = hashlib.sha256()
-    h.update(
-        pickle.dumps(
-            (model.repository, model.n_servers, model.n_pages, model.n_objects),
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
-    )
-    for name in MODEL_COLUMN_FIELDS:
-        a = np.ascontiguousarray(getattr(model, name))
-        h.update(name.encode())
-        h.update(memoryview(a).cast("B"))
-    digest = h.hexdigest()
-    model._repro_model_digest = digest
-    return digest
-
-
-#: Parent-side arenas holding each model's columns in shared memory,
-#: keyed by content digest.  Two entries cover the common interleavings
-#: (e.g. a benchmark alternating between a constrained and an
-#: unconstrained clone); eviction destroys the segment — safe because
-#: every payload referencing an arena is consumed within its own
-#: ``run_shard_fanout`` call, before any other model can evict it.
-_PARENT_ARENAS = _Lru(2, lambda _digest, arena: arena.destroy())
-
-
-def _model_arena(model: SystemModel) -> tuple[str, ShmArena]:
-    """The (digest, arena) pair for ``model``, creating the arena once."""
-    digest = _model_digest(model)
-    arena = _PARENT_ARENAS.get(digest)
-    if arena is None:
-        arena = ShmArena.create(
-            {name: getattr(model, name) for name in MODEL_COLUMN_FIELDS}
-        )
-        _PARENT_ARENAS.put(digest, arena)
-    return digest, arena
-
-
-def _evict_worker_model(_digest: str, value: tuple) -> None:
-    """Release an evicted worker model's shm mapping.
-
-    Safe even though the evicted model's columns are views into the
-    arena: the LRU held the only strong reference, so by the time the
-    callback runs nothing can read those views again (closing with live
-    views dangles them on Linux — see :meth:`ShmArena.close`).  The
-    segment itself is owned (and unlinked) by the parent.
-    """
-    _model, arena = value
-    if arena is not None:
-        arena.close()
-
-
-#: Worker-side cache of materialised models, keyed by payload digest —
-#: ``(model, arena-or-None)`` values, arena present for shm payloads.
-_WORKER_MODELS = _Lru(2, _evict_worker_model)
-
-
-def _model_from_payload(payload: tuple) -> SystemModel:
-    """Materialise the run's model inside a worker (or inline).
-
-    Three payload kinds: ``("model", m)`` passes the object through
-    (inline pool — same process); ``("blob", digest, blob)`` unpickles a
-    full model; ``("shm", digest, handle, repo_blob)`` attaches the
-    parent's column arena and rebuilds a zero-copy
-    :class:`~repro.core.types.ColumnarModel` over its views.  The two
-    shipped kinds cache by digest so repeated runs over the same model
-    pay materialisation once per worker.
-    """
-    kind = payload[0]
-    if kind == "model":
-        return payload[1]
-    digest = payload[1]
-    cached = _WORKER_MODELS.get(digest)
-    if cached is not None:
-        return cached[0]
-    if kind == "shm":
-        _, _, handle, repo_blob = payload
-        arena = ShmArena.attach(handle)
-        model: SystemModel = ColumnarModel.from_columns(
-            arena.arrays(), pickle.loads(repo_blob)
-        )
-    else:
-        _, _, blob = payload
-        arena = None
-        model = pickle.loads(blob)
-    _WORKER_MODELS.put(digest, (model, arena))
-    return model
-
-
-# ----------------------------------------------------------------------
 # worker side
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
@@ -459,7 +302,7 @@ class _ShardResult:
 
 
 def _shard_pipeline(
-    model: SystemModel, server_ids: Sequence[int], opts: _ShardOptions
+    sub: ColumnarModel, maps: dict[str, np.ndarray], opts: _ShardOptions
 ) -> _ShardResult:
     """PARTITION + both restorations for one group of servers.
 
@@ -467,12 +310,12 @@ def _shard_pipeline(
     servers; its per-server stats are kept apart so the parent can
     merge them across shards in global server order.
 
-    Runs on the **restricted model**: ``EvalContext.for_servers`` builds
-    columns, streams and CSR groups for exactly this group's pages, so
-    the worker never touches (or pays for) the other shards' entries.
-    Identity with the full-model run holds because the restriction is
-    order-preserving (module docstring); results are mapped back to
-    global entry ids through the context's ``global_*`` index columns.
+    Runs on the group's **submodel** (``restrict_to_servers``): its
+    context holds columns, streams and CSR groups for exactly this
+    group's pages, so the worker never touches (or pays for) the other
+    shards' entries.  Identity with the full-model run holds because
+    the restriction is order-preserving (module docstring); results are
+    mapped back to global ids through ``maps``.
 
     Phase gating matches the reference pipeline exactly: the reference
     gates each restoration on the *global* constraint report, but both
@@ -482,8 +325,7 @@ def _shard_pipeline(
     to reconstruct the global phase list.
     """
     t0 = time.perf_counter()
-    ctx = EvalContext.for_servers(model, server_ids)
-    sub = ctx.model
+    server_ids = maps["servers"]
     cost = CostModel(sub, opts.alpha1, opts.alpha2)
     phase_seconds: dict[str, float] = {}
 
@@ -534,8 +376,8 @@ def _shard_pipeline(
             alloc.replicas[li]
         )
 
-    ge_c = ctx.global_comp_entries
-    ge_o = ctx.global_opt_entries
+    ge_c = maps["comp_entries"]
+    ge_o = maps["opt_entries"]
     return _ShardResult(
         server_ids=tuple(int(i) for i in server_ids),
         n_pages=int(sub.n_pages),
@@ -556,14 +398,14 @@ def _shard_pipeline(
 
 
 def _run_shard(
-    payload: tuple, server_ids: tuple[int, ...], opts: _ShardOptions
+    sub: ColumnarModel, maps: dict[str, np.ndarray], opts: _ShardOptions
 ) -> _ShardResult:
-    """Worker entry point: resolve the model, record into a private
-    registry when the parent is collecting, return the shard frontier."""
-    model = _model_from_payload(payload)
+    """Worker entry point: run the shard pipeline on the shipped
+    submodel, recording into a private registry when the parent is
+    collecting, and return the shard frontier."""
     registry = MetricsRegistry() if opts.record else None
     with use_registry(registry):
-        result = _shard_pipeline(model, server_ids, opts)
+        result = _shard_pipeline(sub, maps, opts)
     if registry is not None:
         result.snapshot = registry.snapshot()
     return result
@@ -595,20 +437,6 @@ class ShardFanout:
     phase_seconds: dict[str, float] = field(default_factory=dict)
     """Per-phase wall clock (slowest shard) and the whole fan-out;
     populated only when a recording registry was active."""
-
-
-def _model_payload(model: SystemModel) -> tuple:
-    """How the fan-out ships ``model``: shm column arena, else pickle."""
-    if shm_available():
-        digest, arena = _model_arena(model)
-        return (
-            "shm",
-            "shm:" + digest,
-            arena.handle,
-            pickle.dumps(model.repository, protocol=pickle.HIGHEST_PROTOCOL),
-        )
-    blob = pickle.dumps(model, protocol=pickle.HIGHEST_PROTOCOL)
-    return ("blob", "blob:" + hashlib.sha256(blob).hexdigest(), blob)
 
 
 def run_shard_fanout(
@@ -646,10 +474,6 @@ def run_shard_fanout(
     groups = plan_shards(model, n_shards)
     if pool is None:
         pool = default_pool(len(groups))
-    if getattr(pool, "inline", False):
-        payload: tuple = ("model", model)
-    else:
-        payload = _model_payload(model)
     opts = _ShardOptions(
         alpha1=alpha1,
         alpha2=alpha2,
@@ -658,7 +482,10 @@ def run_shard_fanout(
     )
 
     with reg.span("shard-fanout") as fan:
-        futures = [pool.submit(_run_shard, payload, g, opts) for g in groups]
+        futures = [
+            pool.submit(_run_shard, *restrict_to_servers(model, g), opts)
+            for g in groups
+        ]
         results: list[_ShardResult] = [f.result() for f in futures]
 
     ne_c = len(model.comp_objects)
@@ -707,10 +534,6 @@ def run_shard_fanout(
                 reg.merge_snapshot(r.snapshot)
         reg.gauge("shard.count", float(len(groups)))
         reg.gauge("policy.context_entries_full", float(ne_c + ne_o))
-        reg.gauge(
-            "shm.bytes_shared",
-            float(sum(a.nbytes for a in _PARENT_ARENAS.values())),
-        )
         # The slowest shard bounds each fanned-out phase.
         for name in phases:
             phase_seconds[name] = max(

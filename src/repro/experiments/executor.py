@@ -110,8 +110,8 @@ def persistent_pool(jobs: int | None = None) -> ProcessPoolExecutor:
     layering lint forbids it importing this module); callers that want
     the sharded policy kernel to share this executor's warm workers pass
     ``pool=persistent_pool(n)`` to the policy.  The fan-out only calls
-    ``submit()`` and keeps no per-worker state beyond a model cache, so
-    this unpinned pool serves it as well as the shard module's own.
+    ``submit()`` and keeps no per-worker state, so this unpinned pool
+    serves it as well as the shard module's own.
     ``jobs`` resolves like :func:`resolve_jobs` (explicit →
     ``REPRO_JOBS`` → 1).
     """

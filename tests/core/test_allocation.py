@@ -121,6 +121,26 @@ class TestQueries:
         assert a.stored_bytes(1) == 400.0
         assert a.stored_bytes_all().tolist() == [300.0, 400.0]
 
+    def test_stored_bytes_all_matches_per_server_sums(self):
+        """The vectorised pass adds each server's sizes in its replica
+        set's iteration order, so it equals the per-server generator sum
+        bit for bit — fractional sizes make the order matter — and a
+        server with no replicas reads 0."""
+        from repro.core.partition import partition_all
+        from repro.workload import WorkloadParams, generate_workload
+
+        model = generate_workload(WorkloadParams.tiny(), seed=7)
+        model.sizes = model.sizes * 1.1 + 0.3
+        replicas = [set(r) for r in partition_all(model).replicas]
+        replicas[-1] = set()
+        a = Allocation(model, replicas=replicas)
+        got = a.stored_bytes_all()
+        assert got.dtype == np.float64
+        assert got.shape == (model.n_servers,)
+        for i, objs in enumerate(a.replicas):
+            assert got[i] == sum(model.sizes[k] for k in objs)
+        assert got[-1] == 0.0
+
     def test_page_marks_views(self, micro_model):
         a = Allocation(micro_model)
         a.set_comp_local(3, True)  # page 2's first entry (object 1)

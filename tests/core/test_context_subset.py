@@ -1,5 +1,5 @@
-"""Shard-local context construction: ``EvalContext.for_servers`` and
-:func:`repro.core.types.restrict_to_servers`.
+"""Shard-local context construction: :func:`repro.core.types.restrict_to_servers`
+and ``EvalContext.for_model`` over the submodel it returns.
 
 The sharded kernel's workers build their derived state over a
 *restricted* model instead of masking a full-model context.  Identity
@@ -7,7 +7,7 @@ rests on the restriction preserving order everywhere: objects keep
 their global ids, pages/entries are renumbered by strictly increasing
 maps, and the pre-sorted ``comp_sorted`` permutation is filtered, not
 re-sorted.  These tests pin that contract column by column, plus the
-validation and caching behaviour around it.
+validation around it.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.context import EvalContext, clear_derived_state
+from repro.core.context import EvalContext
 from repro.core.fast_partition import optional_marks_batched, partition_pages_batched
 from repro.core.types import (
     ColumnarModel,
@@ -142,53 +142,55 @@ class TestColumnarModel:
 
 
 class TestForServers:
+    """A server subset's submodel and its own context, mapped back to
+    global ids through ``restrict_to_servers``'s maps — the shard
+    worker's view of the model."""
+
     def test_partition_identity_through_global_maps(self, model):
         servers = (0, 3)
-        ctx = EvalContext.for_servers(model, servers)
-        sub = ctx.model
+        sub, maps = restrict_to_servers(model, servers)
+        assert EvalContext.for_model(sub).n_pages == sub.n_pages
         page_member, comp_member, _ = _member_masks(model, servers)
         full_marks, _, _, _ = partition_pages_batched(
             model, page_ids=np.flatnonzero(page_member)
         )
         sub_marks, _, _, _ = partition_pages_batched(sub)
         got = np.zeros(len(model.comp_objects), dtype=bool)
-        got[ctx.global_comp_entries[sub_marks]] = True
+        got[maps["comp_entries"][sub_marks]] = True
         np.testing.assert_array_equal(got, full_marks)
 
     def test_optional_marks_identity(self, model):
         servers = (0, 1, 2)
-        ctx = EvalContext.for_servers(model, servers)
+        sub, maps = restrict_to_servers(model, servers)
         _, _, opt_member = _member_masks(model, servers)
         full = optional_marks_batched(model, "beneficial") & opt_member
-        sub = optional_marks_batched(ctx.model, "beneficial")
+        sub_opt = optional_marks_batched(sub, "beneficial")
         got = np.zeros(len(model.opt_objects), dtype=bool)
-        got[ctx.global_opt_entries[sub]] = True
+        got[maps["opt_entries"][sub_opt]] = True
         np.testing.assert_array_equal(got, full)
-
-    def test_subset_context_is_cached(self, model):
-        a = EvalContext.for_servers(model, (0, 2))
-        b = EvalContext.for_servers(model, (0, 2))
-        assert a is b
-        c = EvalContext.for_servers(model, (0, 1))
-        assert c is not a
-
-    def test_cache_dropped_by_clear_derived_state(self, model):
-        a = EvalContext.for_servers(model, (0, 2))
-        clear_derived_state(model)
-        b = EvalContext.for_servers(model, (0, 2))
-        assert a is not b
 
     def test_single_server_entry_order_matches_argsort_grouping(self, model):
         """Restriction preserves entry order: a one-server restriction's
-        global entry map equals the server's ascending flat entry ids."""
+        global entry map equals the server's ascending flat entry ids,
+        and its context's per-server CSR group lists the same entries
+        as the full context's group, in the same order."""
         full = EvalContext.for_model(model)
         for i in range(model.n_servers):
-            ctx = EvalContext.for_servers(model, (i,))
+            sub, maps = restrict_to_servers(model, (i,))
             np.testing.assert_array_equal(
-                ctx.global_comp_entries,
+                maps["comp_entries"],
                 np.flatnonzero(full.comp_server == i),
             )
             np.testing.assert_array_equal(
-                ctx.global_opt_entries,
+                maps["opt_entries"],
                 np.flatnonzero(full.opt_server == i),
+            )
+            ctx = EvalContext.for_model(sub)
+            np.testing.assert_array_equal(
+                maps["comp_entries"][ctx.comp_group(0)[0]],
+                full.comp_group(i)[0],
+            )
+            np.testing.assert_array_equal(
+                maps["opt_entries"][ctx.opt_group(0)[0]],
+                full.opt_group(i)[0],
             )

@@ -12,10 +12,11 @@ sharded kernel must survive:
 * invalid shard counts (``shards > n_servers``, non-positive) raising
   validated errors,
 * **real subprocess** identity runs, so the ship → worker → merge path
-  is covered outside the inline pool, over both model transports and
-  with OFF_LOADING running in the parent after the merge,
-* **fan-out failure** cleanup: a dying shard must not strand a
-  ``/dev/shm`` segment.
+  (each task pickles its shard's submodel) is covered outside the
+  inline pool, for an empty shard too, and with OFF_LOADING running in
+  the parent after the merge,
+* **fan-out failure** cleanup: a dying shard must propagate its error
+  and leave no ``/dev/shm`` segment behind.
 """
 
 from __future__ import annotations
@@ -27,13 +28,10 @@ import pathlib
 import numpy as np
 import pytest
 
-import repro.core.shard as shard_mod
 from repro.core.partition import partition_all
 from repro.core.policy import RepositoryReplicationPolicy
 from repro.core.shard import (
     InlineShardPool,
-    _Lru,
-    _model_digest,
     _run_shard,
     default_pool,
     plan_shards,
@@ -41,7 +39,6 @@ from repro.core.shard import (
     run_shard_fanout,
     shutdown_shard_pool,
 )
-from repro.core.shm import shm_available
 from repro.core.types import (
     ObjectSpec,
     PageSpec,
@@ -49,6 +46,7 @@ from repro.core.types import (
     ServerSpec,
     SystemModel,
 )
+from repro.experiments.executor import persistent_pool, shutdown_pool
 from repro.experiments.scaling import (
     clone_with_capacities,
     storage_capacities_for_fraction,
@@ -124,6 +122,23 @@ class TestEmptyShard:
             ).run(model)
             _assert_identical(sharded, batched)
             assert sharded.allocation.replicas[1] == set()
+
+    def test_identity_with_pageless_server_real_pool(self):
+        """The same identity through a real 2-worker pool: the idle
+        server's group is an empty submodel (no pages, no entries) that
+        must survive the pickle round trip and a context build in the
+        worker."""
+        model = _model_with_idle_server()
+        assert (1,) in plan_shards(model, 3)
+        batched = RepositoryReplicationPolicy().run(model)
+        try:
+            sharded = RepositoryReplicationPolicy(
+                kernel="sharded", shards=3, pool=default_pool(2)
+            ).run(model)
+        finally:
+            shutdown_shard_pool()
+        _assert_identical(sharded, batched)
+        assert sharded.allocation.replicas[1] == set()
 
     def test_identity_constrained_with_pageless_server(self):
         model = _model_with_idle_server()
@@ -240,8 +255,7 @@ class TestPlannerDeterminism:
 
     def test_plan_stable_across_calls_and_equal_models(self):
         """Re-planning the same (or an equal) model yields the identical
-        grouping — the property the worker-side digest cache and the
-        golden regressions both lean on."""
+        grouping — the property the golden regressions lean on."""
         model = generate_workload(WorkloadParams.tiny(), seed=3)
         clone = generate_workload(WorkloadParams.tiny(), seed=3)
         for shards in (1, 2):
@@ -260,48 +274,6 @@ class TestPlannerDeterminism:
         assert sorted(i for g in groups for i in g) == [0, 1, 2, 3, 4]
         sizes = sorted(len(g) for g in groups)
         assert sizes == [1, 2, 2]  # idle servers spread, not stacked
-
-
-class TestWorkerModelLru:
-    def test_eviction_callback_fires_in_insertion_order(self):
-        evicted: list[tuple[str, int]] = []
-        lru = _Lru(2, lambda k, v: evicted.append((k, v)))
-        lru.put("a", 1)
-        lru.put("b", 2)
-        lru.get("a")  # refresh: "b" is now the LRU entry
-        lru.put("c", 3)
-        assert evicted == [("b", 2)]
-        assert len(lru) == 2
-        lru.clear()
-        assert evicted == [("b", 2), ("a", 1), ("c", 3)]
-        assert len(lru) == 0
-
-    def test_worker_cache_evicts_shm_arena_cleanly(self):
-        """An evicted (model, arena) pair must close its arena mapping;
-        the parent-owned segment itself stays alive."""
-        from repro.core.shard import _evict_worker_model
-        from repro.core.shm import ShmArena
-
-        owner = ShmArena.create({"col": np.arange(5)})
-        try:
-            mapping = ShmArena.attach(owner.handle)
-            lru = _Lru(1, _evict_worker_model)
-            lru.put("one", (object(), mapping))
-            lru.put("two", (object(), None))  # evicts "one" → closes arena
-            assert mapping._closed
-            # the owner's segment is untouched by the worker-side close
-            np.testing.assert_array_equal(owner.get("col"), np.arange(5))
-        finally:
-            owner.destroy()
-
-    def test_model_digest_is_content_addressed(self):
-        a = generate_workload(WorkloadParams.tiny(), seed=3)
-        b = generate_workload(WorkloadParams.tiny(), seed=3)
-        c = generate_workload(WorkloadParams.tiny(), seed=4)
-        assert _model_digest(a) == _model_digest(b)
-        assert _model_digest(a) != _model_digest(c)
-        # cached on the attribute, not recomputed
-        assert a._repro_model_digest == _model_digest(a)
 
 
 def _offload_constrained_model():
@@ -328,14 +300,12 @@ def _run_sharded(model, pool=None):
 
 
 class TestRealProcessPool:
-    @pytest.mark.parametrize("shm", [True, False])
-    def test_subprocess_identity_small_scale(self, shm, monkeypatch):
-        """One real fork round trip per transport: both the shm column
-        arena and the pickle fallback must merge to the batched
-        kernel's exact result."""
-        if shm and not shm_available():
-            pytest.skip("no usable shared memory on this platform")
-        monkeypatch.setattr(shard_mod, "shm_available", lambda: shm)
+    @pytest.mark.parametrize("injected", [True, False])
+    def test_subprocess_identity_small_scale(self, injected):
+        """One real fork round trip per pool source: on the experiment
+        executor's injected pool and on the shard module's private
+        default pool, the pickled shard submodels must merge to the
+        batched kernel's exact result."""
         model = generate_workload(WorkloadParams.small(), seed=11)
         ref = partition_all(model)
         m2 = clone_with_capacities(
@@ -344,8 +314,10 @@ class TestRealProcessPool:
         )
         batched = RepositoryReplicationPolicy().run(m2)
         try:
-            sharded = _run_sharded(m2)
+            pool = persistent_pool(2) if injected else None
+            sharded = _run_sharded(m2, pool=pool)
         finally:
+            shutdown_pool()
             shutdown_shard_pool()
         _assert_identical(sharded, batched)
 
@@ -365,7 +337,7 @@ class TestRealProcessPool:
 
 
 # ----------------------------------------------------------------------
-# fan-out failure: no stranded /dev/shm segments
+# fan-out failure: the error propagates, no stranded /dev/shm segments
 # ----------------------------------------------------------------------
 def _boom_run_shard(*_args, **_kwargs):
     raise RuntimeError("shard worker boom")
@@ -394,8 +366,8 @@ class TestFanoutFailureCleanup:
         diff ``/dev/shm`` — after the failure propagates and the pool
         shuts down, no segment created by the run may survive."""
         shm_dir = pathlib.Path("/dev/shm")
-        if not (shm_available() and shm_dir.is_dir()):
-            pytest.skip("needs shared memory backed by /dev/shm")
+        if not shm_dir.is_dir():
+            pytest.skip("needs a /dev/shm directory to diff")
         m2 = _offload_constrained_model()
         before = set(os.listdir(shm_dir))
         pool = _PoisonedFanoutPool(default_pool(2), poison_idx=1)

@@ -23,8 +23,8 @@ identity assertion.)
 
 One sub-contract gets its own differential property on top of the
 end-to-end runs: the **shard-local context build** (PARTITION and
-optional marking over a :func:`~repro.core.context.EvalContext.for_servers`
-restriction must map back through the global entry maps to the masked
+optional marking over a :func:`~repro.core.types.restrict_to_servers`
+submodel must map back through its global entry maps to the masked
 full-model computation, for *any* server subset).  OFF_LOADING needs
 none: it runs once, in the parent, on the merged allocation, through
 the same code the batched kernel runs.
@@ -44,6 +44,7 @@ from repro.core.fast_partition import (
 from repro.core.partition import partition_all
 from repro.core.policy import PolicyResult, RepositoryReplicationPolicy
 from repro.core.shard import InlineShardPool, plan_shards
+from repro.core.types import restrict_to_servers
 from repro.experiments.scaling import (
     clone_with_capacities,
     processing_capacities_for_fraction,
@@ -163,8 +164,8 @@ def test_plan_shards_partitions_servers(model, data):
 @settings(max_examples=40, deadline=None)
 def test_shard_local_context_matches_masked_full(model, data):
     """Shard-local context build: PARTITION and optional marking over a
-    ``for_servers`` restriction, mapped back through the context's
-    global entry maps, equal the full-model computation masked to the
+    ``restrict_to_servers`` submodel and its own context, mapped back
+    through the restriction's global entry maps, equal the full-model computation masked to the
     subset's entries — for any non-empty server subset."""
     servers = tuple(
         sorted(
@@ -176,8 +177,8 @@ def test_shard_local_context_matches_masked_full(model, data):
             )
         )
     )
-    ctx = EvalContext.for_servers(model, servers)
-    sub = ctx.model
+    sub, maps = restrict_to_servers(model, servers)
+    ctx = EvalContext.for_model(sub)
 
     member = np.zeros(model.n_servers, dtype=bool)
     member[list(servers)] = True
@@ -188,22 +189,28 @@ def test_shard_local_context_matches_masked_full(model, data):
     assert sub.n_servers == len(servers)
     assert sub.n_pages == int(page_member.sum())
     np.testing.assert_array_equal(
-        ctx.global_comp_entries, np.flatnonzero(comp_member)
+        maps["comp_entries"], np.flatnonzero(comp_member)
     )
     np.testing.assert_array_equal(
-        ctx.global_opt_entries, np.flatnonzero(opt_member)
+        maps["opt_entries"], np.flatnonzero(opt_member)
     )
+    full_ctx = EvalContext.for_model(model)
+    for li, gi in enumerate(maps["servers"]):
+        np.testing.assert_array_equal(
+            maps["comp_entries"][ctx.comp_group(li)[0]],
+            full_ctx.comp_group(int(gi))[0],
+        )
 
     full_marks, _, _, _ = partition_pages_batched(
         model, page_ids=np.flatnonzero(page_member)
     )
     sub_marks, _, _, _ = partition_pages_batched(sub)
     got = np.zeros(len(model.comp_objects), dtype=bool)
-    got[ctx.global_comp_entries[sub_marks]] = True
+    got[maps["comp_entries"][sub_marks]] = True
     np.testing.assert_array_equal(got, full_marks)
 
     full_opt = optional_marks_batched(model, "beneficial") & opt_member
     sub_opt = optional_marks_batched(sub, "beneficial")
     got_opt = np.zeros(len(model.opt_objects), dtype=bool)
-    got_opt[ctx.global_opt_entries[sub_opt]] = True
+    got_opt[maps["opt_entries"][sub_opt]] = True
     np.testing.assert_array_equal(got_opt, full_opt)

@@ -36,3 +36,29 @@ def test_production_may_not_import_oracles(lint, tmp_path, line):
     (violation,) = lint.check(tmp_path / "src" / "repro")
     assert violation.startswith("src/repro/core/engine.py:2: ")
     assert "oracles" in violation
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "from multiprocessing import shared_memory",
+        "from multiprocessing.shared_memory import SharedMemory",
+        "import multiprocessing.shared_memory",
+    ],
+)
+def test_production_may_not_import_shared_memory(lint, tmp_path, line):
+    package = tmp_path / "src" / "repro" / "core"
+    package.mkdir(parents=True)
+    (package / "arena.py").write_text(f"import pickle\n{line}\n")
+    (violation,) = lint.check(tmp_path / "src" / "repro")
+    assert violation.startswith("src/repro/core/arena.py:2: ")
+    assert "multiprocessing.shared_memory" in violation
+
+
+def test_plain_multiprocessing_import_allowed(lint, tmp_path):
+    package = tmp_path / "src" / "repro" / "core"
+    package.mkdir(parents=True)
+    (package / "pool.py").write_text(
+        "import multiprocessing\nfrom multiprocessing import Pool\n"
+    )
+    assert lint.check(tmp_path / "src" / "repro") == []
