@@ -22,7 +22,10 @@ against live in ``tests/oracles/`` and must not leak back into it.
 A fourth does too: no module imports ``multiprocessing.shared_memory``.
 The sharded kernel's tasks carry their own pickled submodels, so
 nothing needs a segment that a crashed run could leak into
-``/dev/shm``.
+``/dev/shm``.  A fifth keeps ``repro.core``'s private names private: no
+module outside ``src/repro/core/`` imports an underscore-prefixed name
+from ``repro.core.*``, so an orchestrator cannot come to depend on a
+helper the engines may reshape or drop.
 
 On top of the layer rules, ``MODULE_FORBIDDEN`` pins *module-specific*
 contracts with their rationale: ``core/shard.py`` fans work out to
@@ -199,6 +202,18 @@ def _imported_forbidden_modules(tree: ast.AST):
             yield node.lineno, banned
 
 
+def _imported_private_core_names(tree: ast.AST):
+    """Yield ``(lineno, "module.name")`` for every underscore-prefixed
+    name imported from ``repro.core`` or one of its modules."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 0:
+            module = node.module or ""
+            if module == "repro.core" or module.startswith("repro.core."):
+                for alias in node.names:
+                    if alias.name.startswith("_"):
+                        yield node.lineno, f"{module}.{alias.name}"
+
+
 def check(package_root: pathlib.Path = PACKAGE_ROOT) -> list[str]:
     """All layering violations in the tree, as printable strings."""
     violations = []
@@ -217,6 +232,12 @@ def check(package_root: pathlib.Path = PACKAGE_ROOT) -> list[str]:
                 f"({FORBIDDEN_MODULES[target]})"
             )
         layer = _layer_of(path, package_root)
+        if layer != "core":
+            for lineno, target in _imported_private_core_names(tree):
+                violations.append(
+                    f"{rel}:{lineno}: repro.{layer} imports private {target} "
+                    "(underscore names of repro.core stay inside core)"
+                )
         forbidden = FORBIDDEN.get(layer, frozenset())
         module_key = path.relative_to(package_root).as_posix()
         module_forbidden, module_why = MODULE_FORBIDDEN.get(
@@ -248,7 +269,8 @@ def main() -> int:
     m = len(MODULE_FORBIDDEN)
     print(
         f"layering check: OK ({n} constrained layers, "
-        f"{m} module rules, no test-code or shared-memory imports, "
+        f"{m} module rules, no test-code, shared-memory or private "
+        "core imports, "
         "no violations)"
     )
     return 0

@@ -16,20 +16,20 @@ evaluate privately, so the arrays are bit-identical to theirs — which
 is what keeps the golden regressions and the differential kernel
 oracles unchanged.
 
-:class:`IncrementalObjective` layers delta evaluation of the composite
-objective ``D = α₁·D₁ + α₂·D₂`` on top of the context: bulk mark flips
-update the per-page byte totals and stream times of only the touched
-pages.  Per-page byte totals are maintained *additively*, so ``D`` can
-drift from the exact value by float-rounding ulps over long edit
-sequences; :meth:`IncrementalObjective.resync` is the exact-recompute
-escape hatch, restoring bit-equality with ``CostModel.D`` (the identity
-argument lives in DESIGN.md Appendix E).
+A context holds columns only: it keeps no reference back to its model,
+so a model and everything cached on it are freed by reference counting
+as soon as the last caller drops the model.  A frequency-only clone
+(:func:`adopt_frequency_context`) takes a shallow copy of its base's
+context and rebinds the frequency columns, so the structural arrays are
+shared by reference and never written.  The objective itself is
+computed in one place, :class:`repro.core.cost_model.CostModel`.
 """
 
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass
+import copy
+from dataclasses import dataclass, replace
 from typing import Iterator, Literal
 
 import numpy as np
@@ -38,7 +38,6 @@ from repro.core.types import SystemModel
 
 __all__ = [
     "EvalContext",
-    "IncrementalObjective",
     "ScalarViews",
     "Kernel",
     "resolve_kernel",
@@ -147,21 +146,6 @@ def clear_derived_state(model: SystemModel) -> None:
             delattr(model, attr)
 
 
-#: Shared-slot names that depend on the page frequencies.  A
-#: frequency-only model clone (see :func:`adopt_frequency_context`)
-#: recomputes exactly these; everything else in ``_SHARED_SLOTS`` is
-#: structural and transfers by reference.
-_FREQUENCY_SLOTS = frozenset(
-    {
-        "frequencies",
-        "comp_freq",
-        "opt_freq_weight",
-        "html_request_load",
-        "scalars",
-    }
-)
-
-
 def is_frequency_clone(base: SystemModel, model: SystemModel) -> bool:
     """Whether ``model`` differs from ``base`` only in page frequencies.
 
@@ -205,10 +189,10 @@ def adopt_frequency_context(base: SystemModel, model: SystemModel) -> bool:
     ``model`` must be a frequency-only clone of ``base`` (same pages,
     objects, servers, sizes; only ``frequencies`` may differ — verified,
     raising :class:`ValueError` otherwise).  When ``base`` carries a
-    cached :class:`EvalContext`, a refreshed context is installed on
-    ``model``: structural columns (sizes, CSR groups, pair tables,
-    stream-seed expansions) are shared **by reference** and only the
-    frequency-derived columns are recomputed.  The (purely structural)
+    cached :class:`EvalContext`, ``model`` gets a shallow copy of it
+    whose frequency-derived columns are rebound to fresh arrays; the
+    structural columns (sizes, CSR groups, pair tables, stream-seed
+    expansions) stay shared **by reference**.  The (purely structural)
     plain-list PARTITION views transfer too.
 
     Returns ``True`` when a context was transferred, ``False`` when
@@ -235,62 +219,10 @@ def adopt_frequency_context(base: SystemModel, model: SystemModel) -> bool:
         return False
     if getattr(model, _CACHE_ATTR, None) is not None:
         return False  # model already has its own context; keep it
-    ctx = EvalContext(model, _share=src_ctx)
-    ctx._refresh_frequency_columns()
+    ctx = copy.copy(src_ctx)
+    ctx._bind_frequency_columns(model)
     setattr(model, _CACHE_ATTR, ctx)
     return True
-
-
-#: Attribute names a frequency clone's context takes by reference from
-#: its base (``_FREQUENCY_SLOTS`` are then recomputed).
-_SHARED_SLOTS = (
-    "n_pages",
-    "n_servers",
-    "n_objects",
-    "page_server",
-    "html_sizes",
-    "frequencies",
-    "page_spb_local",
-    "page_spb_repo",
-    "page_ovhd_local",
-    "page_ovhd_repo",
-    "comp_pages",
-    "comp_objects",
-    "comp_server",
-    "comp_sizes",
-    "comp_freq",
-    "opt_pages",
-    "opt_objects",
-    "opt_server",
-    "opt_sizes",
-    "opt_probs",
-    "opt_time_local",
-    "opt_time_repo",
-    "opt_freq_weight",
-    "n_streams",
-    "page_spb_streams",
-    "page_ovhd_streams",
-    "opt_time_streams",
-    "opt_time_remote",
-    "opt_best_stream",
-    "html_bytes_by_server",
-    "html_request_load",
-    "scalars",
-    "n_pairs",
-    "pair_server",
-    "pair_object",
-    "comp_pair",
-    "opt_pair",
-    "pair_indptr",
-    "_comp_grouped",
-    "_comp_srv_indptr",
-    "_comp_starts",
-    "_comp_counts",
-    "_opt_grouped",
-    "_opt_srv_indptr",
-    "_opt_starts",
-    "_opt_counts",
-)
 
 
 class EvalContext:
@@ -324,23 +256,13 @@ class EvalContext:
       per-phase scan-and-sort.
     """
 
-    def __init__(
-        self,
-        model: SystemModel,
-        _share: "EvalContext | None" = None,
-    ):
-        self.model = model
-        if _share is not None:
-            for name in _SHARED_SLOTS:
-                setattr(self, name, getattr(_share, name))
-        else:
-            self._build()
+    def __init__(self, model: SystemModel):
+        self._build(model)
 
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
-    def _build(self) -> None:
-        m = self.model
+    def _build(self, m: SystemModel) -> None:
         self.n_pages = m.n_pages
         self.n_servers = m.n_servers
         self.n_objects = m.n_objects
@@ -348,7 +270,6 @@ class EvalContext:
         srv = m.page_server
         self.page_server = srv
         self.html_sizes = m.html_sizes
-        self.frequencies = m.frequencies
         #: per-page seconds-per-byte on the local / repository connection
         self.page_spb_local = 1.0 / m.server_rate[srv]
         self.page_spb_repo = 1.0 / m.server_repo_rate[srv]
@@ -360,7 +281,6 @@ class EvalContext:
         self.comp_objects = m.comp_objects
         self.comp_server = srv[m.comp_pages]
         self.comp_sizes = m.sizes[m.comp_objects]
-        self.comp_freq = m.frequencies[m.comp_pages]
 
         po = m.opt_pages
         self.opt_pages = po
@@ -375,10 +295,6 @@ class EvalContext:
         )
         self.opt_time_repo = (
             self.page_ovhd_repo[po] + self.page_spb_repo[po] * self.opt_sizes
-        )
-        #: expected weight of each optional entry: f(W_j)·scale·U'_jk
-        self.opt_freq_weight = (
-            m.frequencies[po] * m.optional_rate_scale[po] * m.opt_probs
         )
 
         # Per-remote-stream seed columns (the k-stream generalization of
@@ -408,9 +324,6 @@ class EvalContext:
             self.opt_best_stream[win] = r
 
         self.html_bytes_by_server = m.html_bytes_by_server()
-        load = np.zeros(m.n_servers)
-        np.add.at(load, srv, m.frequencies)
-        self.html_request_load = load
 
         ovhd_repo = self.page_ovhd_repo.tolist()
         spb_repo = self.page_spb_repo.tolist()
@@ -420,12 +333,13 @@ class EvalContext:
             ovhd_repo=ovhd_repo,
             spb_repo=spb_repo,
             html=m.html_sizes.tolist(),
-            freq=m.frequencies.tolist(),
+            freq=[],  # bound below, with the other frequency columns
             ovhd_streams=list(
                 zip(ovhd_repo, *(a.tolist() for a in ovhd_rows[1:]))
             ),
             spb_streams=list(zip(spb_repo, *(a.tolist() for a in spb_rows[1:]))),
         )
+        self._bind_frequency_columns(m)
 
         self._build_pair_table()
         (
@@ -488,38 +402,26 @@ class EvalContext:
             counts.append(cnt)
         return order, srv_indptr, tuple(starts), tuple(counts)
 
-    def _refresh_frequency_columns(self) -> None:
-        """Recompute the frequency-derived columns from ``self.model``.
+    def _bind_frequency_columns(self, m: SystemModel) -> None:
+        """Bind the columns that depend on ``m``'s page frequencies.
 
-        Called on a context whose structural columns were shared from a
-        frequency-only sibling (see :func:`adopt_frequency_context`).
-        Exactly the ``_FREQUENCY_SLOTS`` are rebuilt — the expressions
-        are copied verbatim from :meth:`_build`, so a refreshed context
-        is bit-identical to a from-scratch build on the same model
-        (property-tested in ``tests/core/test_context.py``).
+        The only place those columns are computed: a fresh build calls
+        it once, and a frequency clone's shallow copy of its base's
+        context (see :func:`adopt_frequency_context`) calls it again.
+        Every column is rebound to a new object, never written in place,
+        so the copy and its base keep sharing only structural arrays.
         """
-        m = self.model
         self.frequencies = m.frequencies
         self.comp_freq = m.frequencies[self.comp_pages]
+        #: expected weight of each optional entry: f(W_j)·scale·U'_jk
+        po = self.opt_pages
         self.opt_freq_weight = (
-            m.frequencies[self.opt_pages]
-            * m.optional_rate_scale[self.opt_pages]
-            * self.opt_probs
+            m.frequencies[po] * m.optional_rate_scale[po] * self.opt_probs
         )
-        load = np.zeros(m.n_servers)
+        load = np.zeros(self.n_servers)
         np.add.at(load, self.page_server, m.frequencies)
         self.html_request_load = load
-        old = self.scalars
-        self.scalars = ScalarViews(
-            ovhd_local=old.ovhd_local,
-            spb_local=old.spb_local,
-            ovhd_repo=old.ovhd_repo,
-            spb_repo=old.spb_repo,
-            html=old.html,
-            freq=m.frequencies.tolist(),
-            ovhd_streams=old.ovhd_streams,
-            spb_streams=old.spb_streams,
-        )
+        self.scalars = replace(self.scalars, freq=m.frequencies.tolist())
 
     # ------------------------------------------------------------------
     # access
@@ -549,11 +451,6 @@ class EvalContext:
             self._opt_counts[server_id],
         )
 
-    @property
-    def fast_comp(self):
-        """Plain-list PARTITION views (see ``SystemModel.fast_comp``)."""
-        return self.model.fast_comp
-
     # ------------------------------------------------------------------
     # cache
     # ------------------------------------------------------------------
@@ -568,208 +465,3 @@ class EvalContext:
             ctx = cls(model)
             setattr(model, _CACHE_ATTR, ctx)
         return ctx
-
-
-class IncrementalObjective:
-    """Delta-maintained composite objective ``D = α₁·D₁ + α₂·D₂``.
-
-    Tracks its own copy of the mark arrays plus the per-page stream byte
-    totals and times (Eq. 3-6).  :meth:`flip_comp` / :meth:`flip_opt`
-    update only the touched pages; :meth:`resync` is the exact-recompute
-    escape hatch whose result is bit-identical to ``CostModel.D`` on the
-    same marks (both run the identical bincount → stream-time → dot
-    pipeline).  Between resyncs ``D`` may drift from the exact value by
-    accumulated float-rounding ulps — bounded in practice well below the
-    greedy loops' ``1e-9`` tie tolerance, and property-tested against
-    the exact evaluator.
-
-    Parameters
-    ----------
-    ctx:
-        The model's :class:`EvalContext`.
-    alloc:
-        Allocation whose marks seed the objective (copied, not aliased).
-    alpha1, alpha2:
-        Objective weights (Table 1 uses ``(2, 1)``).
-    resync_every:
-        Optional flip-batch period of automatic exact recomputes
-        (mirroring the greedy loops' drift resyncs); ``None`` disables.
-    """
-
-    def __init__(
-        self,
-        ctx: EvalContext,
-        alloc,
-        alpha1: float = 2.0,
-        alpha2: float = 1.0,
-        resync_every: int | None = None,
-    ):
-        if alpha1 <= 0 or alpha2 <= 0:
-            raise ValueError(
-                f"alpha weights must be positive, got ({alpha1}, {alpha2})"
-            )
-        if resync_every is not None and resync_every <= 0:
-            raise ValueError(
-                f"resync_every must be positive or None, got {resync_every}"
-            )
-        self.ctx = ctx
-        self.alpha1 = float(alpha1)
-        self.alpha2 = float(alpha2)
-        self.resync_every = resync_every
-        self.comp_local = np.asarray(alloc.comp_local, dtype=bool).copy()
-        self.opt_local = np.asarray(alloc.opt_local, dtype=bool).copy()
-        streams = getattr(alloc, "comp_stream", None)
-        if streams is None:
-            streams = np.ones(len(self.comp_local), dtype=np.int8)
-        self.comp_stream = np.asarray(streams, dtype=np.int8).copy()
-        self._applied = 0
-        self.resync()
-
-    # ------------------------------------------------------------------
-    def resync(self) -> float:
-        """Exact recompute from the tracked marks; returns the fresh ``D``.
-
-        Runs the same expression tree as ``CostModel.D`` (bincount byte
-        totals → Eq. 3/4 stream times → Eq. 5 max → Eq. 6 optional sum →
-        frequency dots), so the result is bit-identical to the full
-        evaluator — the escape hatch that clears accumulated drift.
-        """
-        c = self.ctx
-        sel = self.comp_local
-        self._lb = np.bincount(
-            c.comp_pages[sel], weights=c.comp_sizes[sel], minlength=c.n_pages
-        )
-        page_t = c.page_ovhd_local + c.page_spb_local * (c.html_sizes + self._lb)
-        rem = ~sel
-        rb_rows = []
-        for r in range(1, c.n_streams):
-            sel_r = rem & (self.comp_stream == r)
-            rb = np.bincount(
-                c.comp_pages[sel_r], weights=c.comp_sizes[sel_r], minlength=c.n_pages
-            )
-            rb_rows.append(rb)
-            page_t = np.maximum(
-                page_t, c.page_ovhd_streams[r - 1] + c.page_spb_streams[r - 1] * rb
-            )
-        self._rb_streams = tuple(rb_rows)
-        self._page_t = page_t
-        per_entry = np.where(self.opt_local, c.opt_time_local, c.opt_time_remote)
-        self._opt_base = np.bincount(
-            c.opt_pages, weights=c.opt_probs * per_entry, minlength=c.n_pages
-        )
-        self._opt_t = self._opt_base * self.ctx.model.optional_rate_scale
-        self._d1 = float(np.dot(c.frequencies, self._page_t))
-        self._d2 = float(np.dot(c.frequencies, self._opt_t))
-        self._applied = 0
-        return self.D
-
-    # ------------------------------------------------------------------
-    @property
-    def D1(self) -> float:
-        """:math:`D_1 = \\sum_j f(W_j)\\,Time(W_j)` (Eq. 5 aggregate)."""
-        return self._d1
-
-    @property
-    def D2(self) -> float:
-        """:math:`D_2 = \\sum_j f(W_j)\\,Time(W_j, M)` (Eq. 6 aggregate)."""
-        return self._d2
-
-    @property
-    def D(self) -> float:
-        """The weighted composite :math:`\\alpha_1 D_1 + \\alpha_2 D_2`."""
-        return self.alpha1 * self._d1 + self.alpha2 * self._d2
-
-    # ------------------------------------------------------------------
-    def _changed(
-        self, entries: np.ndarray, marks: np.ndarray, to_local: bool
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``(changed entry ids, positions of those ids in ``entries``)``.
-
-        The positions keep any per-entry payload (the target-stream
-        column) aligned with ``changed`` through the no-op filter and
-        the duplicate dedup.
-        """
-        entries = np.asarray(entries, dtype=np.intp)
-        idx = np.flatnonzero(marks[entries] != bool(to_local))
-        changed = entries[idx]
-        if len(changed) > 1 and not (changed[1:] > changed[:-1]).all():
-            changed, first = np.unique(changed, return_index=True)
-            idx = idx[first]
-        return changed, idx
-
-    def flip_comp(
-        self,
-        entries: np.ndarray,
-        to_local: bool,
-        streams: np.ndarray | None = None,
-    ) -> float:
-        """Flip compulsory marks in bulk; returns the updated ``D``.
-
-        Entries already in the target state (and duplicates) are ignored,
-        mirroring ``Allocation.set_comp_local_bulk``.  A flip to remote
-        lands each entry on ``streams`` (aligned with ``entries``;
-        default stream 1, the repository), and a flip to local debits
-        the stream the entry was previously assigned to.
-        """
-        changed, idx = self._changed(entries, self.comp_local, to_local)
-        if len(changed) == 0:
-            return self.D
-        c = self.ctx
-        k = c.n_streams
-        pages = c.comp_pages[changed]
-        sizes = c.comp_sizes[changed]
-        if to_local:
-            src = self.comp_stream[changed]
-            self.comp_local[changed] = True
-            np.add.at(self._lb, pages, sizes)
-            for r in range(1, k):
-                on_r = src == r
-                np.add.at(self._rb_streams[r - 1], pages[on_r], -sizes[on_r])
-        else:
-            if streams is None:
-                tgt = np.ones(len(changed), dtype=np.int8)
-            else:
-                tgt = np.asarray(streams, dtype=np.int8)[idx]
-            self.comp_local[changed] = False
-            self.comp_stream[changed] = tgt
-            np.add.at(self._lb, pages, -sizes)
-            for r in range(1, k):
-                on_r = tgt == r
-                np.add.at(self._rb_streams[r - 1], pages[on_r], sizes[on_r])
-        up = np.unique(pages)
-        new_t = c.page_ovhd_local[up] + c.page_spb_local[up] * (
-            c.html_sizes[up] + self._lb[up]
-        )
-        for r in range(1, k):
-            new_t = np.maximum(
-                new_t,
-                c.page_ovhd_streams[r - 1][up]
-                + c.page_spb_streams[r - 1][up] * self._rb_streams[r - 1][up],
-            )
-        self._d1 += float(np.dot(c.frequencies[up], new_t - self._page_t[up]))
-        self._page_t[up] = new_t
-        return self._bump()
-
-    def flip_opt(self, entries: np.ndarray, to_local: bool) -> float:
-        """Flip optional marks in bulk; returns the updated ``D``."""
-        changed, _ = self._changed(entries, self.opt_local, to_local)
-        if len(changed) == 0:
-            return self.D
-        c = self.ctx
-        self.opt_local[changed] = to_local
-        diff = c.opt_time_local[changed] - c.opt_time_remote[changed]
-        if not to_local:
-            diff = -diff
-        pages = c.opt_pages[changed]
-        np.add.at(self._opt_base, pages, c.opt_probs[changed] * diff)
-        up = np.unique(pages)
-        new_t = self._opt_base[up] * self.ctx.model.optional_rate_scale[up]
-        self._d2 += float(np.dot(c.frequencies[up], new_t - self._opt_t[up]))
-        self._opt_t[up] = new_t
-        return self._bump()
-
-    def _bump(self) -> float:
-        self._applied += 1
-        if self.resync_every is not None and self._applied >= self.resync_every:
-            return self.resync()
-        return self.D

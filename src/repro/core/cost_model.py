@@ -44,11 +44,6 @@ from repro.core.types import SystemModel
 
 __all__ = ["PageTimes", "CostModel"]
 
-# Backwards-compatible alias: the per-page plain-list views now live in
-# repro.core.context (shared by every consumer, not private to CostModel).
-_ScalarViews = ScalarViews
-
-
 @dataclass(frozen=True)
 class PageTimes:
     """Per-page time decomposition under an allocation.
@@ -243,42 +238,14 @@ class CostModel:
         """
         return self.ctx.scalars
 
-    def page_time_from_stream_bytes(
-        self, page_id: int, local_mo_bytes: float, stream_bytes
-    ) -> float:
-        """Eq. 5 over k streams for one page.
-
-        ``stream_bytes[r-1]`` is stream ``r``'s byte total; the page
-        time is the max over the local and every remote stream.
-        """
-        s = self.scalars
-        t = s.ovhd_local[page_id] + s.spb_local[page_id] * (
-            s.html[page_id] + local_mo_bytes
-        )
-        for ovhd_r, spb_r, rb in zip(
-            s.ovhd_streams[page_id], s.spb_streams[page_id], stream_bytes
-        ):
-            tr = ovhd_r + spb_r * rb
-            if tr > t:
-                t = tr
-        return t
-
-    def optional_entry_delta(self, entry: int, to_local: bool) -> float:
-        """Change in ``alpha2 * D2`` from flipping one optional entry.
-
-        Positive means the objective gets worse.
-        """
-        diff = self.opt_time_local[entry] - self.opt_time_remote[entry]
-        signed = diff if to_local else -diff
-        return self.alpha2 * self.opt_freq_weight[entry] * signed
-
     # ------------------------------------------------------------------
     # bulk (vectorised) counterparts used by the batched greedy kernels
     # ------------------------------------------------------------------
     def bulk_optional_entry_delta(
         self, entries: np.ndarray, to_local: bool
     ) -> np.ndarray:
-        """Vectorised :meth:`optional_entry_delta` over many entries."""
+        """Change in ``alpha2 * D2`` from flipping each optional entry in
+        ``entries``; positive means the objective gets worse."""
         diff = self.opt_time_local[entries] - self.opt_time_remote[entries]
         signed = diff if to_local else -diff
         return self.alpha2 * self.opt_freq_weight[entries] * signed

@@ -232,7 +232,8 @@ def optional_marks_batched(
 ) -> np.ndarray:
     """Flat optional-entry marks for every page under ``policy``.
 
-    Vectorized equivalent of the scalar ``_optional_marks`` loop: the
+    Vectorized equivalent of the page-by-page reference loop
+    (``tests/oracles/optional_marks.py``): the
     ``"beneficial"`` predicate ``Ovhd(S_i) + size/B(S_i) <= Ovhd(R, S_i)
     + size/B(R, S_i)`` is evaluated with the identical arithmetic.
     """
@@ -247,7 +248,7 @@ def optional_marks_batched(
         # the per-entry single-download times are exactly the "beneficial"
         # predicate's two sides, precomputed once in the context
         # (opt_time_remote is the cheapest remote stream, as in the
-        # scalar _optional_marks)
+        # page-by-page reference)
         marks = ctx.opt_time_local <= ctx.opt_time_remote
     else:
         raise ValueError(f"unknown optional policy {policy!r}")

@@ -171,34 +171,6 @@ def _partition_page(s, fast_comp, page_id, allowed=None, order="decreasing"):
     )
 
 
-def _optional_marks(
-    model: SystemModel,
-    page_id: int,
-    policy: OptionalPolicy,
-    allowed: Collection[int] | None,
-) -> np.ndarray:
-    page = model.pages[page_id]
-    n = len(page.optional)
-    if n == 0 or policy == "none":
-        return np.zeros(n, dtype=bool)
-    s = EvalContext.for_model(model).scalars
-    ovhd_local = s.ovhd_local[page_id]
-    spb_local = s.spb_local[page_id]
-    remote = list(zip(s.ovhd_streams[page_id], s.spb_streams[page_id]))
-    allowed_set = None if allowed is None else set(allowed)
-    marks = np.zeros(n, dtype=bool)
-    for pos, k in enumerate(page.optional):
-        if allowed_set is not None and k not in allowed_set:
-            continue
-        if policy == "all":
-            marks[pos] = True
-        else:  # "beneficial": against the cheapest remote stream
-            size = model.sizes[k]
-            t_remote = min(ovhd + spb * size for ovhd, spb in remote)
-            marks[pos] = ovhd_local + spb_local * size <= t_remote
-    return marks
-
-
 def partition_all(
     model: SystemModel,
     optional_policy: OptionalPolicy = "all",

@@ -30,9 +30,9 @@ __all__ = ["rotate_hot_set", "jitter_frequencies", "replace_frequencies"]
 def replace_frequencies(model: SystemModel, frequencies: np.ndarray) -> SystemModel:
     """Rebuild ``model`` with the given per-page frequencies.
 
-    The clone adopts ``model``'s cached derived state (context, reverse
-    index, PARTITION views) with only frequency columns recomputed —
-    see the module docstring.
+    The clone adopts ``model``'s cached derived state (context,
+    PARTITION views) with only frequency columns recomputed — see the
+    module docstring.
     """
     frequencies = np.asarray(frequencies, dtype=float)
     if frequencies.shape != (model.n_pages,):

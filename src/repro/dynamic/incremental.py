@@ -28,7 +28,8 @@ incremental alternative, in the spirit of adaptive replication in CDNs
    restoration greedies sweep one server at a time, so a rebuilt server
    lands exactly on the marks a from-scratch solve would give it —
    drift relative to ``policy.run`` comes only from *untouched* servers
-   whose pages moved sub-threshold.
+   whose pages moved sub-threshold.  The re-plan's objective is
+   ``CostModel.D`` of the repaired allocation, evaluated once.
 4. **Hysteresis** — a from-scratch ``policy.run`` is triggered only when
    the incremental path stops paying: the dirty fraction exceeds
    ``full_resolve_dirty_fraction``, the accumulated replica churn since
@@ -51,7 +52,6 @@ from repro.core.allocation import Allocation, transplant_allocation
 from repro.core.constraints import evaluate_constraints
 from repro.core.context import (
     EvalContext,
-    IncrementalObjective,
     adopt_frequency_context,
     is_frequency_clone,
 )
@@ -263,17 +263,6 @@ class IncrementalReplanner:
         ctx = EvalContext.for_model(new_model)
         alloc = transplant_allocation(self.allocation, new_model)
         cost = policy.cost_model(new_model)
-        inc = IncrementalObjective(
-            ctx, alloc, alpha1=policy.alpha1, alpha2=policy.alpha2
-        )
-
-        stats = ReplanStats(
-            mode="incremental",
-            full_reason=None,
-            n_dirty=len(dirty),
-            dirty_fraction=len(dirty) / max(new_model.n_pages, 1),
-            objective=inc.D,
-        )
 
         # Affected servers: those hosting a dirty page, plus those whose
         # constraint broke under the new frequencies alone (loads scale
@@ -284,7 +273,6 @@ class IncrementalReplanner:
             | set(report.violated_servers_storage())
             | set(report.violated_servers_processing())
         )
-        stats.rebuilt_servers = tuple(affected)
 
         if affected:
             # Re-run PARTITION on *every* page of the affected servers —
@@ -322,19 +310,21 @@ class IncrementalReplanner:
             restore_processing_capacity(alloc, cost, servers=affected)
             report = evaluate_constraints(alloc)
 
-        if not report.repo_ok:
+        offload_ran = not report.repo_ok
+        if offload_ran:
             # Eq. 9 couples every server through the shared repository;
             # OFF_LOADING stays global.
             offload_repository(alloc, cost, policy.offload_config)
-            stats.offload_ran = True
 
-        # The kernels above mutate the allocation directly; fold their
-        # flips back and recompute exactly (resync is the bit-exact
-        # escape hatch of IncrementalObjective).
-        inc.comp_local = alloc.comp_local.copy()
-        inc.opt_local = alloc.opt_local.copy()
-        inc.comp_stream = alloc.comp_stream.copy()
-        stats.objective = inc.resync()
+        stats = ReplanStats(
+            mode="incremental",
+            full_reason=None,
+            n_dirty=len(dirty),
+            dirty_fraction=len(dirty) / max(new_model.n_pages, 1),
+            objective=cost.D(alloc),
+            rebuilt_servers=tuple(affected),
+            offload_ran=offload_ran,
+        )
         return alloc, stats
 
     # ------------------------------------------------------------------

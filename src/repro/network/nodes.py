@@ -24,13 +24,17 @@ import numpy as np
 
 from repro.core.allocation import Allocation
 from repro.core.cost_model import CostModel
+from repro.core.fast_partition import (
+    optional_marks_batched,
+    partition_pages_batched,
+)
 from repro.core.offload import (
     ServerStatus,
     absorb_extra_workload,
     compute_server_status,
     plan_offload_round,
 )
-from repro.core.partition import OptionalPolicy, _optional_marks, partition_page
+from repro.core.partition import OptionalPolicy
 from repro.core.restoration import (
     restore_processing_capacity,
     restore_storage_capacity,
@@ -77,19 +81,16 @@ class LocalServerNode:
     # ------------------------------------------------------------------
     def run_local_allocation(self) -> None:
         """PARTITION + restoration for this server's pages only."""
-        m = self.alloc.model
-        for j in m.pages_by_server[self.server_id]:
-            marks, streams, _, _ = partition_page(m, j)
-            sl = m.comp_slice(j)
-            self.alloc.comp_stream[sl] = streams
-            for off, val in enumerate(marks):
-                if val:
-                    self.alloc.set_comp_local(sl.start + off, True)
-            opt_marks = _optional_marks(m, j, self.optional_policy, None)
-            slo = m.opt_slice(j)
-            for off, val in enumerate(opt_marks):
-                if val:
-                    self.alloc.set_opt_local(slo.start + off, True)
+        alloc, ctx = self.alloc, self.alloc.ctx
+        marks, streams, _, _ = partition_pages_batched(
+            alloc.model, page_ids=alloc.model.pages_by_server[self.server_id]
+        )
+        comp_e = np.flatnonzero(ctx.comp_server == self.server_id)
+        alloc.comp_stream[comp_e] = streams[comp_e]
+        alloc.set_comp_local_bulk(comp_e[marks[comp_e]], True)
+        opt_marks = optional_marks_batched(alloc.model, self.optional_policy)
+        opt_e = np.flatnonzero(ctx.opt_server == self.server_id)
+        alloc.set_opt_local_bulk(opt_e[opt_marks[opt_e]], True)
         report = evaluate_constraints(self.alloc)
         if self.server_id in report.violated_servers_storage():
             restore_storage_capacity(self.alloc, self.cost, self.server_id)

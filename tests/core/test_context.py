@@ -1,4 +1,7 @@
-"""Tests for repro.core.context: EvalContext + IncrementalObjective."""
+"""Tests for repro.core.context: EvalContext and its per-model cache."""
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -8,7 +11,6 @@ from hypothesis import strategies as st
 from repro.core.allocation import Allocation
 from repro.core.context import (
     EvalContext,
-    IncrementalObjective,
     adopt_frequency_context,
     clear_derived_state,
     is_frequency_clone,
@@ -18,6 +20,8 @@ from repro.core.context import (
 from repro.core.cost_model import CostModel
 from repro.core.partition import partition_all
 from repro.core.types import PageSpec, SystemModel
+from repro.dynamic.drift import replace_frequencies
+from tests.conftest import build_micro_model
 from tests.properties.strategies import system_models
 
 
@@ -224,69 +228,24 @@ class TestAdoptFrequencyContext:
         assert EvalContext.for_model(clone) is own
 
 
-
-class TestIncrementalObjective:
-    def test_resync_bit_identical_to_cost_model(self, micro_model):
-        alloc = partition_all(micro_model)
-        cost = CostModel(micro_model, alpha1=2.0, alpha2=1.0)
-        inc = IncrementalObjective(alloc.ctx, alloc, alpha1=2.0, alpha2=1.0)
-        assert inc.D == cost.D(alloc)
-        assert inc.D1 == cost.D1(alloc)
-        assert inc.D2 == cost.D2(alloc)
-
-    def test_flip_tracks_exact_evaluator(self, micro_model):
-        rng = np.random.default_rng(7)
-        alloc = partition_all(micro_model)
-        cost = CostModel(micro_model, alpha1=2.0, alpha2=1.0)
-        inc = IncrementalObjective(alloc.ctx, alloc, alpha1=2.0, alpha2=1.0)
-        shadow = alloc.copy()
-        for _ in range(25):
-            if rng.random() < 0.5 and len(shadow.comp_local):
-                e = rng.integers(0, len(shadow.comp_local), size=2)
-                to = bool(rng.random() < 0.5)
-                inc.flip_comp(e, to)
-                shadow.set_comp_local_bulk(np.unique(e), to)
-            elif len(shadow.opt_local):
-                e = rng.integers(0, len(shadow.opt_local), size=2)
-                to = bool(rng.random() < 0.5)
-                inc.flip_opt(e, to)
-                shadow.set_opt_local_bulk(np.unique(e), to)
-            exact = cost.D(shadow)
-            assert inc.D == pytest.approx(exact, rel=1e-12, abs=1e-9)
-        # the escape hatch lands exactly on the full evaluator
-        assert inc.resync() == cost.D(shadow)
-
-    def test_noop_flips_ignored(self, micro_model):
-        alloc = partition_all(micro_model)
-        inc = IncrementalObjective(alloc.ctx, alloc)
-        d0 = inc.D
-        already = alloc.comp_local.nonzero()[0]
-        assert inc.flip_comp(already, True) == d0
-        assert inc.flip_comp(np.array([], dtype=np.intp), False) == d0
-
-    def test_duplicate_entries_flip_once(self, micro_model):
-        alloc = Allocation(micro_model)
-        cost = CostModel(micro_model)
-        inc = IncrementalObjective(alloc.ctx, alloc)
-        inc.flip_comp(np.array([2, 2, 0, 2]), True)
-        shadow = Allocation(micro_model)
-        shadow.set_comp_local_bulk(np.array([0, 2]), True)
-        assert inc.resync() == cost.D(shadow)
-
-    def test_resync_every_clears_drift(self, micro_model):
-        alloc = Allocation(micro_model)
-        cost = CostModel(micro_model)
-        inc = IncrementalObjective(alloc.ctx, alloc, resync_every=1)
-        shadow = Allocation(micro_model)
-        for e in range(min(4, len(alloc.comp_local))):
-            inc.flip_comp(np.array([e]), True)
-            shadow.set_comp_local(e, True)
-            # resync_every=1 forces an exact recompute after every flip
-            assert inc.D == cost.D(shadow)
-
-    def test_invalid_args_rejected(self, micro_model):
-        alloc = Allocation(micro_model)
-        with pytest.raises(ValueError, match="alpha"):
-            IncrementalObjective(alloc.ctx, alloc, alpha1=0.0)
-        with pytest.raises(ValueError, match="resync_every"):
-            IncrementalObjective(alloc.ctx, alloc, resync_every=0)
+class TestRelease:
+    def test_models_freed_by_refcount_alone(self):
+        """With the cyclic gc off, dropping a model, its context, a cost
+        model, an allocation and a frequency clone frees both models:
+        nothing derived from a model refers back to it."""
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            model = build_micro_model()
+            EvalContext.for_model(model)
+            cost = CostModel(model)
+            alloc = partition_all(model)
+            clone = replace_frequencies(model, model.frequencies[::-1])
+            assert EvalContext.for_model(clone) is not EvalContext.for_model(model)
+            assert cost.D(alloc) > 0
+            refs = [weakref.ref(model), weakref.ref(clone)]
+            del model, cost, alloc, clone
+            assert [r() for r in refs] == [None, None]
+        finally:
+            if was_enabled:
+                gc.enable()

@@ -11,6 +11,10 @@ from repro.baselines.local import LocalPolicy
 from repro.baselines.remote import RemotePolicy
 from repro.core.allocation import Allocation
 from repro.core.cost_model import CostModel
+from tests.oracles.scalar_greedy import (
+    optional_entry_delta,
+    page_time_from_stream_bytes,
+)
 
 
 @pytest.fixture
@@ -113,19 +117,19 @@ class TestScalarHelpers:
         lb = micro_cost.local_mo_bytes(local_alloc)
         rbs = micro_cost.remote_mo_bytes_by_stream(local_alloc)
         for j in range(4):
-            assert micro_cost.page_time_from_stream_bytes(
-                j, lb[j], [rb[j] for rb in rbs]
+            assert page_time_from_stream_bytes(
+                micro_cost, j, lb[j], [rb[j] for rb in rbs]
             ) == pytest.approx(t.page[j])
 
     def test_optional_entry_delta_signs(self, micro_cost):
         # Moving optional entry 0 (page 0, object 4) to local:
         # alpha2 * f * U' * (t_local - t_repo) = 1 * 1 * 0.1 * (6 - 27) = -2.1
-        assert micro_cost.optional_entry_delta(0, to_local=True) == pytest.approx(
-            -2.1
-        )
-        assert micro_cost.optional_entry_delta(0, to_local=False) == pytest.approx(
-            2.1
-        )
+        assert optional_entry_delta(
+            micro_cost, 0, to_local=True
+        ) == pytest.approx(-2.1)
+        assert optional_entry_delta(
+            micro_cost, 0, to_local=False
+        ) == pytest.approx(2.1)
 
     def test_scalars_cached(self, micro_cost):
         assert micro_cost.scalars is micro_cost.scalars

@@ -21,6 +21,7 @@ from repro.core.types import (
     ServerSpec,
     SystemModel,
 )
+from tests.oracles.scalar_greedy import optional_entry_delta
 
 
 def _model(scale: float) -> SystemModel:
@@ -82,8 +83,8 @@ class TestOptionalRateScale:
     def test_optional_entry_delta_scales(self):
         base = CostModel(_model(1.0))
         doubled = CostModel(_model(2.0))
-        assert doubled.optional_entry_delta(0, to_local=True) == pytest.approx(
-            2.0 * base.optional_entry_delta(0, to_local=True)
+        assert optional_entry_delta(doubled, 0, to_local=True) == pytest.approx(
+            2.0 * optional_entry_delta(base, 0, to_local=True)
         )
 
     def test_negative_scale_rejected(self):

@@ -32,6 +32,7 @@ from repro.core.types import (
 from tests.conftest import build_micro_model
 from tests.oracles.scalar_greedy import (
     _PageState,
+    optional_entry_delta,
     restore_processing_scalar,
     restore_storage_scalar,
 )
@@ -287,7 +288,7 @@ class TestProcessingRestoration:
             if m.page_server[j] != 0:
                 continue
             w = m.frequencies[j] * m.opt_probs[e]
-            cands.append(cost.optional_entry_delta(e, to_local=False) / w)
+            cands.append(optional_entry_delta(cost, e, to_local=False) / w)
         cheapest = min(cands)
 
         work = alloc.copy()

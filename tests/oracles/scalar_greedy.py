@@ -48,12 +48,7 @@ from repro.core.offload import (
     _try_make_room,
     offload_repository,
 )
-from repro.core.partition import (
-    OptionalPolicy,
-    SortOrder,
-    _optional_marks,
-    partition_page,
-)
+from repro.core.partition import OptionalPolicy, SortOrder, partition_page
 from repro.core.restoration import (
     InfeasibleError,
     ProcessingRestorationStats,
@@ -61,9 +56,12 @@ from repro.core.restoration import (
     _resolve_servers,
 )
 from repro.core.types import SystemModel
+from tests.oracles.optional_marks import optional_marks
 
 __all__ = [
     "ReverseIndex",
+    "page_time_from_stream_bytes",
+    "optional_entry_delta",
     "partition_all_scalar",
     "restore_storage_scalar",
     "restore_processing_scalar",
@@ -151,7 +149,7 @@ def partition_all_scalar(
         for off, val in enumerate(comp_marks):
             if val:
                 alloc.set_comp_local(sl.start + off, True)
-        opt_marks = _optional_marks(model, j, optional_policy, allowed)
+        opt_marks = optional_marks(model, j, optional_policy, allowed)
         slo = model.opt_slice(j)
         for off, val in enumerate(opt_marks):
             if val:
@@ -162,6 +160,38 @@ def partition_all_scalar(
 # ----------------------------------------------------------------------
 # shared helpers
 # ----------------------------------------------------------------------
+def page_time_from_stream_bytes(
+    cost: CostModel, page_id: int, local_mo_bytes: float, stream_bytes
+) -> float:
+    """Eq. 5 over k streams for one page.
+
+    ``stream_bytes[r-1]`` is stream ``r``'s byte total; the page time is
+    the max over the local and every remote stream.
+    """
+    s = cost.scalars
+    t = s.ovhd_local[page_id] + s.spb_local[page_id] * (
+        s.html[page_id] + local_mo_bytes
+    )
+    for ovhd_r, spb_r, rb in zip(
+        s.ovhd_streams[page_id], s.spb_streams[page_id], stream_bytes
+    ):
+        tr = ovhd_r + spb_r * rb
+        if tr > t:
+            t = tr
+    return t
+
+
+def optional_entry_delta(cost: CostModel, entry: int, to_local: bool) -> float:
+    """Change in ``alpha2 * D2`` from flipping one optional entry; the
+    scalar form of ``CostModel.bulk_optional_entry_delta``.
+
+    Positive means the objective gets worse.
+    """
+    diff = cost.opt_time_local[entry] - cost.opt_time_remote[entry]
+    signed = diff if to_local else -diff
+    return cost.alpha2 * cost.opt_freq_weight[entry] * signed
+
+
 class _PageState:
     """Incrementally maintained per-page stream byte totals.
 
@@ -180,8 +210,8 @@ class _PageState:
         ]
 
     def page_time(self, j: int) -> float:
-        return self.cost.page_time_from_stream_bytes(
-            j, self.local_bytes[j], [sb[j] for sb in self.stream_bytes]
+        return page_time_from_stream_bytes(
+            self.cost, j, self.local_bytes[j], [sb[j] for sb in self.stream_bytes]
         )
 
     def best_stream(self, j: int, size: float) -> int:
@@ -201,8 +231,8 @@ class _PageState:
         r = self.best_stream(j, size)
         sb = [b[j] for b in self.stream_bytes]
         sb[r - 1] += size
-        return self.cost.page_time_from_stream_bytes(
-            j, self.local_bytes[j] - size, sb
+        return page_time_from_stream_bytes(
+            self.cost, j, self.local_bytes[j] - size, sb
         )
 
     def move_remote(self, j: int, size: float, stream: int = 1) -> None:
@@ -274,7 +304,7 @@ def _eviction_delta(
     opt_local = alloc.opt_local
     for e in opt_e:
         if opt_local[e]:
-            delta += cost.optional_entry_delta(e, to_local=False)
+            delta += optional_entry_delta(cost, e, to_local=False)
     return delta
 
 
@@ -460,7 +490,7 @@ def _switch_score(
         old = state.page_time(j)
         new = state.page_time_if_moved_remote(j, size)
         return cost.alpha1 * m.frequencies[j] * (new - old) / shed
-    return cost.optional_entry_delta(key - nc, to_local=False) / shed
+    return optional_entry_delta(cost, key - nc, to_local=False) / shed
 
 
 def _switch_remote(alloc: Allocation, state: _PageState, key: int) -> int:
@@ -611,12 +641,12 @@ def _absorb_score(
         return np.inf
     nc = len(m.comp_objects)
     if key >= nc:
-        return cost.optional_entry_delta(key - nc, to_local=True) / w
+        return optional_entry_delta(cost, key - nc, to_local=True) / w
     j = int(m.comp_pages[key])
     size = float(m.sizes[m.comp_objects[key]])
     lb, rb = local_bytes[j], remote_bytes[j]
-    old = cost.page_time_from_stream_bytes(j, lb, (rb,))
-    new = cost.page_time_from_stream_bytes(j, lb + size, (rb - size,))
+    old = page_time_from_stream_bytes(cost, j, lb, (rb,))
+    new = page_time_from_stream_bytes(cost, j, lb + size, (rb - size,))
     return cost.alpha1 * m.frequencies[j] * (new - old) / w
 
 

@@ -19,7 +19,8 @@ from repro.core.fast_partition import (
     partition_all_batched,
     partition_pages_batched,
 )
-from repro.core.partition import _optional_marks, partition_all, partition_page
+from repro.core.partition import partition_all, partition_page
+from tests.oracles.optional_marks import optional_marks
 from tests.oracles.scalar_greedy import partition_all_scalar
 from tests.properties.strategies import system_models
 
@@ -74,7 +75,7 @@ def test_batched_matches_scalar_with_whitelists(model, order, data):
 def test_optional_marks_batched_matches_scalar(model, policy):
     batched = optional_marks_batched(model, policy)
     for j in range(model.n_pages):
-        ref = _optional_marks(model, j, policy, None)
+        ref = optional_marks(model, j, policy, None)
         assert np.array_equal(batched[model.opt_slice(j)], ref)
 
 

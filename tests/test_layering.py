@@ -62,3 +62,28 @@ def test_plain_multiprocessing_import_allowed(lint, tmp_path):
         "import multiprocessing\nfrom multiprocessing import Pool\n"
     )
     assert lint.check(tmp_path / "src" / "repro") == []
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "from repro.core.partition import OptionalPolicy, _private_helper",
+        "from repro.core import _private_helper",
+    ],
+)
+def test_outside_core_may_not_import_private_core_names(lint, tmp_path, line):
+    package = tmp_path / "src" / "repro" / "network"
+    package.mkdir(parents=True)
+    (package / "nodes.py").write_text(f"import numpy\n{line}\n")
+    (violation,) = lint.check(tmp_path / "src" / "repro")
+    assert violation.startswith("src/repro/network/nodes.py:2: ")
+    assert "_private_helper" in violation
+
+
+def test_core_may_import_its_own_private_names(lint, tmp_path):
+    package = tmp_path / "src" / "repro" / "core"
+    package.mkdir(parents=True)
+    (package / "engine.py").write_text(
+        "from repro.core.partition import _partition_page\n"
+    )
+    assert lint.check(tmp_path / "src" / "repro") == []
