@@ -11,7 +11,7 @@ Module map (paper section → module):
 * Section 4.2 OFF_LOADING_REPOSITORY → :mod:`repro.core.offload`
 * End-to-end pipeline              → :mod:`repro.core.policy`
 * Allocation state                 → :mod:`repro.core.allocation`
-* ILP optimum (validation only)    → :mod:`repro.core.ilp`
+* ILP optimum, LP bound (validation only) → :mod:`repro.core.ilp`
 """
 
 from repro.core.allocation import Allocation

@@ -42,7 +42,6 @@ __all__ = [
     "Kernel",
     "resolve_kernel",
     "rebuild_contexts",
-    "clear_derived_state",
     "is_frequency_clone",
     "adopt_frequency_context",
 ]
@@ -110,12 +109,6 @@ class ScalarViews:
 
 _CACHE_ATTR = "_repro_eval_context_cache"
 
-#: Derived-state cache attributes attached to SystemModel instances.
-_MODEL_CACHE_ATTRS = (
-    _CACHE_ATTR,
-    "_fast_comp_cache",
-)
-
 _CACHE_ENABLED = [True]
 
 
@@ -133,17 +126,6 @@ def rebuild_contexts() -> Iterator[None]:
         yield
     finally:
         _CACHE_ENABLED[0] = True
-
-
-def clear_derived_state(model: SystemModel) -> None:
-    """Drop every derived-state cache attached to ``model``.
-
-    Covers the eval context and the plain-list PARTITION views.  Benchmark helper (cold-start timings); production
-    code never needs it — the caches are pure functions of the model.
-    """
-    for attr in _MODEL_CACHE_ATTRS:
-        if hasattr(model, attr):
-            delattr(model, attr)
 
 
 def is_frequency_clone(base: SystemModel, model: SystemModel) -> bool:

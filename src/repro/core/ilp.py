@@ -1,10 +1,15 @@
-"""Exact mixed-integer reference solver for small instances.
+"""Exact mixed-integer reference for the allocation problem, and its LP bound.
 
 The paper notes the allocation decision problem is NP-complete (knapsack
-reduction) and solves it greedily.  For *small* instances we can compute
-the true optimum of the weighted objective ``D`` (Eq. 7) under Eq. 8-10
-with a MILP, which lets tests and ablation benches quantify the greedy
-policy's optimality gap.
+reduction) and solves it greedily.  This module states the weighted
+objective ``D`` (Eq. 7) under Eq. 8-10 as one sparse mixed-integer
+program and hands it to HiGHS through ``scipy.optimize.milp``:
+
+* :func:`solve_optimal_allocation` solves it exactly, which lets tests
+  and the A3 ablation measure the greedy policy's optimality gap;
+* :func:`lp_lower_bound` solves its LP relaxation: a lower bound on the
+  ``D`` of every feasible plan, or ``math.inf`` when no plan meets
+  Eq. 8-10 at all.
 
 Formulation
 -----------
@@ -22,24 +27,33 @@ Constraints: mark-implies-stored (``x_e ≤ y``, ``z_e ≤ y``), storage
 (Eq. 10 with the union expressed through ``y``), local processing
 (Eq. 8), repository processing (Eq. 9).
 
-Only use this for toy models (tens of pages); the variable count grows
-as the number of matrix entries.
+Each constraint family is one sparse block built from the
+:class:`~repro.core.context.EvalContext` columns and pair table, so
+assembly is linear in the entry count and any instance can be stated;
+a paper-scale instance assembles in well under a second.  Its exact
+solve can take arbitrarily long: ``time_limit`` bounds it, and a solve
+that stops without proving optimality raises :class:`RuntimeError`.
+The LP relaxation stays tractable at paper scale.
+
+Only the paper's two-stream topology is modelled (every remote entry is
+fetched over the repository stream), so both entry points refuse k>2
+replica meshes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from repro.core.allocation import Allocation
-from repro.core.cost_model import CostModel
+from repro.core.context import EvalContext
 from repro.core.types import SystemModel
 
-__all__ = ["IlpSolution", "solve_optimal_allocation"]
-
-_MAX_ENTRIES = 2000
+__all__ = ["IlpSolution", "solve_optimal_allocation", "lp_lower_bound"]
 
 
 @dataclass(frozen=True)
@@ -52,207 +66,159 @@ class IlpSolution:
     message: str
 
 
+def _solve(
+    m: SystemModel,
+    alpha1: float,
+    alpha2: float,
+    integral: bool,
+    time_limit: float | None,
+):
+    """Assemble and solve the program; returns ``(ctx, res, const)``.
+
+    The variable vector is ``[x (n_comp), z (n_opt), y (n_pairs),
+    T (n_pages)]`` and ``res.fun + const`` is ``D``.
+    """
+    ctx = EvalContext.for_model(m)
+    if ctx.n_streams > 2:
+        raise NotImplementedError(
+            f"the ILP supports the k=2 topology only, got n_streams="
+            f"{ctx.n_streams} (per-stream T-rows for the k-stream replica "
+            "mesh are a planned follow-up)"
+        )
+    n_comp, n_opt = len(ctx.comp_pages), len(ctx.opt_pages)
+    n_pages, n_srv, n_pairs = ctx.n_pages, ctx.n_servers, ctx.n_pairs
+    cp = ctx.comp_pages
+
+    def block(rows, vals, n_rows):
+        """``n_rows × len(vals)``, holding ``vals[e]`` at ``(rows[e], e)``."""
+        cols = np.arange(len(vals))
+        return sparse.csr_array((vals, (rows, cols)), shape=(n_rows, len(vals)))
+
+    def stored(pair):  # entry e's row holds -1 at y of its pair
+        return block(pair, -np.ones(len(pair)), n_pairs).T
+
+    t_rows = sparse.eye_array(n_pages)
+    A = sparse.block_array(
+        [
+            # T_j - spb_S * sum_e x_e size_e >= ovhd_S + spb_S * html  (Eq. 3)
+            [block(cp, -ctx.page_spb_local[cp] * ctx.comp_sizes, n_pages),
+             None, None, t_rows],
+            # T_j + spb_R * sum_e x_e size_e >= ovhd_R + spb_R * bytes  (Eq. 4)
+            [block(cp, ctx.page_spb_repo[cp] * ctx.comp_sizes, n_pages),
+             None, None, t_rows],
+            # mark implies stored
+            [sparse.eye_array(n_comp), None, stored(ctx.comp_pair), None],
+            [None, sparse.eye_array(n_opt), stored(ctx.opt_pair), None],
+            # Eq. 10
+            [None, None, block(ctx.pair_server, m.sizes[ctx.pair_object], n_srv),
+             None],
+            # Eq. 8
+            [block(ctx.comp_server, ctx.comp_freq, n_srv),
+             block(ctx.opt_server, ctx.opt_freq_weight, n_srv), None, None],
+            # Eq. 9: the repository serves every unmarked entry
+            [block(np.zeros(n_comp, int), -ctx.comp_freq, 1),
+             block(np.zeros(n_opt, int), -ctx.opt_freq_weight, 1), None, None],
+        ],
+        format="csr",
+    )
+    page_bytes = np.bincount(cp, weights=ctx.comp_sizes, minlength=n_pages)
+    lb = np.concatenate([
+        ctx.page_ovhd_local + ctx.page_spb_local * ctx.html_sizes,
+        ctx.page_ovhd_repo + ctx.page_spb_repo * page_bytes,
+        np.full(n_comp + n_opt + 2 * n_srv + 1, -np.inf),
+    ])
+    repo_cap = m.repository.processing_capacity
+    ub = np.concatenate([
+        np.full(2 * n_pages, np.inf),
+        np.zeros(n_comp + n_opt),
+        m.server_storage - ctx.html_bytes_by_server,
+        m.server_capacity - ctx.html_request_load,
+        [repo_cap - ctx.comp_freq.sum() - ctx.opt_freq_weight.sum()],
+    ])
+    # Uncapacitated servers and the repository get no row, nor does a
+    # server that stores no object.
+    keep = np.concatenate([
+        np.ones(2 * n_pages + n_comp + n_opt, dtype=bool),
+        np.isfinite(m.server_storage) & (np.diff(ctx.pair_indptr) > 0),
+        np.isfinite(m.server_capacity),
+        [np.isfinite(repo_cap)],
+    ])
+
+    # optional term: w_e [z t_loc + (1-z) t_rep] = const + w_e (t_loc - t_rep) z
+    w = alpha2 * ctx.opt_freq_weight
+    c = np.concatenate([
+        np.zeros(n_comp),
+        w * (ctx.opt_time_local - ctx.opt_time_repo),
+        np.zeros(n_pairs),
+        alpha1 * ctx.frequencies,
+    ])
+    n_bin = n_comp + n_opt + n_pairs
+    res = milp(
+        c,
+        constraints=LinearConstraint(A[keep], lb[keep], ub[keep]),
+        integrality=np.repeat([int(integral), 0], [n_bin, n_pages]),
+        bounds=Bounds(0, np.repeat([1.0, np.inf], [n_bin, n_pages])),
+        options={} if time_limit is None else {"time_limit": time_limit},
+    )
+    return ctx, res, float(w @ ctx.opt_time_repo)
+
+
 def solve_optimal_allocation(
     model: SystemModel,
     alpha1: float = 2.0,
     alpha2: float = 1.0,
     time_limit: float | None = 60.0,
 ) -> IlpSolution:
-    """Solve for the exact optimum of ``D`` on a small instance.
+    """Solve for the exact optimum of ``D``.
 
     Raises
     ------
-    ValueError
-        If the instance is too large (guards against accidentally feeding
-        a full Table 1 workload to the MILP).
+    NotImplementedError
+        If ``model`` is a k>2 replica mesh.
     RuntimeError
-        If the MILP terminates without an optimal solution.
+        If the MILP terminates without an optimal solution (infeasible,
+        or ``time_limit`` seconds ran out first).
     """
-    m = model
-    n_comp = len(m.comp_objects)
-    n_opt = len(m.opt_objects)
-    if n_comp + n_opt > _MAX_ENTRIES:
-        raise ValueError(
-            f"instance has {n_comp + n_opt} matrix entries; the ILP "
-            f"reference is limited to {_MAX_ENTRIES} (use the greedy "
-            "policy for real workloads)"
-        )
-    cost = CostModel(m, alpha1, alpha2)
-
-    # --- variable layout -------------------------------------------------
-    pairs: list[tuple[int, int]] = []
-    pair_index: dict[tuple[int, int], int] = {}
-    srv_c = m.page_server[m.comp_pages]
-    srv_o = m.page_server[m.opt_pages]
-    for i, k in list(zip(srv_c, m.comp_objects)) + list(zip(srv_o, m.opt_objects)):
-        key = (int(i), int(k))
-        if key not in pair_index:
-            pair_index[key] = len(pairs)
-            pairs.append(key)
-    n_pairs = len(pairs)
-    n_pages = m.n_pages
-
-    # variable vector: [x (n_comp), z (n_opt), y (n_pairs), T (n_pages)]
-    off_x, off_z = 0, n_comp
-    off_y = n_comp + n_opt
-    off_t = off_y + n_pairs
-    n_vars = off_t + n_pages
-
-    integrality = np.zeros(n_vars)
-    integrality[:off_t] = 1
-    lb = np.zeros(n_vars)
-    ub = np.ones(n_vars)
-    ub[off_t:] = np.inf
-
-    # --- objective --------------------------------------------------------
-    c = np.zeros(n_vars)
-    c[off_t:] = alpha1 * m.frequencies
-    # optional term: w_e [z t_local + (1-z) t_repo] = const + w_e (t_local - t_repo) z
-    const = 0.0
-    for e in range(n_opt):
-        w = alpha2 * cost.opt_freq_weight[e]
-        c[off_z + e] += w * (cost.opt_time_local[e] - cost.opt_time_repo[e])
-        const += w * cost.opt_time_repo[e]
-
-    constraints: list[LinearConstraint] = []
-
-    # --- T_j >= local stream time (Eq. 3) ----------------------------------
-    # T_j - spb_S * sum_e x_e size_e >= ovhd_S + spb_S * html
-    rows_A: list[np.ndarray] = []
-    rows_lb: list[float] = []
-    rows_ub: list[float] = []
-
-    for j in range(n_pages):
-        sl = m.comp_slice(j)
-        row = np.zeros(n_vars)
-        row[off_t + j] = 1.0
-        for e in range(sl.start, sl.stop):
-            row[off_x + e] = -cost.page_spb_local[j] * cost.comp_sizes[e]
-        rows_A.append(row)
-        rows_lb.append(
-            float(
-                cost.page_ovhd_local[j]
-                + cost.page_spb_local[j] * m.html_sizes[j]
-            )
-        )
-        rows_ub.append(np.inf)
-        # T_j >= remote stream time (Eq. 4):
-        # T_j + spb_R * sum_e x_e size_e >= ovhd_R + spb_R * total_comp_bytes
-        row2 = np.zeros(n_vars)
-        row2[off_t + j] = 1.0
-        total = 0.0
-        for e in range(sl.start, sl.stop):
-            row2[off_x + e] = cost.page_spb_repo[j] * cost.comp_sizes[e]
-            total += cost.comp_sizes[e]
-        rows_A.append(row2)
-        rows_lb.append(
-            float(cost.page_ovhd_repo[j] + cost.page_spb_repo[j] * total)
-        )
-        rows_ub.append(np.inf)
-
-    # --- mark implies stored ------------------------------------------------
-    for e in range(n_comp):
-        key = (int(srv_c[e]), int(m.comp_objects[e]))
-        row = np.zeros(n_vars)
-        row[off_x + e] = 1.0
-        row[off_y + pair_index[key]] = -1.0
-        rows_A.append(row)
-        rows_lb.append(-np.inf)
-        rows_ub.append(0.0)
-    for e in range(n_opt):
-        key = (int(srv_o[e]), int(m.opt_objects[e]))
-        row = np.zeros(n_vars)
-        row[off_z + e] = 1.0
-        row[off_y + pair_index[key]] = -1.0
-        rows_A.append(row)
-        rows_lb.append(-np.inf)
-        rows_ub.append(0.0)
-
-    # --- storage (Eq. 10) ----------------------------------------------------
-    html_by_srv = m.html_bytes_by_server()
-    for i in range(m.n_servers):
-        if np.isinf(m.server_storage[i]):
-            continue
-        row = np.zeros(n_vars)
-        any_pair = False
-        for (si, k), idx in pair_index.items():
-            if si == i:
-                row[off_y + idx] = float(m.sizes[k])
-                any_pair = True
-        if not any_pair:
-            continue
-        rows_A.append(row)
-        rows_lb.append(-np.inf)
-        rows_ub.append(float(m.server_storage[i] - html_by_srv[i]))
-
-    # --- local processing (Eq. 8) --------------------------------------------
-    for i in range(m.n_servers):
-        if np.isinf(m.server_capacity[i]):
-            continue
-        row = np.zeros(n_vars)
-        base = 0.0
-        for j in m.pages_by_server[i]:
-            base += m.frequencies[j]
-            sl = m.comp_slice(j)
-            for e in range(sl.start, sl.stop):
-                row[off_x + e] = float(m.frequencies[j])
-            slo = m.opt_slice(j)
-            for e in range(slo.start, slo.stop):
-                row[off_z + e] = float(
-                    m.frequencies[j]
-                    * m.optional_rate_scale[j]
-                    * m.opt_probs[e]
-                )
-        rows_A.append(row)
-        rows_lb.append(-np.inf)
-        rows_ub.append(float(m.server_capacity[i] - base))
-
-    # --- repository processing (Eq. 9) ----------------------------------------
-    if not np.isinf(m.repository.processing_capacity):
-        row = np.zeros(n_vars)
-        base = 0.0
-        for e in range(n_comp):
-            f = float(m.frequencies[m.comp_pages[e]])
-            base += f
-            row[off_x + e] = -f
-        for e in range(n_opt):
-            j = int(m.opt_pages[e])
-            w = float(
-                m.frequencies[j] * m.optional_rate_scale[j] * m.opt_probs[e]
-            )
-            base += w
-            row[off_z + e] = -w
-        rows_A.append(row)
-        rows_lb.append(-np.inf)
-        rows_ub.append(float(m.repository.processing_capacity - base))
-
-    A = np.vstack(rows_A)
-    constraints.append(LinearConstraint(A, np.array(rows_lb), np.array(rows_ub)))
-
-    options = {}
-    if time_limit is not None:
-        options["time_limit"] = time_limit
-    res = milp(
-        c,
-        constraints=constraints,
-        integrality=integrality,
-        bounds=Bounds(lb, ub),
-        options=options,
-    )
+    ctx, res, const = _solve(model, alpha1, alpha2, True, time_limit)
     if res.status != 0 or res.x is None:
         raise RuntimeError(f"MILP failed: status={res.status}, {res.message}")
 
-    x = res.x
-    comp_local = x[off_x : off_x + n_comp] > 0.5
-    opt_local = x[off_z : off_z + n_opt] > 0.5
-    replicas: list[set[int]] = [set() for _ in range(m.n_servers)]
-    for (i, k), idx in pair_index.items():
-        if x[off_y + idx] > 0.5:
-            replicas[i].add(k)
-    alloc = Allocation(m, comp_local, opt_local, replicas)
+    n_comp, n_opt = len(ctx.comp_pages), len(ctx.opt_pages)
+    on = res.x > 0.5
+    y = on[n_comp + n_opt : n_comp + n_opt + ctx.n_pairs]
+    ptr = ctx.pair_indptr
+    replicas = [
+        set(ctx.pair_object[lo:hi][y[lo:hi]].tolist())
+        for lo, hi in zip(ptr[:-1], ptr[1:])
+    ]
+    alloc = Allocation(model, on[:n_comp], on[n_comp : n_comp + n_opt], replicas)
     return IlpSolution(
         allocation=alloc,
         objective=float(res.fun + const),
         status=int(res.status),
         message=str(res.message),
     )
+
+
+def lp_lower_bound(
+    model: SystemModel, alpha1: float = 2.0, alpha2: float = 1.0
+) -> float:
+    """The LP relaxation's optimum: a lower bound on every plan's ``D``.
+
+    Returns ``math.inf`` when the relaxation is infeasible, which
+    certifies that no allocation meets Eq. 8-10.
+
+    Raises
+    ------
+    NotImplementedError
+        If ``model`` is a k>2 replica mesh.
+    RuntimeError
+        If HiGHS stops for any other reason than optimality or
+        infeasibility.
+    """
+    _, res, const = _solve(model, alpha1, alpha2, False, None)
+    if res.status == 2:
+        return math.inf
+    if res.status != 0:
+        raise RuntimeError(f"LP failed: status={res.status}, {res.message}")
+    return float(res.fun + const)

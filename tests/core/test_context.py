@@ -12,7 +12,6 @@ from repro.core.allocation import Allocation
 from repro.core.context import (
     EvalContext,
     adopt_frequency_context,
-    clear_derived_state,
     is_frequency_clone,
     rebuild_contexts,
     resolve_kernel,
@@ -75,12 +74,6 @@ class TestCaching:
             fresh = EvalContext.for_model(micro_model)
             assert fresh is not cached
         assert EvalContext.for_model(micro_model) is cached
-
-    def test_clear_derived_state(self, micro_model):
-        before = EvalContext.for_model(micro_model)
-        clear_derived_state(micro_model)
-        after = EvalContext.for_model(micro_model)
-        assert after is not before
 
 
 class TestColumns:

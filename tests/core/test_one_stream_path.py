@@ -6,8 +6,8 @@ This scans every module of ``src/repro/core`` for a comparison of
 ``n_streams``, ``n_rem`` or an attribute ``.k`` against a constant.  The
 only exemptions are the guards that refuse a k>2 mesh outright with
 ``NotImplementedError`` (OFF_LOADING's negotiation and its absorption
-engine, and the sharded kernel), whose k-stream forms are planned
-follow-ups.
+engine, the sharded kernel, and the exact ILP and its LP bound), whose
+k-stream forms are planned follow-ups.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ GUARDS = {
     ("offload.py", "_require_two_streams"),
     ("fast_restoration.py", "absorb_extra_workload_batched"),
     ("shard.py", "run_shard_fanout"),
+    ("ilp.py", "_solve"),
 }
 
 
