@@ -44,7 +44,8 @@ restore is labelled as such.  Every record also carries a per-layer
 ledger from one more (untimed)
 shared run under a recording registry: each phase's span seconds, the
 greedy actions taken (evictions, switches, absorptions), the candidates
-each restoration loop rescored, microseconds per action, and
+each restoration loop rescored and the lockstep steps it took
+(``storage_steps``, ``processing_steps``), microseconds per action, and
 ``os.cpu_count()`` of the machine that produced it.
 
 Capacities are set to the fractions (storage 0.6, processing 0.6,
@@ -128,8 +129,8 @@ def _phase_ledger(policy, model) -> dict:
 
     A recording registry supplies each policy phase's span seconds, the
     greedy actions taken (evictions, switches, absorptions), the
-    candidates each restoration phase rescored, and microseconds per
-    action.  Keys end in ``_s``/``_us``/counts, never ``_seconds``, so
+    candidates each restoration phase rescored, the lockstep steps each
+    restoration took, and microseconds per action.  Keys end in ``_s``/``_us``/counts, never ``_seconds``, so
     the trajectory headline keeps them.
     """
     registry = obs.MetricsRegistry()
@@ -153,6 +154,8 @@ def _phase_ledger(policy, model) -> dict:
         out[f"{phase}_rescored"] = int(
             counters.get(f"{prefix}.rescored_candidates", 0)
         )
+    for phase in ("storage", "processing"):
+        out[f"{phase}_steps"] = int(counters.get(f"restoration.{phase}.steps", 0))
     return out
 
 

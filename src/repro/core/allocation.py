@@ -36,6 +36,9 @@ from repro.core.types import SystemModel
 
 __all__ = ["Allocation", "transplant_allocation"]
 
+#: bulk mark flips up to this many entries update the counts one by one
+_SHORT_BATCH = 256
+
 
 def transplant_allocation(alloc: "Allocation", model: SystemModel) -> "Allocation":
     """Rebind ``alloc``'s decisions onto a structurally identical model.
@@ -252,9 +255,17 @@ class Allocation:
         ``pair_ids`` are context pair-table rows of the flipped entries;
         unique-with-counts over them yields each pair's multiplicity in
         ascending (server, object) order, exactly like the sort-based
-        grouping it replaces.
+        grouping it replaces.  A short batch (the restoration engines
+        flip a few dozen entries per step) is cheaper one entry at a
+        time; the mark counts come out the same either way.
         """
         ctx = self.ctx
+        if len(pair_ids) <= _SHORT_BATCH:
+            for i, k in zip(
+                ctx.pair_server[pair_ids].tolist(), ctx.pair_object[pair_ids].tolist()
+            ):
+                self._bump(i, k, delta)
+            return
         uniq, counts = np.unique(pair_ids, return_counts=True)
         usrv = ctx.pair_server[uniq]
         uobj = ctx.pair_object[uniq]

@@ -12,7 +12,7 @@ live with the tests as the reference
 decisions bit for bit** — every eviction, switch and absorption happens
 for the same candidate with the same score.
 
-Three pieces make a step cheap:
+Four pieces make the loops cheap:
 
 1. **Dirty-set rescoring.**  An action only moves the byte totals of the
    pages it touches, so only candidates with a term on those pages score
@@ -33,10 +33,24 @@ Three pieces make a step cheap:
    Python-level steps drop from the sum of the servers' step counts to
    their maximum.
 
+4. **Verified prefixes, applied in bulk.**  Processing restoration takes,
+   per row and step, the longest prefix of its ``(score, key)`` order
+   that the one-switch-at-a-time loop provably takes in a row
+   (:func:`_verified_prefixes`): it stops at a page an earlier switch
+   moved, at a sibling whose fresh score now comes first, at the
+   capacity and at the periodic load resync.  Both restorations apply
+   a step's actions as array updates — bulk mark setters, a vectorised
+   best-stream choice, one update per touched page total, left-to-right
+   ``accumulate`` folds for the stats — rather than entry by entry.
+   Byte totals are sums of whole sizes below 2**53, so they come out the
+   same in any order.
+
 See DESIGN.md Appendix D for the full argument.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,6 +68,19 @@ __all__ = [
 
 #: kept in lockstep with ``offload._TOL``
 _TOL = 1e-9
+
+#: switches between two exact recomputations of a row's running load
+_RESYNC_EVERY = 4096
+
+#: the most switches a processing row takes in one step
+_WINDOW = 256
+
+#: a processing row's window is twice its last prefix, and no shorter
+#: than this: windows past the cut only cost sibling scores
+_REACH = 8
+
+#: above every index and key
+_NONE = np.iinfo(np.intp).max
 
 
 class ArgminPicker:
@@ -138,6 +165,52 @@ class ArgminPicker:
         """:meth:`pick_rows` of a one-row picker."""
         return self.pick_rows([0])[0]
 
+    def lowest_rows(
+        self, rows: list[int], n: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """For each of ``rows`` (ascending, distinct), a prefix of its live
+        candidates in ``(score, key)`` order, at most ``n`` long and not
+        empty while any is live: ``(scores, keys, lens)``, row ``x``'s
+        prefix being ``keys[x, :lens[x]]`` — one ``argpartition`` and one
+        ``lexsort`` over the rows' score matrix.
+
+        Scores below the window's largest, ``top``, are all in the
+        window; a candidate tying at ``top`` may have a tie with a lower
+        key outside it, so a prefix stops below ``top`` (a window tying
+        at ``top`` throughout takes the lowest-keyed ties instead).  When
+        every finite score is in the window, the live ``+inf``
+        candidates follow in key order.
+        """
+        w = self.width
+        r = np.asarray(rows, dtype=np.intp)
+        mat = self._rows if len(r) == len(self._rows) else self._rows[r]
+        ix = np.arange(len(r))[:, None]
+        if w > n:
+            part = np.argpartition(mat, n - 1, axis=1)[:, :n]
+            vals = mat[ix, part]
+        else:
+            part = np.broadcast_to(np.arange(w, dtype=np.intp), mat.shape)
+            vals = mat
+        order = np.lexsort((part, vals), axis=1)
+        part, vals = part[ix, order], vals[ix, order]
+        top = vals[:, -1:] if w > n else np.inf
+        lens = (vals < top).sum(axis=1)
+        complete = np.broadcast_to(top == np.inf, (len(r), 1))[:, 0]
+        fix = np.where(complete, lens < n, lens == 0)
+        for x in fix.nonzero()[0]:
+            scores = mat[x]
+            if complete[x]:
+                # the live +inf candidates, in key order
+                live = self.alive[rows[x] * w : (rows[x] + 1) * w]
+                tail = (live & (scores == np.inf)).nonzero()[0][: n - lens[x]]
+            else:
+                # the whole window ties at ``top``: its lowest keys
+                tail = (scores == top[x, 0]).nonzero()[0][:n]
+            part[x, lens[x] : lens[x] + len(tail)] = tail
+            vals[x, lens[x] : lens[x] + len(tail)] = scores[tail]
+            lens[x] += len(tail)
+        return vals, self.keys[(r * w)[:, None] + part], lens
+
 
 # ----------------------------------------------------------------------
 # shared helpers
@@ -206,18 +279,22 @@ def _move_remote_times(tl, tl2, size, repo, sites):
     return old, np.maximum(other, inc2)
 
 
-def _best_stream(ctx, RBs, j: int, size: float) -> int:
-    """Remote stream (0-based) whose time on page ``j`` is lowest after
-    receiving ``size`` bytes, ties to the lowest index: the repository
-    unless a mesh's replica site is strictly shorter."""
-    best = 0
-    for r in range(1, len(RBs)):
-        ovhd = ctx.scalars.ovhd_streams[j]
-        spb = ctx.scalars.spb_streams[j]
-        t = ovhd[r] + spb[r] * (RBs[r][j] + size)
-        if t < ovhd[best] + spb[best] * (RBs[best][j] + size):
-            best = r
-    return best
+def _byte_totals(cost: CostModel, alloc: Allocation) -> tuple:
+    """Per-page local and per-stream remote MO byte totals as float
+    arrays (``np.bincount`` of an empty selection is integer-typed);
+    the values are integer byte counts either way."""
+    return cost.local_mo_bytes(alloc).astype(float), [
+        rb.astype(float) for rb in cost.remote_mo_bytes_by_stream(alloc)
+    ]
+
+
+def _fold(start: list[float], terms: np.ndarray) -> np.ndarray:
+    """Running sums ``start[x] + terms[x, 0] + ...`` per row, column ``t``
+    after ``t`` terms: ``accumulate`` adds left to right, as a Python
+    ``+=`` loop does (``np.sum`` would add pairwise)."""
+    return np.add.accumulate(
+        np.concatenate((np.asarray(start)[:, None], terms), axis=1), axis=1
+    )
 
 
 def _server_list(servers) -> list[int]:
@@ -376,7 +453,8 @@ def restore_storage_batched(
     Each step evicts, in every server still over capacity (one
     :class:`ArgminPicker` row each), the replica whose deallocation
     damages the objective least (per byte when ``amortise``) and
-    re-partitions the pages it leaves; one fused flush then rescores
+    re-partitions the pages it leaves; the step's flips and new marks
+    are installed as array updates, and one fused flush then rescores
     every row's dirty candidates.  Servers share no page, replica or
     byte total, so each one's evictions are those of a run on it alone.
     Returns each server's stats, ascending.  ``decisions``, when given,
@@ -416,15 +494,13 @@ def restore_storage_batched(
     ctx = alloc.ctx
     n_obj = len(m.sizes)
     scorer = _EvictionScorer(cost, alloc, rows)
-    LB = cost.local_mo_bytes(alloc)
-    RBs = cost.remote_mo_bytes_by_stream(alloc)
+    LB, RBs = _byte_totals(cost, alloc)
     comp_stream = alloc.comp_stream
     comp_local = alloc.comp_local
     opt_local = alloc.opt_local
     sizes_list = m.sizes.tolist()
     comp_objects = m.comp_objects
     comp_indptr = m.comp_indptr
-    entry_objects, entry_indptr = m.fast_comp[1], m.fast_comp[3]
     scalars, fast_comp = ctx.scalars, m.fast_comp
     row_of = np.zeros(m.n_servers, dtype=np.intp)
     row_of[rows] = np.arange(len(rows))
@@ -450,57 +526,11 @@ def restore_storage_batched(
 
     rescore(picker.keys[picker.alive])
 
-    def apply_marks(j: int, marks: np.ndarray, streams: np.ndarray, st) -> None:
-        """Install page ``j``'s re-partitioned marks and streams.
-
-        Only the entries whose mark or stream differs are walked, in
-        ascending entry order through the per-entry setter, accumulating
-        the byte totals one move at a time in Python floats — the
-        reference loop's float-op sequence exactly.  A remote entry
-        that merely hops streams shifts the page's stream totals, so it
-        counts as a change; a local entry's stream is not read.
-        """
-        start = entry_indptr[j]
-        stop = entry_indptr[j + 1]
-        walk = comp_local[start:stop] != marks
-        walk |= comp_stream[start:stop] != streams
-        walk = walk.nonzero()[0]
-        if not len(walk):
-            return
-        lb = float(LB[j])
-        rbs = [float(rb[j]) for rb in RBs]
-        changed = False
-        for off in walk.tolist():
-            e = start + off
-            was = comp_local[e]
-            if marks[off]:
-                if was:
-                    continue
-                alloc.set_comp_local(e, True)
-                size2 = sizes_list[entry_objects[e]]
-                lb += size2
-                rbs[comp_stream[e] - 1] -= size2
-            else:
-                size2 = sizes_list[entry_objects[e]]
-                if was:
-                    alloc.set_comp_local(e, False)
-                    lb -= size2
-                else:
-                    rbs[comp_stream[e] - 1] -= size2
-                r = streams[off]
-                comp_stream[e] = r
-                rbs[r - 1] += size2
-            changed = True
-        if changed:
-            LB[j] = lb
-            for rb, v in zip(RBs, rbs):
-                rb[j] = v
-            st.repartitioned_pages += 1
-
     active = list(range(len(rows)))
     while active:
         going: list[int] = []
-        touched: list[tuple[int, np.ndarray]] = []
+        picked_rows: list[int] = []
+        picked_keys: list[int] = []
         for row, picked in zip(active, picker.pick_rows(active)):
             if picked is None:
                 failed[rows[row]] = (
@@ -512,49 +542,138 @@ def restore_storage_batched(
             delta, key = picked
             k = key - row * n_obj
             size = sizes_list[k]
-            comp_e = scorer.comp_entries(key)
-            flip_e = comp_e[comp_local[comp_e]]
-            flip_pages = m.comp_pages[flip_e]
-            for e, j in zip(flip_e.tolist(), flip_pages.tolist()):
-                alloc.set_comp_local(e, False)
-                r = _best_stream(ctx, RBs, j, size)
-                comp_stream[e] = r + 1
-                LB[j] -= size
-                RBs[r][j] += size
-            opt_e = scorer.opt_entries(key)
-            for e in opt_e[opt_local[opt_e]].tolist():
-                alloc.set_opt_local(e, False)
             replicas[row].discard(k)
-            picker.kill(picker.pos[key])
             used[row] -= size
             st = stats[row]
             st.evictions += 1
             st.bytes_freed += size
             st.objective_delta += delta * size if amortise else delta
             st.evicted_objects.append((rows[row], k))
-            logs[row].append((k, delta))
-            if len(flip_pages):
-                touched.append((row, flip_pages))
+            if decisions is not None:
+                logs[row].append((k, delta))
+            picked_rows.append(row)
+            picked_keys.append(key)
             if used[row] > cap[row] + _TOL:
                 going.append(row)
-        if touched:
+        if not picked_keys:
+            break
+        if counters is not None:
+            counters["steps"] = counters.get("steps", 0) + 1
+        # the evictions, one per row: their servers' pages are disjoint,
+        # and an object appears once per page, so every flipped entry is
+        # on a page of its own and moves against the totals before the step
+        keys = np.asarray(picked_keys, dtype=np.intp)
+        picker.kill(picker.pos[keys])
+        idx, owner = _expand(scorer.cstarts[keys], scorer.ccounts[keys])
+        flip = scorer.ce[idx]
+        mk = comp_local[flip]
+        flip, owner = flip[mk], owner[mk]
+        pages = ctx.comp_pages[flip]
+        size = ctx.comp_sizes[flip]
+        streams = _best_streams(ctx, RBs, pages, size)
+        alloc.set_comp_local_bulk(flip, False)
+        comp_stream[flip] = streams + 1
+        LB[pages] -= size
+        for r, rb in enumerate(RBs):
+            at = streams == r
+            rb[pages[at]] += size[at]
+        ocounts = scorer.ocounts[keys]
+        if ocounts.any():
+            opt_e = scorer.oe[_expand(scorer.ostarts[keys], ocounts)[0]]
+            alloc.set_opt_local_bulk(opt_e[opt_local[opt_e]], False)
+        if len(pages):
             # Paper: re-partition the affected pages with the replicas
             # left.  Every replica marked local on one of them, before
             # or after the re-partition, now scores against moved totals.
-            ents = _page_entries(
-                comp_indptr, np.concatenate([p for _, p in touched])
+            starts = comp_indptr[pages]
+            ents, on_page = _expand(starts, comp_indptr[pages + 1] - starts)
+            was = comp_local[ents]
+            row_pages = np.asarray(picked_rows, dtype=np.intp)[owner]
+            marks, new_streams = bytearray(), bytearray()
+            for row, j in zip(row_pages.tolist(), pages.tolist()):
+                pm, ps, _, _ = _partition_page(scalars, fast_comp, j, replicas[row])
+                marks += pm
+                new_streams += ps
+            _install_marks(
+                alloc,
+                ents,
+                np.frombuffer(marks, dtype=bool),
+                np.frombuffer(new_streams, dtype=np.int8),
+                LB,
+                RBs,
+                [stats[row] for row in picked_rows],
+                owner[on_page],
             )
-            was_local = comp_local[ents]
-            for row, pages in touched:
-                for j in pages.tolist():
-                    pm, ps, _, _ = _partition_page(
-                        scalars, fast_comp, j, replicas[row]
-                    )
-                    apply_marks(j, pm, ps, stats[row])
-            ents = ents[was_local | comp_local[ents]]
+            ents = ents[was | comp_local[ents]]
             rescore(row_of[ctx.comp_server[ents]] * n_obj + comp_objects[ents])
         active = going
     return _finish(out, failed, logs, decisions)
+
+
+def _best_streams(ctx, RBs: list[np.ndarray], pages: np.ndarray, size) -> np.ndarray:
+    """Remote stream (0-based) of each of ``pages`` (distinct) whose time
+    is lowest after receiving ``size`` bytes, ties to the lowest index:
+    the repository unless a mesh's replica site is strictly shorter."""
+    if len(RBs) == 1:
+        return np.zeros(len(pages), dtype=np.intp)
+    return np.argmin(
+        [
+            ctx.page_ovhd_streams[r][pages]
+            + ctx.page_spb_streams[r][pages] * (rb[pages] + size)
+            for r, rb in enumerate(RBs)
+        ],
+        axis=0,
+    )
+
+
+def _install_marks(
+    alloc: Allocation,
+    ents: np.ndarray,
+    marks: np.ndarray,
+    streams: np.ndarray,
+    LB: np.ndarray,
+    RBs: list[np.ndarray],
+    stats: list,
+    owner: np.ndarray,
+) -> None:
+    """Install re-partitioned marks and streams for the compulsory
+    entries ``ents`` (whole pages, page after page), updating the byte
+    totals.
+
+    An entry turning local keeps the stream it had; a remote entry
+    takes its new stream, and one that merely hops streams shifts its
+    page's stream totals.  The totals are sums of integer byte counts
+    below 2**53 (a model invariant), so ``np.add.at`` gives them
+    exactly as the entry-by-entry walk would, in any order.  Each page
+    whose marks or remote streams moved counts once in the
+    ``repartitioned_pages`` of ``stats[owner]``.
+    """
+    was = alloc.comp_local[ents]
+    moved = (marks != was) | (~(marks | was) & (alloc.comp_stream[ents] != streams))
+    at = moved.nonzero()[0]
+    if not len(at):
+        return
+    ents, marks, was, streams = ents[at], marks[at], was[at], streams[at]
+    ctx = alloc.ctx
+    pages = ctx.comp_pages[ents]
+    size = ctx.comp_sizes[ents]
+    # a moved entry that was remote leaves its stream; one that ends
+    # remote arrives on its new one
+    leave, arrive = ~was, ~marks
+    np.add.at(LB, pages, np.where(marks, size, np.where(was, -size, 0.0)))
+    old = alloc.comp_stream[ents]
+    for r, rb in enumerate(RBs, 1):
+        out = leave & (old == r)
+        np.subtract.at(rb, pages[out], size[out])
+        into = arrive & (streams == r)
+        np.add.at(rb, pages[into], size[into])
+    alloc.comp_stream[ents[arrive]] = streams[arrive]
+    alloc.set_comp_local_bulk(ents[marks], True)
+    alloc.set_comp_local_bulk(ents[was & arrive], False)
+    first = np.ones(len(pages), dtype=bool)
+    first[1:] = pages[1:] != pages[:-1]
+    for o in owner[at[first]].tolist():
+        stats[o].repartitioned_pages += 1
 
 
 # ----------------------------------------------------------------------
@@ -570,13 +689,17 @@ def restore_processing_batched(
     """Processing restoration (Eq. 8) of ``servers`` (one id or several).
 
     Each step switches, in every server whose load still exceeds its
-    capacity, the local download whose move to its best remote stream
-    damages the objective least per request/second shed; one fused
-    pipeline then rescores every switched page's other local entries.
-    A row's candidates are its server's local compulsory entries (key
-    ``e``) and local optional entries (key ``NC + e``).  A step that
-    reaches any termination check evaluates the loads once for all
-    rows.  Returns and logs as :func:`restore_storage_batched` does.
+    capacity, a verified prefix of its candidates in ``(score, key)``
+    order (:func:`_verified_prefix`): the local downloads whose moves to
+    their best remote streams damage the objective least per
+    request/second shed, for as long as the one-switch-at-a-time argmin
+    provably takes them in that order.  The prefix is applied in bulk,
+    and one fused pipeline has already scored its pages' other local
+    entries.  A row's candidates are its server's local compulsory
+    entries (key ``e``) and local optional entries (key ``NC + e``).  A
+    step that reaches any termination check evaluates the loads once
+    for all rows.  Returns and logs as :func:`restore_storage_batched`
+    does.
     """
     from repro.core.restoration import ProcessingRestorationStats
 
@@ -613,47 +736,9 @@ def restore_processing_batched(
     stats = [out[i] for i in rows]
     logs: list[list] = [[] for _ in rows]
     ctx = alloc.ctx
-    LB = cost.local_mo_bytes(alloc)
-    RBs = cost.remote_mo_bytes_by_stream(alloc)
-    sites = range(1, len(RBs))
-    comp_stream = alloc.comp_stream
+    LB, RBs = _byte_totals(cost, alloc)
     NC = len(m.comp_objects)
-
-    def comp_scores(entries: np.ndarray) -> np.ndarray:
-        # move-remote lands on the per-entry best stream (scalar
-        # ``page_time_if_moved_remote`` rule)
-        j = ctx.comp_pages[entries]
-        size = ctx.comp_sizes[entries]
-        lb = LB[j]
-        ovl = ctx.page_ovhd_local[j]
-        spl = ctx.page_spb_local[j]
-        html = ctx.html_sizes[j]
-        old, new = _move_remote_times(
-            ovl + spl * (html + lb),
-            ovl + spl * (html + (lb - size)),
-            size,
-            (ctx.page_ovhd_repo[j], ctx.page_spb_repo[j], RBs[0][j]),
-            [
-                (ctx.page_ovhd_streams[r][j], ctx.page_spb_streams[r][j], RBs[r][j])
-                for r in sites
-            ],
-        )
-        shed = ctx.comp_freq[entries]
-        raw = (cost.alpha1 * shed) * (new - old)
-        out = np.full(len(entries), np.inf)
-        pos = shed > 0
-        out[pos] = raw[pos] / shed[pos]
-        _bump(counters, len(entries))
-        return out
-
-    def opt_scores(entries: np.ndarray) -> np.ndarray:
-        raw = cost.bulk_optional_entry_delta(entries, to_local=False)
-        shed = ctx.opt_freq_weight[entries]
-        out = np.full(len(entries), np.inf)
-        pos = shed > 0
-        out[pos] = raw[pos] / shed[pos]
-        _bump(counters, len(entries))
-        return out
+    scorer = _SwitchScorer(cost, alloc, LB, RBs)
 
     # each row's candidates, ascending: its server's local compulsory
     # entries, then its local optional entries
@@ -672,11 +757,15 @@ def restore_processing_batched(
     )
     ec, eo = keys[keys < NC], keys[keys >= NC] - NC
     if len(ec):
-        picker.set(ec, comp_scores(ec))
+        j = ctx.comp_pages[ec]
+        picker.set(ec, scorer.comp(ec, LB[j], [rb[j] for rb in RBs]))
+        _bump(counters, len(ec))
     if len(eo):
-        picker.set(NC + eo, opt_scores(eo))
+        picker.set(NC + eo, scorer.opt(eo))
+        _bump(counters, len(eo))
 
     since_resync = [0] * len(rows)
+    reach = [2 * _REACH] * len(rows)
     active = list(range(len(rows)))
     while active:
         # the termination check (and the periodic resync of the running
@@ -684,66 +773,99 @@ def restore_processing_batched(
         check = [
             row
             for row in active
-            if since_resync[row] >= 4096 or load[row] <= cap[row] + tol[row]
+            if since_resync[row] >= _RESYNC_EVERY
+            or load[row] <= cap[row] + tol[row]
         ]
         if check:
             exact = local_processing_load(alloc)
             for row in check:
-                if since_resync[row] >= 4096:
+                if since_resync[row] >= _RESYNC_EVERY:
                     since_resync[row] = 0
                 load[row] = float(exact[rows[row]])
             active = [row for row in active if load[row] > cap[row] + tol[row]]
-        going: list[int] = []
-        dirty: list[np.ndarray] = []
-        for row, picked in zip(active, picker.pick_rows(active)):
+            if not active:
+                break
+        want = np.array([reach[row] for row in active])
+        vals, keys, lens = picker.lowest_rows(active, int(want.max()))
+        lens = np.minimum(lens, want)
+        # a row with no local download left: exact load check, in row
+        # order; the rows above a failing one can no longer decide the
+        # error
+        take = []
+        for x, row in enumerate(active):
+            if lens[x]:
+                take.append(x)
+                continue
             i = rows[row]
-            if picked is None:
-                load[row] = float(local_processing_load(alloc)[i])
-                if load[row] <= cap[row] + tol[row]:
-                    continue
-                failed[i] = (
-                    f"server {i}: processing constraint unrestorable "
-                    f"(load {load[row]:.2f} req/s > capacity {cap[row]:.2f} "
-                    "req/s with no local downloads left)"
-                )
-                break  # the rows above it can no longer decide the error
-            amortised, key = picked
-            picker.kill(picker.pos[key])
-            if key < NC:
-                e = key
-                j = int(m.comp_pages[e])
-                k = int(m.comp_objects[e])
-                shed = float(ctx.comp_freq[e])
-                size = float(m.sizes[k])
-                alloc.set_comp_local(e, False)
-                r = _best_stream(ctx, RBs, j, size)
-                comp_stream[e] = r + 1
-                LB[j] -= size
-                RBs[r][j] += size
-                # the page's other local entries now score against new totals
-                sl = m.comp_slice(j)
-                sib = sl.start + alloc.comp_local[sl.start : sl.stop].nonzero()[0]
-                if len(sib):
-                    dirty.append(sib)
-            else:
-                e = key - NC
-                k = int(m.opt_objects[e])
-                shed = float(ctx.opt_freq_weight[e])
-                alloc.set_opt_local(e, False)
+            load[row] = float(local_processing_load(alloc)[i])
+            if load[row] <= cap[row] + tol[row]:
+                continue
+            failed[i] = (
+                f"server {i}: processing constraint unrestorable "
+                f"(load {load[row]:.2f} req/s > capacity {cap[row]:.2f} "
+                "req/s with no local downloads left)"
+            )
+            break
+        if not take:
+            break
+        if counters is not None:
+            counters["steps"] = counters.get("steps", 0) + 1
+        going = [active[x] for x in take]
+        vals, keys = vals[take], keys[take]
+        p = _verified_prefixes(
+            scorer,
+            vals,
+            keys,
+            lens[take],
+            np.array([load[row] for row in going]),
+            np.array([cap[row] + tol[row] for row in going]),
+            np.array([_RESYNC_EVERY - since_resync[row] for row in going]),
+        )
+        taken = np.arange(keys.shape[1]) < p.n[:, None]
+        picked = keys[taken]
+        picker.kill(picker.pos[picked])
+        # the prefixes' pages are distinct: one update per page
+        alloc.set_comp_local_bulk(p.entries, False)
+        alloc.comp_stream[p.entries] = p.streams + 1
+        LB[p.pages] = p.lb
+        for rb, new in zip(RBs, p.rbs):
+            rb[p.pages] = new
+        comp = picked < NC
+        opt_e = picked[~comp] - NC
+        alloc.set_opt_local_bulk(opt_e, False)
+        if len(p.siblings):
+            picker.set(p.siblings, p.sibling_scores)
+            _bump(counters, len(p.siblings))
+        # the stats folds replay the one-switch-at-a-time ``+=``:
+        # ``accumulate`` folds left to right
+        with np.errstate(invalid="ignore"):
+            damage = vals * p.shed
+        shed_fold = _fold([stats[row].load_shed for row in going], p.shed)
+        damage_fold = _fold([stats[row].objective_delta for row in going], damage)
+        objs = np.empty(len(picked), dtype=np.intp)
+        objs[comp] = m.comp_objects[picked[comp]]
+        objs[~comp] = m.opt_objects[opt_e]
+        ends = np.cumsum(p.n).tolist()
+        for x, row in enumerate(going):
+            n = int(p.n[x])
             st = stats[row]
-            st.switches += 1
-            st.load_shed += shed
-            st.objective_delta += amortised * shed
-            logs[row].append((key, amortised))
-            load[row] -= shed
-            since_resync[row] += 1
-            if alloc.mark_count(i, k) == 0 and k in alloc.replicas[i]:
-                alloc.replicas[i].discard(k)
-                st.deallocations += 1
-            going.append(row)
-        if dirty:
-            sib = np.concatenate(dirty)
-            picker.set(sib, comp_scores(sib))
+            st.switches += n
+            st.load_shed = float(shed_fold[x, n])
+            st.objective_delta = float(damage_fold[x, n])
+            load[row] = float(p.loads[x, n])
+            since_resync[row] += n
+            reach[row] = min(_WINDOW, max(_REACH, 2 * n))
+            if decisions is not None:
+                logs[row].extend(zip(keys[x, :n].tolist(), vals[x, :n].tolist()))
+            # an object no page of the server marks local any more is
+            # deallocated; mark counts only fall here, so reading them
+            # after the prefix finds what each switch would have found
+            i = rows[row]
+            replicas = alloc.replicas[i]
+            for k in set(objs[ends[x] - n : ends[x]].tolist()):
+                if alloc.mark_count(i, k) == 0 and k in replicas:
+                    replicas.discard(k)
+                    st.deallocations += 1
         active = going
     if not failed:
         for i, ld, c, t in zip(rows, load, cap, tol):
@@ -751,6 +873,183 @@ def restore_processing_batched(
                 f"server {i}: Eq. 8 violated on exit ({ld:.6f} > {c:.6f} + tol)"
             )
     return _finish(out, failed, logs, decisions)
+
+
+class _SwitchScorer:
+    """Processing restoration's scores — objective damage per
+    request/second shed, ``+inf`` for a candidate that sheds nothing —
+    over the run's page byte totals ``LB`` and ``RBs``."""
+
+    def __init__(self, cost: CostModel, alloc: Allocation, LB, RBs):
+        self.cost = cost
+        self.alloc = alloc
+        self.ctx = ctx = alloc.ctx
+        self.LB = LB
+        self.RBs = RBs
+        #: per candidate key (``e``, then ``NC + e``): the request rate a
+        #: switch sheds, and the page it moves (``-1``: an optional one)
+        self.shed = np.concatenate((ctx.comp_freq, ctx.opt_freq_weight))
+        self.page = np.concatenate(
+            (ctx.comp_pages, np.full(len(ctx.opt_pages), -1, dtype=np.intp))
+        )
+        #: per-page scratch of :func:`_verified_prefixes`, at rest
+        #: ``_NONE`` everywhere
+        self.first = np.full(len(LB), _NONE, dtype=np.intp)
+        # one gather per score for each of a page's and an entry's terms:
+        # local overhead and seconds per byte, HTML bytes, each remote
+        # stream's overhead and seconds per byte; alpha1 * frequency,
+        # frequency, size
+        rows = [ctx.page_ovhd_local, ctx.page_spb_local, ctx.html_sizes]
+        for ovhd, spb in zip(ctx.page_ovhd_streams, ctx.page_spb_streams):
+            rows += [ovhd, spb]
+        self.page_terms = np.vstack(rows)
+        self.entry_terms = np.vstack(
+            (cost.alpha1 * ctx.comp_freq, ctx.comp_freq, ctx.comp_sizes)
+        )
+
+    def comp(self, entries: np.ndarray, lb: np.ndarray, rbs: list) -> np.ndarray:
+        """Compulsory ``entries`` moving to their best remote stream (the
+        scalar ``page_time_if_moved_remote`` rule), against their pages'
+        local bytes ``lb`` and per-stream bytes ``rbs`` (one value per
+        entry)."""
+        ovl, spl, html, *streams = self.page_terms[:, self.ctx.comp_pages[entries]]
+        a1f, shed, size = self.entry_terms[:, entries]
+        old, new = _move_remote_times(
+            ovl + spl * (html + lb),
+            ovl + spl * (html + (lb - size)),
+            size,
+            (streams[0], streams[1], rbs[0]),
+            [(streams[2 * r], streams[2 * r + 1], rbs[r]) for r in range(1, len(rbs))],
+        )
+        return np.divide(
+            a1f * (new - old), shed, out=np.full(len(entries), np.inf), where=shed > 0
+        )
+
+    def opt(self, entries: np.ndarray) -> np.ndarray:
+        raw = self.cost.bulk_optional_entry_delta(entries, to_local=False)
+        shed = self.ctx.opt_freq_weight[entries]
+        out = np.full(len(entries), np.inf)
+        pos = shed > 0
+        out[pos] = raw[pos] / shed[pos]
+        return out
+
+
+class _Prefixes(NamedTuple):
+    """The verified prefixes of one step, row ``x`` taking ``n[x]``
+    switches: every window candidate's ``shed`` and the running
+    ``loads`` (``loads[x, t]`` after ``t`` switches); the compulsory
+    switches' ``entries``, on distinct ``pages``, moving to 0-based
+    remote ``streams``, with those pages' new local bytes ``lb`` and
+    per-stream bytes ``rbs``; and the pages' other local entries
+    (``siblings``) with their fresh scores."""
+
+    n: np.ndarray
+    shed: np.ndarray
+    loads: np.ndarray
+    entries: np.ndarray
+    pages: np.ndarray
+    streams: np.ndarray
+    lb: np.ndarray
+    rbs: list
+    siblings: np.ndarray
+    sibling_scores: np.ndarray
+
+
+def _verified_prefixes(
+    scorer: _SwitchScorer,
+    vals: np.ndarray,
+    keys: np.ndarray,
+    lens: np.ndarray,
+    load: np.ndarray,
+    bound: np.ndarray,
+    room: np.ndarray,
+) -> _Prefixes:
+    """For each row ``x`` of a step's windows — ``keys[x, :lens[x]]`` in
+    ``(score, key)`` order, scores ``vals`` — the longest prefix that
+    the one-switch-at-a-time loop takes one switch after another, with
+    each switch's move and its page's fresh scores.
+
+    A switch moves only its own page's byte totals, so once a row's
+    entries ``0..t-1`` are switched its next argmin is entry ``t``
+    unless one of these cuts the prefix at ``t``:
+
+    * entry ``t`` is a compulsory switch on a page an earlier switch
+      moved (its window score is stale);
+    * an earlier switch's page holds a local entry whose fresh
+      ``(score, key)`` is below entry ``t``'s;
+    * the running load after ``t`` switches is within ``bound`` (the
+      loop stops to check it exactly);
+    * ``t`` equals ``room`` (the periodic exact resync).
+
+    Optional switches move no page total, so they cut nothing.  The
+    prefixes' pages are distinct (rows are servers, which share no
+    page), so every move and every fresh score is computed at once,
+    against the byte totals before the step.
+    """
+    alloc, ctx = scorer.alloc, scorer.ctx
+    pos = np.arange(keys.shape[1])
+    shed = scorer.shed[keys]
+    page = scorer.page[keys]
+    n = np.minimum(lens, room)
+    # the compulsory candidates, row after row in window order
+    row, at = ((page >= 0) & (pos < lens[:, None])).nonzero()
+    pages = page[row, at]
+    first = scorer.first
+    flat = np.arange(len(pages))
+    np.minimum.at(first, pages, flat)
+    repeat = first[pages] != flat
+    first[pages] = _NONE
+    np.minimum.at(n, row[repeat], at[repeat])
+    loads = np.subtract.accumulate(
+        np.concatenate((load[:, None], shed), axis=1), axis=1
+    )
+    done = (loads[:, 1:] <= bound[:, None]) & (pos < n[:, None] - 1)
+    stop = done.any(axis=1)
+    n[stop] = done[stop].argmax(axis=1) + 1
+    # the compulsory switches' moves
+    keep = at < n[row]
+    row, at, pages = row[keep], at[keep], pages[keep]
+    e = keys[row, at]
+    size = ctx.comp_sizes[e]
+    streams = _best_streams(ctx, scorer.RBs, pages, size)
+    lb = scorer.LB[pages] - size
+    rbs = [
+        np.where(streams == r, rb[pages] + size, rb[pages])
+        for r, rb in enumerate(scorer.RBs)
+    ]
+    # each page's other local entries, scored against its new totals
+    indptr = alloc.model.comp_indptr
+    sib, owner = _expand(indptr[pages], indptr[pages + 1] - indptr[pages])
+    keep = alloc.comp_local[sib]
+    keep[sib == e[owner]] = False
+    sib, owner = sib[keep], owner[keep]
+    fresh = scorer.comp(sib, lb[owner], [rb[owner] for rb in rbs])
+    # entry t must come before the lowest fresh (score, key) of every
+    # switch ahead of it: below that score, or level with it and below
+    # the lowest key scoring it
+    low = np.full(len(e), np.inf)
+    np.minimum.at(low, owner, fresh)
+    low_key = np.full(len(e), _NONE)
+    tie = fresh == low[owner]
+    np.minimum.at(low_key, owner[tie], sib[tie])
+    v, k = vals[row], keys[row]
+    late = (v > low[:, None]) | ((v == low[:, None]) & (k > low_key[:, None]))
+    late &= pos > at[:, None]
+    cut = late.any(axis=1)
+    np.minimum.at(n, row[cut], late[cut].argmax(axis=1))
+    taken = at < n[row]
+    return _Prefixes(
+        n,
+        shed,
+        loads,
+        e[taken],
+        pages[taken],
+        streams[taken],
+        lb[taken],
+        [rb[taken] for rb in rbs],
+        sib[taken[owner]],
+        fresh[taken[owner]],
+    )
 
 
 # ----------------------------------------------------------------------

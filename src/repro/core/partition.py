@@ -99,15 +99,24 @@ def partition_page(
         ``local_time`` the Eq. 3 stream time and ``stream_times[r-1]``
         the Eq. 4 analog of remote stream ``r``.
     """
-    return _partition_page(
+    marks, streams, local_time, stream_times = _partition_page(
         EvalContext.for_model(model).scalars, model.fast_comp, page_id, allowed, order
+    )
+    return (
+        np.frombuffer(marks, dtype=bool),
+        np.frombuffer(streams, dtype=np.int8),
+        local_time,
+        stream_times,
     )
 
 
 def _partition_page(s, fast_comp, page_id, allowed=None, order="decreasing"):
     """:func:`partition_page` over a context's scalar views ``s`` and the
     model's ``fast_comp`` lists — storage restoration calls it with its
-    allocation's own context, so no context is looked up per page."""
+    allocation's own context, so no context is looked up per page.  The
+    marks and streams come back as ``bytearray``s (one byte per entry),
+    which storage restoration joins for a whole step before viewing
+    them as arrays."""
     spb_local = s.spb_local[page_id]
     local_time = s.ovhd_local[page_id] + spb_local * s.html[page_id]
     # the repository (stream 1), then a mesh's replica sites (2..k-1)
@@ -163,12 +172,7 @@ def _partition_page(s, fast_comp, page_id, allowed=None, order="decreasing"):
             streams[e - start] = site + 1
         else:
             repo_time = best_t
-    return (
-        np.frombuffer(marks, dtype=bool),
-        np.frombuffer(streams, dtype=np.int8),
-        local_time,
-        [repo_time, *site_times],
-    )
+    return marks, streams, local_time, [repo_time, *site_times]
 
 
 def partition_all(

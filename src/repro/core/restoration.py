@@ -157,6 +157,8 @@ def _restore(phase: str, stats_type, engine, alloc, cost, servers, **kw) -> dict
             reg.count(
                 f"restoration.{phase}.rescored_candidates", rescore["candidates"]
             )
+        if "steps" in rescore:
+            reg.count(f"restoration.{phase}.steps", rescore["steps"])
     return per_server
 
 
@@ -208,7 +210,8 @@ def restore_storage_capacity(
     The registry counter ``restoration.storage.rescore_batches`` counts
     fused flushes — one per lockstep step that touched a page, plus
     the initial scoring — not per-server flushes;
-    ``rescored_candidates`` counts the candidates they rescored.
+    ``rescored_candidates`` counts the candidates they rescored, and
+    ``steps`` the lockstep steps.
 
     Raises
     ------
@@ -236,13 +239,14 @@ def restore_processing_capacity(
 ) -> ProcessingRestorationStats:
     """Restore Eq. 8 in place; return accounting statistics.
 
-    Runs the lockstep engine of :mod:`repro.core.fast_restoration` (one
-    ``argmin`` per step over every violating server) for every
-    validated ``kernel`` name.  ``servers`` restricts the run to an
-    explicit subset (mutually exclusive with ``server_id``); see
+    Runs the lockstep engine of :mod:`repro.core.fast_restoration` (a
+    verified prefix of switches per step for every violating server)
+    for every validated ``kernel`` name.  ``servers`` restricts the run
+    to an explicit subset (mutually exclusive with ``server_id``); see
     :func:`restore_storage_capacity`.  ``rescore_batches`` counts fused
     flushes: the initial scoring (compulsory and optional) and one per
-    step that switched a compulsory entry.
+    step that switched a compulsory entry with local siblings; ``steps``
+    counts the lockstep steps.
 
     Raises
     ------

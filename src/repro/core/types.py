@@ -45,6 +45,11 @@ __all__ = [
 ]
 
 
+#: every object byte total (Eq. 10 stored bytes, Eq. 3-5 per-page stream
+#: bytes) is a sum of whole sizes below this, so float64 holds it exactly
+_EXACT_BYTES = 2**53
+
+
 @dataclass(frozen=True)
 class ObjectSpec:
     """A multimedia object :math:`M_k` stored at the repository.
@@ -54,7 +59,10 @@ class ObjectSpec:
     object_id:
         Dense index in ``[0, m)``; position in :attr:`SystemModel.objects`.
     size:
-        ``Size(M_k)`` in bytes.
+        ``Size(M_k)`` in bytes: a whole number (``100.0`` and NumPy
+        integers pass).  The restoration engines add and subtract sizes
+        in whatever order suits them and rely on the totals coming out
+        exact (DESIGN.md Appendix D).
     """
 
     object_id: int
@@ -63,6 +71,10 @@ class ObjectSpec:
     def __post_init__(self) -> None:
         if self.object_id < 0:
             raise ValueError(f"object_id must be >= 0, got {self.object_id}")
+        if not float(self.size).is_integer():
+            raise ValueError(
+                f"object size must be a whole number of bytes, got {self.size}"
+            )
         if self.size <= 0:
             raise ValueError(f"object size must be positive, got {self.size}")
 
@@ -443,6 +455,13 @@ class SystemModel:
         self.n_servers = s
 
         self.sizes = np.array([o.size for o in self.objects], dtype=np.float64)
+        # a float sum of whole sizes is exact below 2**53 and rounds to at
+        # least 2**53 above it, so the check needs no integer arithmetic
+        if self.sizes.sum() >= _EXACT_BYTES:
+            raise ValueError(
+                f"objects total {self.sizes.sum():.0f} bytes, at or above "
+                "2**53: byte sums would no longer be exact in float64"
+            )
         self.html_sizes = np.array([p.html_size for p in self.pages], dtype=np.float64)
         self.frequencies = np.array([p.frequency for p in self.pages], dtype=np.float64)
         self.page_server = np.array([p.server for p in self.pages], dtype=np.intp)

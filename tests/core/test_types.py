@@ -28,6 +28,15 @@ class TestObjectSpec:
         with pytest.raises(ValueError, match="object_id"):
             ObjectSpec(object_id=-1, size=10)
 
+    @pytest.mark.parametrize("size", [100, 100.0, np.int64(100), np.float64(7.0)])
+    def test_whole_sizes_accepted(self, size):
+        assert ObjectSpec(object_id=0, size=size).size == size
+
+    @pytest.mark.parametrize("size", [1.5, 100.25, math.inf, math.nan])
+    def test_fractional_size_rejected(self, size):
+        with pytest.raises(ValueError, match="whole number of bytes"):
+            ObjectSpec(object_id=0, size=size)
+
 
 class TestPageSpec:
     def test_counts(self):
@@ -199,6 +208,18 @@ class TestSystemModel:
         )
         assert m.n_pages == 0
         assert len(m.comp_objects) == 0
+
+    def test_total_bytes_below_2_pow_53(self):
+        server = ServerSpec(
+            0, math.inf, math.inf, rate=1.0, overhead=0.0,
+            repo_rate=1.0, repo_overhead=0.0,
+        )
+        half = 2**52
+        below = [ObjectSpec(0, half - 1), ObjectSpec(1, half)]
+        assert SystemModel([server], RepositorySpec(), [], below).n_objects == 2
+        at = [ObjectSpec(0, half), ObjectSpec(1, half)]
+        with pytest.raises(ValueError, match="2\\*\\*53"):
+            SystemModel([server], RepositorySpec(), [], at)
 
     def test_capacity_arrays(self):
         m = build_micro_model(storage=(1000.0, 2000.0), processing=(50.0, 60.0))

@@ -391,6 +391,7 @@ def _restore_storage_one_server(
     state: _PageState,
     server_id: int,
     amortise: bool = True,
+    decisions: list | None = None,
 ) -> StorageRestorationStats:
     m = alloc.model
     rev = ReverseIndex.for_model(m)
@@ -438,6 +439,8 @@ def _restore_storage_one_server(
         stats.bytes_freed += size
         stats.objective_delta += delta * size if amortise else delta
         stats.evicted_objects.append((server_id, k))
+        if decisions is not None:
+            decisions.append((k, delta))
         if flipped_pages:
             # Paper: after each deallocation, try to reduce the retrieval
             # time of the affected pages using objects that are stored but
@@ -460,13 +463,20 @@ def restore_storage_scalar(
     server_id: int | None = None,
     amortise: bool = True,
     servers: Iterable[int] | None = None,
+    decisions: list | None = None,
 ) -> StorageRestorationStats:
-    """Reference of :func:`repro.core.restoration.restore_storage_capacity`."""
+    """Reference of :func:`repro.core.restoration.restore_storage_capacity`.
+
+    ``decisions``, when given, receives one ``(object, score)`` pair per
+    eviction, server after server, as the engine logs them.
+    """
     stats = StorageRestorationStats()
     state = _PageState(cost, alloc)
     for i in _resolve_servers(alloc.model.n_servers, server_id, servers):
         stats.merge(
-            _restore_storage_one_server(alloc, cost, state, i, amortise=amortise)
+            _restore_storage_one_server(
+                alloc, cost, state, i, amortise=amortise, decisions=decisions
+            )
         )
     return stats
 
@@ -516,6 +526,7 @@ def _restore_processing_one_server(
     cost: CostModel,
     state: _PageState,
     server_id: int,
+    decisions: list | None = None,
 ) -> ProcessingRestorationStats:
     m = alloc.model
     stats = ProcessingRestorationStats()
@@ -597,6 +608,8 @@ def _restore_processing_one_server(
         stats.objective_delta += amortised * shed
         load -= shed
         switches_since_resync += 1
+        if decisions is not None:
+            decisions.append((key, amortised))
         # Paper: an object no longer marked local by any page on the
         # server is deallocated, freeing storage as a bonus.
         if alloc.mark_count(server_id, k) == 0 and k in alloc.replicas[server_id]:
@@ -614,12 +627,19 @@ def restore_processing_scalar(
     cost: CostModel,
     server_id: int | None = None,
     servers: Iterable[int] | None = None,
+    decisions: list | None = None,
 ) -> ProcessingRestorationStats:
-    """Reference of :func:`repro.core.restoration.restore_processing_capacity`."""
+    """Reference of :func:`repro.core.restoration.restore_processing_capacity`.
+
+    ``decisions``, when given, receives one ``(key, score)`` pair per
+    switch, server after server, as the engine logs them.
+    """
     stats = ProcessingRestorationStats()
     state = _PageState(cost, alloc)
     for i in _resolve_servers(alloc.model.n_servers, server_id, servers):
-        stats.merge(_restore_processing_one_server(alloc, cost, state, i))
+        stats.merge(
+            _restore_processing_one_server(alloc, cost, state, i, decisions)
+        )
     return stats
 
 

@@ -31,6 +31,10 @@ from repro.core.constraints import (
     repository_load,
 )
 from repro.core.cost_model import CostModel
+from repro.core.fast_restoration import (
+    restore_processing_batched,
+    restore_storage_batched,
+)
 from repro.core.offload import OffloadConfig, offload_repository
 from repro.core.partition import partition_all
 from repro.core.restoration import (
@@ -43,6 +47,7 @@ from tests.oracles.scalar_greedy import (
     restore_processing_scalar,
     restore_storage_scalar,
 )
+from tests.oracles.divergence import assert_same_log
 from tests.properties.strategies import system_models
 
 # ----------------------------------------------------------------------
@@ -66,16 +71,28 @@ def _assert_same_decisions(m2, scalar, batched):
     b.check_invariants()
 
 
+def _assert_same_logs(m2, scalar, engine):
+    """Every server's decision log on the scalar loop and on the
+    engine, server after server on independently built inputs: a
+    mismatch names the first diverging decision."""
+    cost = CostModel(m2)
+    logs = []
+    for run in (scalar, engine):
+        alloc = partition_all(m2)
+        logs.append({i: [] for i in range(m2.n_servers)})
+        for i in range(m2.n_servers):
+            run(alloc, cost, i, decisions=logs[-1][i])
+    assert_same_log(*logs)
+
+
 @given(system_models(), st.floats(0.0, 1.0))
 @settings(max_examples=50, deadline=None)
 def test_storage_restoration_kernels_identical(model, frac):
     ref = partition_all(model)
     caps = model.html_bytes_by_server() + frac * ref.stored_bytes_all() + 1.0
-    _assert_same_decisions(
-        clone_with_capacities(model, storage=caps),
-        restore_storage_scalar,
-        restore_storage_capacity,
-    )
+    m2 = clone_with_capacities(model, storage=caps)
+    _assert_same_decisions(m2, restore_storage_scalar, restore_storage_capacity)
+    _assert_same_logs(m2, restore_storage_scalar, restore_storage_batched)
 
 
 @given(system_models(), st.floats(0.0, 1.0))
@@ -87,11 +104,9 @@ def test_processing_restoration_kernels_identical(model, frac):
     caps = np.maximum(
         html + frac * np.maximum(load - html, 0.0) + 1e-9, 1e-6
     )
-    _assert_same_decisions(
-        clone_with_capacities(model, processing=caps),
-        restore_processing_scalar,
-        restore_processing_capacity,
-    )
+    m2 = clone_with_capacities(model, processing=caps)
+    _assert_same_decisions(m2, restore_processing_scalar, restore_processing_capacity)
+    _assert_same_logs(m2, restore_processing_scalar, restore_processing_batched)
 
 
 @given(system_models(), st.floats(0.05, 1.0))
