@@ -203,8 +203,8 @@ def test_inf_scores_are_taken_in_key_order():
 # random universes: k=2 models and k=3/k=4 meshes
 # ----------------------------------------------------------------------
 _models = st.one_of(
-    system_models(max_servers=3, max_pages=10),
-    mesh_models(min_streams=3, max_servers=3, max_pages=10),
+    system_models(max_servers=2, max_pages=16, max_objects=16),
+    mesh_models(min_streams=3, max_servers=2, max_pages=16, max_objects=16),
 )
 
 
