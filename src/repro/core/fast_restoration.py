@@ -374,15 +374,6 @@ class _EvictionScorer:
         self.oterm = cost.bulk_optional_entry_delta(self.oe, to_local=False)
         self.sizes = np.tile(m.sizes, len(servers))
 
-    def comp_entries(self, key: int) -> np.ndarray:
-        """This candidate's compulsory entries on its server (ascending)."""
-        s = self.cstarts[key]
-        return self.ce[s : s + self.ccounts[key]]
-
-    def opt_entries(self, key: int) -> np.ndarray:
-        s = self.ostarts[key]
-        return self.oe[s : s + self.ocounts[key]]
-
     def flush(
         self,
         cand: np.ndarray,

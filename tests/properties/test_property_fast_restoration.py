@@ -42,12 +42,12 @@ from repro.core.restoration import (
     restore_storage_capacity,
 )
 from repro.experiments.scaling import clone_with_capacities
+from tests.oracles.divergence import assert_same_log
 from tests.oracles.scalar_greedy import (
     offload_scalar,
     restore_processing_scalar,
     restore_storage_scalar,
 )
-from tests.oracles.divergence import assert_same_log
 from tests.properties.strategies import system_models
 
 # ----------------------------------------------------------------------
