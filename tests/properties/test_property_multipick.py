@@ -3,7 +3,7 @@
 Each lockstep step of :func:`restore_processing_batched` takes, per
 server, a whole prefix of its candidates in ``(score, key)`` order and
 applies it in bulk.  A prefix ends at the window's end or at one of
-five cuts: a compulsory switch on a page an earlier switch moved
+four cuts: a compulsory switch on a page an earlier switch moved
 (``repeat``), a sibling whose fresh score comes before the next
 candidate (``verify``), the running load reaching the capacity
 (``stop``), and the periodic exact resync of the load (``resync``).
