@@ -72,12 +72,10 @@ _TOL = 1e-9
 #: switches between two exact recomputations of a row's running load
 _RESYNC_EVERY = 4096
 
-#: the most switches a processing row takes in one step
-_WINDOW = 256
-
-#: a processing row's window is twice its last prefix, and no shorter
-#: than this: windows past the cut only cost sibling scores
-_REACH = 8
+#: the most switches a processing row takes in one step: a longer window
+#: saves few steps (paper scale: 155 at 64, 142 at 256), and every window
+#: candidate past the cut costs its page's sibling scores
+_WINDOW = 64
 
 #: above every index and key
 _NONE = np.iinfo(np.intp).max
@@ -681,7 +679,7 @@ def restore_processing_batched(
 
     Each step switches, in every server whose load still exceeds its
     capacity, a verified prefix of its candidates in ``(score, key)``
-    order (:func:`_verified_prefix`): the local downloads whose moves to
+    order (:func:`_verified_prefixes`): the local downloads whose moves to
     their best remote streams damage the objective least per
     request/second shed, for as long as the one-switch-at-a-time argmin
     provably takes them in that order.  The prefix is applied in bulk,
@@ -756,7 +754,6 @@ def restore_processing_batched(
         _bump(counters, len(eo))
 
     since_resync = [0] * len(rows)
-    reach = [2 * _REACH] * len(rows)
     active = list(range(len(rows)))
     while active:
         # the termination check (and the periodic resync of the running
@@ -776,9 +773,7 @@ def restore_processing_batched(
             active = [row for row in active if load[row] > cap[row] + tol[row]]
             if not active:
                 break
-        want = np.array([reach[row] for row in active])
-        vals, keys, lens = picker.lowest_rows(active, int(want.max()))
-        lens = np.minimum(lens, want)
+        vals, keys, lens = picker.lowest_rows(active, _WINDOW)
         # a row with no local download left: exact load check, in row
         # order; the rows above a failing one can no longer decide the
         # error
@@ -845,7 +840,6 @@ def restore_processing_batched(
             st.objective_delta = float(damage_fold[x, n])
             load[row] = float(p.loads[x, n])
             since_resync[row] += n
-            reach[row] = min(_WINDOW, max(_REACH, 2 * n))
             if decisions is not None:
                 logs[row].extend(zip(keys[x, :n].tolist(), vals[x, :n].tolist()))
             # an object no page of the server marks local any more is
