@@ -20,8 +20,12 @@ Two subtleties the paper relies on and we model explicitly:
 
 :class:`Allocation` keeps the flat boolean mark arrays aligned with
 :class:`repro.core.types.SystemModel`'s flattened ``U``/``U'`` entries,
-plus one replica set per server, and maintains per-server mark counts so
-the greedy loops can find fully-unmarked (deallocatable) objects in O(1).
+plus one replica set per server, and one integer mark count per row of
+the context's ``(server, object)`` pair table (``ctx.comp_pair`` /
+``ctx.opt_pair`` give each entry's row).  A flip updates the counts at
+its entries' rows — one index for a scalar setter, one ``np.add.at`` /
+``np.subtract.at`` for a batch — so the greedy loops read a
+fully-unmarked (deallocatable) object off a zero count.
 """
 
 from __future__ import annotations
@@ -35,13 +39,6 @@ from repro.core.context import EvalContext
 from repro.core.types import SystemModel
 
 __all__ = ["Allocation", "transplant_allocation"]
-
-#: bulk mark flips up to this many entries update the counts one by one.
-#: Measured per call on a ``plan-cold`` universe (2-vCPU box): the loop costs
-#: 3 us for one entry and 25 us for 100, against 16 us and 45 us through
-#: ``np.unique``; the two meet between 300 and 1,000 entries
-_SHORT_BATCH = 256
-
 
 def transplant_allocation(alloc: "Allocation", model: SystemModel) -> "Allocation":
     """Rebind ``alloc``'s decisions onto a structurally identical model.
@@ -135,9 +132,10 @@ class Allocation:
                     f"{self.comp_stream.shape}"
                 )
         self._rebuild_mark_counts()
-        required = self._required_replicas()
         if replicas is None:
-            self.replicas: list[set[int]] = [set(r) for r in required]
+            self.replicas: list[set[int]] = [
+                self._marked(i) for i in range(model.n_servers)
+            ]
         else:
             self.replicas = [set(r) for r in replicas]
             if len(self.replicas) != model.n_servers:
@@ -145,8 +143,8 @@ class Allocation:
                     f"replicas must have one set per server "
                     f"({model.n_servers}), got {len(self.replicas)}"
                 )
-            for i, (have, need) in enumerate(zip(self.replicas, required)):
-                missing = need - have
+            for i, have in enumerate(self.replicas):
+                missing = self._marked(i) - have
                 if missing:
                     raise ValueError(
                         f"server {i}: objects {sorted(missing)[:5]}... are "
@@ -158,80 +156,63 @@ class Allocation:
     # bookkeeping
     # ------------------------------------------------------------------
     def _rebuild_mark_counts(self) -> None:
-        """Recompute the per-server ``{object: #marking entries}`` maps.
+        """Recompute the mark counts from the marks.
 
-        One ``np.bincount`` over the context's precomputed per-entry
-        ``(server, object)`` pair indices — integer counts, so the totals
-        are exact regardless of accumulation order.  Python-level work is
-        one dict write per *replica*, not per mark.
+        ``_mark_counts[p]`` is the number of entries marking pair-table
+        row ``p`` local (see :mod:`repro.core.context`): one
+        ``np.bincount`` over the marked entries' pair indices.
         """
         ctx = self.ctx
-        self._mark_counts: list[dict[int, int]] = [
-            dict() for _ in range(self.model.n_servers)
-        ]
-        cnt = np.bincount(
+        self._mark_counts = np.bincount(
             np.concatenate(
                 [ctx.comp_pair[self.comp_local], ctx.opt_pair[self.opt_local]]
             ),
             minlength=ctx.n_pairs,
         )
-        nz = cnt.nonzero()[0]
-        # nz is ascending and the pair table is server-contiguous
-        bounds = nz.searchsorted(ctx.pair_indptr)
-        obj_of = ctx.pair_object
-        for i in range(self.model.n_servers):
-            lo, hi = bounds[i], bounds[i + 1]
-            if lo < hi:
-                sel = nz[lo:hi]
-                self._mark_counts[i] = dict(
-                    zip(obj_of[sel].tolist(), cnt[sel].tolist())
-                )
 
-    def _required_replicas(self) -> list[set[int]]:
-        return [set(d.keys()) for d in self._mark_counts]
+    def _marked(self, server_id: int) -> set[int]:
+        """Objects some entry on ``server_id`` marks local."""
+        ctx = self.ctx
+        sl = slice(ctx.pair_indptr[server_id], ctx.pair_indptr[server_id + 1])
+        return set(ctx.pair_object[sl][self._mark_counts[sl] > 0].tolist())
 
     def mark_count(self, server_id: int, object_id: int) -> int:
         """Number of entries on ``server_id`` marking ``object_id`` local."""
-        return self._mark_counts[server_id].get(object_id, 0)
+        ctx = self.ctx
+        lo, hi = ctx.pair_indptr[server_id], ctx.pair_indptr[server_id + 1]
+        p = lo + int(ctx.pair_object[lo:hi].searchsorted(object_id))
+        if p < hi and ctx.pair_object[p] == object_id:
+            return int(self._mark_counts[p])
+        return 0
 
     # ------------------------------------------------------------------
     # mutation (keeps marks ⊆ replicas)
     # ------------------------------------------------------------------
     def set_comp_local(self, entry: int, value: bool) -> None:
         """Set ``X`` for one flat compulsory entry, updating replica state."""
-        old = bool(self.comp_local[entry])
-        if old == bool(value):
+        if bool(self.comp_local[entry]) == bool(value):
             return
-        ctx = self.ctx
-        i = int(ctx.comp_server[entry])
-        k = int(ctx.comp_objects[entry])
         self.comp_local[entry] = value
-        self._bump(i, k, +1 if value else -1)
+        self._count_one(int(self.ctx.comp_pair[entry]), value)
 
     def set_opt_local(self, entry: int, value: bool) -> None:
         """Set the optional part of ``X'`` for one flat entry."""
-        old = bool(self.opt_local[entry])
-        if old == bool(value):
+        if bool(self.opt_local[entry]) == bool(value):
             return
-        ctx = self.ctx
-        i = int(ctx.opt_server[entry])
-        k = int(ctx.opt_objects[entry])
         self.opt_local[entry] = value
-        self._bump(i, k, +1 if value else -1)
+        self._count_one(int(self.ctx.opt_pair[entry]), value)
 
     def set_comp_local_bulk(self, entries: np.ndarray, value: bool) -> None:
         """Set ``X`` for many flat compulsory entries in one batch.
 
-        Equivalent to ``for e in entries: set_comp_local(e, value)`` but
-        with the replica/mark-count bookkeeping grouped per unique
-        ``(server, object)`` pair instead of per entry.  Duplicate
-        entries are collapsed (setting is idempotent).
+        Equivalent to ``for e in entries: set_comp_local(e, value)``;
+        duplicate entries and entries already at ``value`` are no-ops.
         """
         changed = self._changed_entries(entries, self.comp_local, value)
         if len(changed) == 0:
             return
         self.comp_local[changed] = value
-        self._bump_bulk(self.ctx.comp_pair[changed], +1 if value else -1)
+        self._count(self.ctx.comp_pair[changed], value)
 
     def set_opt_local_bulk(self, entries: np.ndarray, value: bool) -> None:
         """Batched :meth:`set_opt_local` (see :meth:`set_comp_local_bulk`)."""
@@ -239,7 +220,7 @@ class Allocation:
         if len(changed) == 0:
             return
         self.opt_local[changed] = value
-        self._bump_bulk(self.ctx.opt_pair[changed], +1 if value else -1)
+        self._count(self.ctx.opt_pair[changed], value)
 
     @staticmethod
     def _changed_entries(
@@ -252,60 +233,35 @@ class Allocation:
             changed = np.unique(changed)
         return changed
 
-    def _bump_bulk(self, pair_ids: np.ndarray, delta: int) -> None:
-        """Apply a bulk mark delta grouped per ``(server, object)`` pair.
-
-        ``pair_ids`` are context pair-table rows of the flipped entries;
-        unique-with-counts over them yields each pair's multiplicity in
-        ascending (server, object) order, exactly like the sort-based
-        grouping it replaces.  A short batch (the restoration engines
-        flip a few dozen entries per step) is cheaper one entry at a
-        time; the mark counts come out the same either way.
-        """
-        ctx = self.ctx
-        if len(pair_ids) <= _SHORT_BATCH:
-            for i, k in zip(
-                ctx.pair_server[pair_ids].tolist(), ctx.pair_object[pair_ids].tolist()
-            ):
-                self._bump(i, k, delta)
+    def _count_one(self, pair: int, value: bool) -> None:
+        """Add (``value``) or remove one mark at pair-table row ``pair``;
+        a count rising from zero stores the pair's object."""
+        if not value:
+            self._mark_counts[pair] -= 1
             return
-        uniq, counts = np.unique(pair_ids, return_counts=True)
-        usrv = ctx.pair_server[uniq]
-        uobj = ctx.pair_object[uniq]
-        bounds = (usrv[1:] != usrv[:-1]).nonzero()[0] + 1
-        for lo, hi in zip(
-            np.concatenate(([0], bounds)), np.concatenate((bounds, [len(uniq)]))
-        ):
-            i = int(usrv[lo])
-            objs = uobj[lo:hi].tolist()
-            cnts = counts[lo:hi].tolist()
-            d = self._mark_counts[i]
-            if delta > 0 and not d:
-                self._mark_counts[i] = dict(zip(objs, cnts))
-                self.replicas[i].update(objs)
-                continue
-            for k, c in zip(objs, cnts):
-                new = d.get(k, 0) + delta * c
-                if new < 0:  # pragma: no cover - defensive
-                    raise RuntimeError("mark count underflow")
-                if new == 0:
-                    d.pop(k, None)
-                else:
-                    d[k] = new
-            if delta > 0:
-                self.replicas[i].update(objs)
+        if self._mark_counts[pair] == 0:
+            ctx = self.ctx
+            i, k = int(ctx.pair_server[pair]), int(ctx.pair_object[pair])
+            self.replicas[i].add(k)
+        self._mark_counts[pair] += 1
 
-    def _bump(self, server_id: int, object_id: int, delta: int) -> None:
-        d = self._mark_counts[server_id]
-        new = d.get(object_id, 0) + delta
-        if new < 0:  # pragma: no cover - defensive
-            raise RuntimeError("mark count underflow")
-        if new == 0:
-            d.pop(object_id, None)
-        else:
-            d[object_id] = new
-        if delta > 0:
-            self.replicas[server_id].add(object_id)
+    def _count(self, pairs: np.ndarray, value: bool) -> None:
+        """:meth:`_count_one` at each of ``pairs`` (repeats allowed).
+
+        The counts are integers, so any update order gives the same
+        array.
+        """
+        counts = self._mark_counts
+        if not value:
+            np.subtract.at(counts, pairs, 1)
+            return
+        rising = pairs[counts[pairs] == 0]
+        np.add.at(counts, pairs, 1)
+        ctx = self.ctx
+        for i, k in zip(
+            ctx.pair_server[rising].tolist(), ctx.pair_object[rising].tolist()
+        ):
+            self.replicas[i].add(k)
 
     def store(self, server_id: int, object_id: int) -> None:
         """Add a replica of ``object_id`` at ``server_id`` (idempotent)."""
@@ -328,20 +284,18 @@ class Allocation:
             )
         ce, c_start, c_count = self.ctx.comp_group(server_id)
         oe, o_start, o_count = self.ctx.opt_group(server_id)
-        lo = int(c_start[object_id])
-        comp_e = ce[lo : lo + int(c_count[object_id])].tolist()
-        lo = int(o_start[object_id])
-        opt_e = oe[lo : lo + int(o_count[object_id])].tolist()
-        affected: list[int] = []
-        for e in comp_e:
-            if self.comp_local[e]:
-                self.set_comp_local(e, False)
-                affected.append(int(self.model.comp_pages[e]))
-        for e in opt_e:
-            if self.opt_local[e]:
-                self.set_opt_local(e, False)
-                affected.append(int(self.model.opt_pages[e]))
+        lo = c_start[object_id]
+        comp_e = ce[lo : lo + c_count[object_id]]
+        comp_e = comp_e[self.comp_local[comp_e]]
+        lo = o_start[object_id]
+        opt_e = oe[lo : lo + o_count[object_id]]
+        opt_e = opt_e[self.opt_local[opt_e]]
+        self.set_comp_local_bulk(comp_e, False)
+        self.set_opt_local_bulk(opt_e, False)
         self.replicas[server_id].discard(object_id)
+        affected = np.concatenate(
+            (self.model.comp_pages[comp_e], self.model.opt_pages[opt_e])
+        ).tolist()
         return tuple(dict.fromkeys(affected))
 
     # ------------------------------------------------------------------
@@ -374,8 +328,7 @@ class Allocation:
 
     def unmarked_stored(self, server_id: int) -> set[int]:
         """Objects stored at ``server_id`` with zero local-download marks."""
-        d = self._mark_counts[server_id]
-        return {k for k in self.replicas[server_id] if k not in d}
+        return self.replicas[server_id] - self._marked(server_id)
 
     def page_comp_marks(self, page_id: int) -> np.ndarray:
         """View of this page's compulsory marks (aligned with
@@ -395,7 +348,7 @@ class Allocation:
         dup.opt_local = self.opt_local.copy()
         dup.comp_stream = self.comp_stream.copy()
         dup.replicas = [set(r) for r in self.replicas]
-        dup._mark_counts = [dict(d) for d in self._mark_counts]
+        dup._mark_counts = self._mark_counts.copy()
         return dup
 
     def check_invariants(self) -> None:
@@ -409,15 +362,15 @@ class Allocation:
             self.comp_stream <= k - 1
         ).all(), "comp_stream out of 1..n_streams-1 range"
         fresh = Allocation(self.model, self.comp_local, self.opt_local)
-        for i in range(self.model.n_servers):
-            need = set(fresh._mark_counts[i].keys())
+        for i, need in enumerate(fresh.replicas):
             assert need <= self.replicas[i], (
                 f"server {i}: marked objects {sorted(need - self.replicas[i])} "
                 "missing from replica set"
             )
-            assert self._mark_counts[i] == fresh._mark_counts[i], (
-                f"server {i}: stale mark counts"
-            )
+        stale = np.flatnonzero(self._mark_counts != fresh._mark_counts)
+        assert not len(stale), (
+            f"server {self.ctx.pair_server[stale[0]]}: stale mark counts"
+        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Allocation):

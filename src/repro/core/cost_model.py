@@ -132,19 +132,22 @@ class CostModel:
 
         ``np.bincount`` accumulates its weights sequentially in input
         order, exactly like the ``np.add.at`` scatter it replaces, so the
-        totals are bit-identical — it is just several times faster.
+        totals are bit-identical — it is just several times faster.  The
+        result is float64 even when no entry is local (``np.bincount``
+        of an empty selection is integer-typed).
         """
         m = self.model
         sel = alloc.comp_local
         return np.bincount(
             m.comp_pages[sel], weights=self.comp_sizes[sel], minlength=m.n_pages
-        )
+        ).astype(float, copy=False)
 
     def remote_mo_bytes_by_stream(
         self, alloc: Allocation
     ) -> tuple[np.ndarray, ...]:
         """Per-page :math:`\\sum_k (1-X_{jk}) U_{jk} Size(M_k)` split by
-        owning stream: element ``r-1`` is stream ``r``'s total."""
+        owning stream: element ``r-1`` is stream ``r``'s total, float64
+        as in :meth:`local_mo_bytes`."""
         m = self.model
         rem = ~alloc.comp_local
         return tuple(
@@ -152,7 +155,7 @@ class CostModel:
                 m.comp_pages[sel_r],
                 weights=self.comp_sizes[sel_r],
                 minlength=m.n_pages,
-            )
+            ).astype(float, copy=False)
             for r in range(1, self.n_streams)
             for sel_r in (rem & (alloc.comp_stream == r),)
         )

@@ -277,15 +277,6 @@ def _move_remote_times(tl, tl2, size, repo, sites):
     return old, np.maximum(other, inc2)
 
 
-def _byte_totals(cost: CostModel, alloc: Allocation) -> tuple:
-    """Per-page local and per-stream remote MO byte totals as float
-    arrays (``np.bincount`` of an empty selection is integer-typed);
-    the values are integer byte counts either way."""
-    return cost.local_mo_bytes(alloc).astype(float), [
-        rb.astype(float) for rb in cost.remote_mo_bytes_by_stream(alloc)
-    ]
-
-
 def _fold(start: list[float], terms: np.ndarray) -> np.ndarray:
     """Running sums ``start[x] + terms[x, 0] + ...`` per row, column ``t``
     after ``t`` terms: ``accumulate`` adds left to right, as a Python
@@ -378,7 +369,7 @@ class _EvictionScorer:
         comp_local: np.ndarray,
         opt_local: np.ndarray,
         LB: np.ndarray,
-        RBs: list[np.ndarray],
+        RBs: tuple[np.ndarray, ...],
         amortise: bool,
     ) -> np.ndarray:
         """Fresh eviction scores for candidates ``cand`` (flat keys).
@@ -483,7 +474,7 @@ def restore_storage_batched(
     ctx = alloc.ctx
     n_obj = len(m.sizes)
     scorer = _EvictionScorer(cost, alloc, rows)
-    LB, RBs = _byte_totals(cost, alloc)
+    LB, RBs = cost.local_mo_bytes(alloc), cost.remote_mo_bytes_by_stream(alloc)
     comp_stream = alloc.comp_stream
     comp_local = alloc.comp_local
     opt_local = alloc.opt_local
@@ -599,7 +590,9 @@ def restore_storage_batched(
     return _finish(out, failed, logs, decisions)
 
 
-def _best_streams(ctx, RBs: list[np.ndarray], pages: np.ndarray, size) -> np.ndarray:
+def _best_streams(
+    ctx, RBs: tuple[np.ndarray, ...], pages: np.ndarray, size
+) -> np.ndarray:
     """Remote stream (0-based) of each of ``pages`` (distinct) whose time
     is lowest after receiving ``size`` bytes, ties to the lowest index:
     the repository unless a mesh's replica site is strictly shorter."""
@@ -621,7 +614,7 @@ def _install_marks(
     marks: np.ndarray,
     streams: np.ndarray,
     LB: np.ndarray,
-    RBs: list[np.ndarray],
+    RBs: tuple[np.ndarray, ...],
     stats: list,
     owner: np.ndarray,
 ) -> None:
@@ -725,7 +718,7 @@ def restore_processing_batched(
     stats = [out[i] for i in rows]
     logs: list[list] = [[] for _ in rows]
     ctx = alloc.ctx
-    LB, RBs = _byte_totals(cost, alloc)
+    LB, RBs = cost.local_mo_bytes(alloc), cost.remote_mo_bytes_by_stream(alloc)
     NC = len(m.comp_objects)
     scorer = _SwitchScorer(cost, alloc, LB, RBs)
 
@@ -828,10 +821,15 @@ def restore_processing_batched(
             damage = vals * p.shed
         shed_fold = _fold([stats[row].load_shed for row in going], p.shed)
         damage_fold = _fold([stats[row].objective_delta for row in going], damage)
-        objs = np.empty(len(picked), dtype=np.intp)
-        objs[comp] = m.comp_objects[picked[comp]]
-        objs[~comp] = m.opt_objects[opt_e]
-        ends = np.cumsum(p.n).tolist()
+        # an object no page of the server marks local any more is
+        # deallocated; mark counts only fall here, so reading them after
+        # the prefix finds what each switch would have found
+        pairs = np.empty(len(picked), dtype=np.intp)
+        pairs[comp] = ctx.comp_pair[picked[comp]]
+        pairs[~comp] = ctx.opt_pair[opt_e]
+        zero = np.flatnonzero(alloc._mark_counts[pairs] == 0)
+        dead = ctx.pair_object[pairs[zero]].tolist()
+        cuts = [0, *zero.searchsorted(np.cumsum(p.n)).tolist()]
         for x, row in enumerate(going):
             n = int(p.n[x])
             st = stats[row]
@@ -842,15 +840,10 @@ def restore_processing_batched(
             since_resync[row] += n
             if decisions is not None:
                 logs[row].extend(zip(keys[x, :n].tolist(), vals[x, :n].tolist()))
-            # an object no page of the server marks local any more is
-            # deallocated; mark counts only fall here, so reading them
-            # after the prefix finds what each switch would have found
-            i = rows[row]
-            replicas = alloc.replicas[i]
-            for k in set(objs[ends[x] - n : ends[x]].tolist()):
-                if alloc.mark_count(i, k) == 0 and k in replicas:
-                    replicas.discard(k)
-                    st.deallocations += 1
+            replicas = alloc.replicas[rows[row]]
+            gone = replicas.intersection(dead[cuts[x] : cuts[x + 1]])
+            replicas.difference_update(gone)
+            st.deallocations += len(gone)
         active = going
     if not failed:
         for i, ld, c, t in zip(rows, load, cap, tol):

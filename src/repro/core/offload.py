@@ -50,7 +50,7 @@ from repro.core.constraints import (
     storage_used,
 )
 from repro.core.cost_model import CostModel
-from repro.core.fast_restoration import absorb_extra_workload_batched
+from repro.core.fast_restoration import _expand, absorb_extra_workload_batched
 from repro.core.partition import Kernel, resolve_kernel
 from repro.obs.registry import get_registry
 
@@ -309,31 +309,29 @@ def _try_make_room(
     c = table.prefix(need, gain)
     if c is None:
         return False, [], [], [], []
-    m = alloc.model
-    ce, c_start, c_count = alloc.ctx.comp_group(server_id)
-    oe, o_start, o_count = alloc.ctx.opt_group(server_id)
-    freed_sizes: list[float] = []
-    flip_comp: list[int] = []
-    flip_opt: list[int] = []
-    flip_pages: list[int] = []
-    for k, size in zip(table.objects[:c].tolist(), table.sizes[:c].tolist()):
-        lo = int(c_start[k])
-        for e2 in ce[lo : lo + int(c_count[k])].tolist():
-            if alloc.comp_local[e2]:
-                j = int(m.comp_pages[e2])
-                alloc.set_comp_local(e2, False)
-                local_bytes[j] -= size
-                remote_bytes[j] += size
-                flip_comp.append(e2)
-                flip_pages.append(j)
-        lo = int(o_start[k])
-        for e2 in oe[lo : lo + int(o_count[k])].tolist():
-            if alloc.opt_local[e2]:
-                alloc.set_opt_local(e2, False)
-                flip_opt.append(e2)
-        alloc.replicas[server_id].discard(k)
-        freed_sizes.append(size)
-    return True, freed_sizes, flip_comp, flip_opt, flip_pages
+    ctx = alloc.ctx
+    objects = table.objects[:c]
+    # the victims' entries, victim by victim, ascending within each
+    ce, c_start, c_count = ctx.comp_group(server_id)
+    oe, o_start, o_count = ctx.opt_group(server_id)
+    flip_comp = ce[_expand(c_start[objects], c_count[objects])[0]]
+    flip_comp = flip_comp[alloc.comp_local[flip_comp]]
+    flip_opt = oe[_expand(o_start[objects], o_count[objects])[0]]
+    flip_opt = flip_opt[alloc.opt_local[flip_opt]]
+    alloc.set_comp_local_bulk(flip_comp, False)
+    alloc.set_opt_local_bulk(flip_opt, False)
+    alloc.replicas[server_id].difference_update(objects.tolist())
+    # ``ufunc.at`` applies the moves in order, as one ``-=`` per entry would
+    pages, sizes = ctx.comp_pages[flip_comp], ctx.comp_sizes[flip_comp]
+    np.subtract.at(local_bytes, pages, sizes)
+    np.add.at(remote_bytes, pages, sizes)
+    return (
+        True,
+        table.sizes[:c].tolist(),
+        flip_comp.tolist(),
+        flip_opt.tolist(),
+        pages.tolist(),
+    )
 
 
 def absorb_extra_workload(
@@ -343,7 +341,6 @@ def absorb_extra_workload(
     target: float,
     allow_new_replicas: bool = True,
     allow_swap: bool = True,
-    kernel: Kernel = "batched",
 ) -> float:
     """Shift up to ``target`` req/s of repository workload onto ``server_id``.
 
@@ -364,13 +361,7 @@ def absorb_extra_workload(
         registry receives ``offload.swap_attempts``, ``offload.swaps``
         and ``offload.swap_rankings`` (victim tables built), next to
         ``offload.absorptions`` (candidates marked local).
-    kernel:
-        Validated policy kernel name.  Every kernel scores candidates
-        with the vectorised engine of :mod:`repro.core.fast_restoration`,
-        which takes the live candidate with the lowest ``(fresh score,
-        key)`` by one ``np.argmin`` per step.
     """
-    resolve_kernel(kernel)
     _require_two_streams(alloc, "OFF_LOADING absorption")
     counters: dict[str, int] = {}
     absorbed = absorb_extra_workload_batched(
@@ -398,7 +389,6 @@ def absorb_round_serial(
     requests: list[tuple[int, float, bool]],
     *,
     allow_swap: bool = True,
-    kernel: Kernel = "batched",
 ) -> dict[int, float]:
     """Default (serial) scatter: absorb each round request in plan order.
 
@@ -429,7 +419,6 @@ def absorb_round_serial(
             req,
             allow_new_replicas=allow_new,
             allow_swap=allow_swap,
-            kernel=kernel,
         )
     return achieved
 
@@ -489,7 +478,8 @@ def offload_repository(
         capacity).  Figure 3 sweeps this as a fraction of the workload
         the pre-offload allocation imposes.
     kernel:
-        Validated policy kernel name, forwarded to the scatter.
+        Validated policy kernel name.  Every kernel absorbs with the
+        vectorised engine of :mod:`repro.core.fast_restoration`.
     scatter:
         Absorption-round executor with the signature and contract of
         :func:`absorb_round_serial` (the default), called once per
@@ -499,7 +489,7 @@ def offload_repository(
         The scalar test oracle substitutes its own absorptions here.
     """
     cfg = config or OffloadConfig()
-    kernel = resolve_kernel(kernel)
+    resolve_kernel(kernel)
     m = alloc.model
     repo_cap = (
         m.repository.processing_capacity if capacity is None else float(capacity)
@@ -539,11 +529,7 @@ def offload_repository(
                 for i, req in plan.items()
             ]
             achieved_by = absorb_round(
-                alloc,
-                cost,
-                requests,
-                allow_swap=cfg.allow_swap,
-                kernel=kernel,
+                alloc, cost, requests, allow_swap=cfg.allow_swap
             )
             # Gather: the order-sensitive bookkeeping, in plan order.
             for i, req in plan.items():

@@ -59,6 +59,15 @@ class TestStreamTimes:
         assert lb.tolist() == [300.0, 300.0, 600.0, 800.0]
         assert rb.tolist() == [0.0, 0.0, 0.0, 0.0]
 
+    @pytest.mark.parametrize("alloc", ["remote_alloc", "local_alloc"])
+    def test_byte_totals_are_float(self, micro_cost, alloc, request):
+        # all-remote leaves no local entry and all-local no remote one:
+        # ``np.bincount`` of an empty selection is integer-typed
+        alloc = request.getfixturevalue(alloc)
+        assert micro_cost.local_mo_bytes(alloc).dtype == np.float64
+        for rb in micro_cost.remote_mo_bytes_by_stream(alloc):
+            assert rb.dtype == np.float64
+
 
 class TestOptionalTimes:
     def test_all_remote(self, micro_cost, remote_alloc):

@@ -802,7 +802,7 @@ def offload_scalar(
     :func:`absorb_scalar`, through :func:`offload_repository`'s scatter
     seam (the serial scatter's contract: requests in plan order)."""
 
-    def scatter(alloc, cost, requests, *, allow_swap=True, kernel=None):
+    def scatter(alloc, cost, requests, *, allow_swap=True):
         return {
             i: absorb_scalar(
                 alloc,

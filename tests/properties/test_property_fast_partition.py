@@ -90,7 +90,7 @@ def test_partition_all_kernels_build_equal_allocations(model, order, policy):
     scalar = partition_all_scalar(model, optional_policy=policy, order=order)
     batched = partition_all(model, optional_policy=policy, order=order)
     assert scalar == batched
-    assert scalar._mark_counts == batched._mark_counts
+    assert np.array_equal(scalar._mark_counts, batched._mark_counts)
     batched.check_invariants()
 
 
