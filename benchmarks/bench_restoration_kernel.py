@@ -2,7 +2,8 @@
 
 Times the three Section 4.2 greedy loops (storage restoration,
 processing restoration, repository off-loading) on the production
-engines of :mod:`repro.core.fast_restoration` and on the scalar
+engines of :mod:`repro.core.restoration` and :mod:`repro.core.offload`
+and on the scalar
 reference loops of :mod:`tests.oracles.scalar_greedy`, over seeded
 paper-shaped workloads, and asserts the acceptance floor: **the batched
 restoration/offload path is ≥5× scalar on the dense paper-scale

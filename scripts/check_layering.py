@@ -25,7 +25,11 @@ nothing needs a segment that a crashed run could leak into
 ``/dev/shm``.  A fifth keeps ``repro.core``'s private names private: no
 module outside ``src/repro/core/`` imports an underscore-prefixed name
 from ``repro.core.*``, so an orchestrator cannot come to depend on a
-helper the engines may reshape or drop.
+helper the engines may reshape or drop.  A sixth forbids import
+cycles among the modules of ``src/repro``: each module's decision rule
+lives in one place, so no module needs a module that needs it back.
+Function-local imports count; ``from repro import obs`` counts as an
+import of ``repro.obs``; a package ``__init__``'s re-exports do not.
 
 On top of the layer rules, ``MODULE_FORBIDDEN`` pins *module-specific*
 contracts with their rationale: ``core/shard.py`` fans work out to
@@ -214,9 +218,123 @@ def _imported_private_core_names(tree: ast.AST):
                         yield node.lineno, f"{module}.{alias.name}"
 
 
+def _module_name(path: pathlib.Path, package_root: pathlib.Path) -> str:
+    """The dotted name of the module at ``path`` (a package's
+    ``__init__`` is the package)."""
+    parts = list(path.relative_to(package_root).with_suffix("").parts)
+    if parts[-1] == "__init__":
+        parts.pop()
+    return ".".join([package_root.name, *parts])
+
+
+def _import_edges(tree: ast.AST, module: str, modules: set):
+    """Yield ``(lineno, target)`` for every import of a module in
+    ``modules``; ``from a import b`` imports ``a.b`` when that is a
+    module, and ``a`` otherwise."""
+    package = module.rpartition(".")[0]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name in modules:
+                    yield node.lineno, alias.name
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                anchor = package.rsplit(".", node.level - 1)[0]
+                base = f"{anchor}.{base}" if base else anchor
+            for alias in node.names:
+                sub = f"{base}.{alias.name}"
+                if sub in modules:
+                    yield node.lineno, sub
+                elif base in modules:
+                    yield node.lineno, base
+
+
+def _import_cycles(package_root: pathlib.Path) -> list[str]:
+    """One violation per import cycle among the package's modules: each
+    strongly connected component of the import graph, reported as one
+    cycle through it at its first edge's import."""
+    repo_root = package_root.parent.parent
+    paths = {_module_name(p, package_root): p for p in sorted(package_root.rglob("*.py"))}
+    modules = set(paths)
+    edges: dict[str, dict[str, int]] = {}
+    for name, path in paths.items():
+        out: dict[str, int] = {}
+        if path.name != "__init__.py":
+            tree = ast.parse(path.read_text(), filename=str(path))
+            for lineno, target in _import_edges(tree, name, modules):
+                if target != name:
+                    out.setdefault(target, lineno)
+        edges[name] = out
+    violations = []
+    for component in _strongly_connected(edges):
+        if len(component) < 2:
+            continue
+        start = min(component)
+        cycle = _cycle_through(edges, start, component)
+        path = paths[start].relative_to(repo_root)
+        violations.append(
+            f"{path}:{edges[start][cycle[1]]}: import cycle "
+            + " -> ".join(cycle)
+        )
+    return violations
+
+
+def _strongly_connected(edges: dict[str, dict[str, int]]) -> list[set[str]]:
+    """Tarjan's strongly connected components of the import graph."""
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    stack: list[str] = []
+    on_stack: set[str] = set()
+    out: list[set[str]] = []
+
+    def visit(v: str) -> None:
+        index[v] = low[v] = len(index)
+        stack.append(v)
+        on_stack.add(v)
+        for w in edges[v]:
+            if w not in index:
+                visit(w)
+                low[v] = min(low[v], low[w])
+            elif w in on_stack:
+                low[v] = min(low[v], index[w])
+        if low[v] == index[v]:
+            component = set()
+            while True:
+                w = stack.pop()
+                on_stack.discard(w)
+                component.add(w)
+                if w == v:
+                    break
+            out.append(component)
+
+    for v in sorted(edges):
+        if v not in index:
+            visit(v)
+    return out
+
+
+def _cycle_through(edges, start: str, component: set[str]) -> list[str]:
+    """A shortest import path from ``start`` back to itself inside
+    ``component``, both ends included."""
+    parent = {start: None}
+    queue = [start]
+    for v in queue:
+        for w in sorted(edges[v]):
+            if w == start:
+                path = [v]
+                while parent[path[-1]] is not None:
+                    path.append(parent[path[-1]])
+                return [*reversed(path), start]
+            if w in component and w not in parent:
+                parent[w] = v
+                queue.append(w)
+    raise AssertionError("a strongly connected component has a cycle")
+
+
 def check(package_root: pathlib.Path = PACKAGE_ROOT) -> list[str]:
     """All layering violations in the tree, as printable strings."""
-    violations = []
+    violations = _import_cycles(package_root)
     repo_root = package_root.parent.parent
     for path in sorted(package_root.rglob("*.py")):
         rel = path.relative_to(repo_root)
@@ -269,9 +387,8 @@ def main() -> int:
     m = len(MODULE_FORBIDDEN)
     print(
         f"layering check: OK ({n} constrained layers, "
-        f"{m} module rules, no test-code, shared-memory or private "
-        "core imports, "
-        "no violations)"
+        f"{m} module rules, no import cycles, no test-code, shared-memory "
+        "or private core imports, no violations)"
     )
     return 0
 

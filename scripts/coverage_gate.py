@@ -94,7 +94,7 @@ def main(argv: list[str]) -> int:
             "--cov=repro.experiments.executor",
             "--cov=repro.experiments.cache",
             "--cov=repro.core.fast_partition",
-            "--cov=repro.core.fast_restoration",
+            "--cov=repro.core.restoration",
             "--cov=repro.core.context",
             "--cov=repro.core.shard",
             "--cov=repro.simulation.lru_sim",

@@ -366,9 +366,8 @@ class EvalContext:
         Returns ``(grouped, srv_indptr, starts, counts)`` where
         ``grouped[srv_indptr[i]:srv_indptr[i+1]]`` are server ``i``'s
         entries sorted by ``(object, entry)``, and ``starts[i]`` /
-        ``counts[i]`` are dense per-object tables into that slice —
-        the same layout ``fast_restoration._group_by_object`` produced
-        per phase, now built once per model.
+        ``counts[i]`` are dense per-object tables into that slice, built
+        once per model.
         """
         ne = len(entry_server)
         order = np.lexsort((np.arange(ne), entry_objects, entry_server))

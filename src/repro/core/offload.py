@@ -31,6 +31,13 @@ paper's last resort) may **swap**: deallocate stored objects whose local
 marks carry little workload to make room for objects that would shed
 more.
 
+Absorption (:func:`absorb_extra_workload`) is the exact argmin of
+:mod:`repro.core.restoration` run the other way: the remote entry
+with the lowest ``(fresh score, key)`` on the same
+:class:`~repro.core.restoration.ArgminPicker`, its score the k=2 move
+onto the local stream.  The scalar loop it reproduces bit for bit
+lives with the tests (``tests/oracles/scalar_greedy.py``).
+
 This module implements the protocol as plain function calls;
 :mod:`repro.network` wraps the same primitives in actual message-passing
 actors with message accounting.
@@ -50,8 +57,9 @@ from repro.core.constraints import (
     storage_used,
 )
 from repro.core.cost_model import CostModel
-from repro.core.fast_restoration import _expand, absorb_extra_workload_batched
 from repro.core.partition import Kernel, resolve_kernel
+from repro.core.restoration import _TOL, ArgminPicker, _tally
+from repro.core.types import expand_rows
 from repro.obs.registry import get_registry
 
 __all__ = [
@@ -65,8 +73,6 @@ __all__ = [
     "plan_offload_round",
     "offload_repository",
 ]
-
-_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -91,37 +97,16 @@ class ServerStatus:
         return "L3"
 
 
-def compute_server_status(alloc: Allocation, server_id: int) -> ServerStatus:
-    """Build the status message a local server would send."""
-    m = alloc.model
-    storage = storage_used(alloc)[server_id]
-    load = local_processing_load(alloc)[server_id]
-    repo_share = repository_load_by_server(alloc)[server_id]
-    cap = m.server_capacity[server_id]
-    free_cap = np.inf if np.isinf(cap) else max(0.0, float(cap - load))
-    return ServerStatus(
-        server_id=server_id,
-        free_space=max(0.0, float(m.server_storage[server_id] - storage)),
-        free_capacity=free_cap,
-        repo_share=float(repo_share),
-    )
-
-
-def compute_all_server_statuses(alloc: Allocation) -> list[ServerStatus]:
-    """Status messages for every server from one pass over the allocation.
-
-    Each per-server constraint array (``storage_used``,
-    ``local_processing_load``, ``repository_load_by_server``) is computed
-    once and sliced, instead of once per server as mapping
-    :func:`compute_server_status` over ``range(n_servers)`` would —
-    identical values, ``O(S)`` fewer full-allocation scans per round.
-    """
+def _statuses(alloc: Allocation, servers) -> list[ServerStatus]:
+    """The status messages of ``servers``, sliced from one evaluation of
+    each per-server constraint array (``storage_used``,
+    ``local_processing_load``, ``repository_load_by_server``)."""
     m = alloc.model
     storage = storage_used(alloc)
     load = local_processing_load(alloc)
     repo_share = repository_load_by_server(alloc)
     out: list[ServerStatus] = []
-    for i in range(m.n_servers):
+    for i in servers:
         cap = m.server_capacity[i]
         free_cap = np.inf if np.isinf(cap) else max(0.0, float(cap - load[i]))
         out.append(
@@ -133,6 +118,18 @@ def compute_all_server_statuses(alloc: Allocation) -> list[ServerStatus]:
             )
         )
     return out
+
+
+def compute_server_status(alloc: Allocation, server_id: int) -> ServerStatus:
+    """Build the status message a local server would send."""
+    return _statuses(alloc, [server_id])[0]
+
+
+def compute_all_server_statuses(alloc: Allocation) -> list[ServerStatus]:
+    """Status messages for every server from one pass over the allocation
+    — identical values to :func:`compute_server_status` per server,
+    ``O(S)`` fewer full-allocation scans per round."""
+    return _statuses(alloc, range(alloc.model.n_servers))
 
 
 def plan_offload_round(
@@ -278,11 +275,6 @@ def _require_two_streams(alloc: Allocation, what: str) -> None:
         )
 
 
-def _tally(counters: dict | None, key: str) -> None:
-    if counters is not None:
-        counters[key] = counters.get(key, 0) + 1
-
-
 def _try_make_room(
     alloc: Allocation,
     server_id: int,
@@ -314,9 +306,9 @@ def _try_make_room(
     # the victims' entries, victim by victim, ascending within each
     ce, c_start, c_count = ctx.comp_group(server_id)
     oe, o_start, o_count = ctx.opt_group(server_id)
-    flip_comp = ce[_expand(c_start[objects], c_count[objects])[0]]
+    flip_comp = ce[expand_rows(c_start[objects], c_count[objects])[1]]
     flip_comp = flip_comp[alloc.comp_local[flip_comp]]
-    flip_opt = oe[_expand(o_start[objects], o_count[objects])[0]]
+    flip_opt = oe[expand_rows(o_start[objects], o_count[objects])[1]]
     flip_opt = flip_opt[alloc.opt_local[flip_opt]]
     alloc.set_comp_local_bulk(flip_comp, False)
     alloc.set_opt_local_bulk(flip_opt, False)
@@ -334,6 +326,18 @@ def _try_make_room(
     )
 
 
+def _report_absorption(counters: dict) -> None:
+    """Add one absorption's counters to a recording registry, as
+    ``offload.*``."""
+    reg = get_registry()
+    if reg.enabled:
+        if "batches" in counters:
+            reg.count("offload.rescore_batches", counters["batches"])
+            reg.count("offload.rescored_candidates", counters["candidates"])
+        for key in _ABSORB_COUNTERS:
+            reg.count(f"offload.{key}", counters.get(key, 0))
+
+
 def absorb_extra_workload(
     alloc: Allocation,
     cost: CostModel,
@@ -341,13 +345,26 @@ def absorb_extra_workload(
     target: float,
     allow_new_replicas: bool = True,
     allow_swap: bool = True,
+    decisions: list | None = None,
 ) -> float:
     """Shift up to ``target`` req/s of repository workload onto ``server_id``.
 
-    Marks remote ``(page, object)`` downloads local in order of least
-    objective damage per unit workload, honouring the server's remaining
-    storage (Eq. 10) and processing (Eq. 8) slack.  Mutates ``alloc`` and
-    returns the workload actually absorbed.
+    Marks, step after step, the remote ``(page, object)`` download whose
+    move to the local stream damages the objective least per
+    request/second absorbed (ties to the lowest key: ``e`` for a
+    compulsory entry, ``NC + e`` for an optional one), honouring the
+    server's remaining storage (Eq. 10) and processing (Eq. 8) slack,
+    until ``target`` req/s are absorbed or nothing fits.  Mutates
+    ``alloc`` and returns the workload actually absorbed.
+
+    A refused candidate is retired for good; CPU slack only shrinks, so
+    every candidate heavier than the slack is retired in bulk by a
+    ``searchsorted`` cut over the weight-descending order.  A successful
+    swap re-admits the absorbed entries it un-marks.  The L2 swap's
+    victim table is built lazily at the first blocked candidate and kept
+    while the loop leaves the server untouched; any mutation (an
+    accepted mark, a new replica, a successful swap) drops it, so the
+    next blocked candidate ranks the new state afresh.
 
     Parameters
     ----------
@@ -357,29 +374,169 @@ def absorb_extra_workload(
     allow_swap:
         Enable the paper's last-resort swap: deallocating stored objects
         whose marks carry less workload than a blocked candidate would
-        add, when that trade is a net workload gain.  A recording
-        registry receives ``offload.swap_attempts``, ``offload.swaps``
-        and ``offload.swap_rankings`` (victim tables built), next to
-        ``offload.absorptions`` (candidates marked local).
+        add, when that trade is a net workload gain.
+    decisions:
+        When given, receives one ``(key, score)`` pair per absorption.
+
+    A recording registry receives ``offload.swap_attempts``,
+    ``offload.swaps`` and ``offload.swap_rankings`` (victim tables
+    built), next to ``offload.absorptions`` (candidates marked local)
+    and the rescoring counts.
     """
     _require_two_streams(alloc, "OFF_LOADING absorption")
     counters: dict[str, int] = {}
-    absorbed = absorb_extra_workload_batched(
-        alloc,
-        cost,
-        server_id,
-        target,
-        allow_new_replicas=allow_new_replicas,
-        allow_swap=allow_swap,
-        counters=counters,
-    )
-    reg = get_registry()
-    if reg.enabled:
-        if "batches" in counters:
-            reg.count("offload.rescore_batches", counters["batches"])
-            reg.count("offload.rescored_candidates", counters["candidates"])
-        for key in _ABSORB_COUNTERS:
-            reg.count(f"offload.{key}", counters.get(key, 0))
+    if target <= _TOL:
+        _report_absorption(counters)
+        return 0.0
+    m = alloc.model
+    cap = float(m.server_capacity[server_id])
+    load = float(local_processing_load(alloc)[server_id])
+    cpu_slack = np.inf if np.isinf(cap) else cap - load
+    space = float(m.server_storage[server_id] - storage_used(alloc)[server_id])
+
+    ctx = alloc.ctx
+    LB = cost.local_mo_bytes(alloc)
+    (RB,) = cost.remote_mo_bytes_by_stream(alloc)
+    NC = len(m.comp_objects)
+    comp_indptr = m.comp_indptr
+    replicas = alloc.replicas[server_id]
+
+    def comp_scores(entries: np.ndarray) -> np.ndarray:
+        # the k=2 move of each entry from the repository onto the local
+        # stream; ``page_*_streams[0]`` are the repository's columns
+        j = ctx.comp_pages[entries]
+        size = ctx.comp_sizes[entries]
+        lb = LB[j]
+        rb = RB[j]
+        ovl = ctx.page_ovhd_local[j]
+        spl = ctx.page_spb_local[j]
+        html = ctx.html_sizes[j]
+        ovr = ctx.page_ovhd_streams[0][j]
+        spr = ctx.page_spb_streams[0][j]
+        old = np.maximum(ovl + spl * (html + lb), ovr + spr * rb)
+        new = np.maximum(
+            ovl + spl * (html + (lb + size)), ovr + spr * (rb - size)
+        )
+        w = ctx.comp_freq[entries]
+        raw = (cost.alpha1 * w) * (new - old)
+        out = np.full(len(entries), np.inf)
+        pos = w > 0
+        out[pos] = raw[pos] / w[pos]
+        if len(entries):
+            _tally(counters, batches=1, candidates=len(entries))
+        return out
+
+    def opt_scores(entries: np.ndarray) -> np.ndarray:
+        raw = cost.bulk_optional_entry_delta(entries, to_local=True)
+        w = ctx.opt_freq_weight[entries]
+        out = np.full(len(entries), np.inf)
+        pos = w > 0
+        out[pos] = raw[pos] / w[pos]
+        if len(entries):
+            _tally(counters, batches=1, candidates=len(entries))
+        return out
+
+    ec = ((~alloc.comp_local) & (ctx.comp_server == server_id)).nonzero()[0]
+    eo = ((~alloc.opt_local) & (ctx.opt_server == server_id)).nonzero()[0]
+    picker = ArgminPicker([np.concatenate((ec, NC + eo))], NC + len(m.opt_objects))
+    picker.set(ec, comp_scores(ec))
+    picker.set(NC + eo, opt_scores(eo))
+    weight = np.concatenate((ctx.comp_freq[ec], ctx.opt_freq_weight[eo]))
+    # a weightless candidate sheds nothing: refused whenever it is picked
+    picker.kill((weight <= 0).nonzero()[0])
+    by_weight = np.argsort(-weight, kind="stable")
+    neg_weight = -weight[by_weight]
+    n_heavy = 0
+
+    def retire_heavy() -> None:
+        """Retire every candidate heavier than the CPU slack left."""
+        nonlocal n_heavy
+        cut = int(neg_weight.searchsorted(-(cpu_slack + _TOL)))
+        if cut > n_heavy:
+            picker.kill(by_weight[n_heavy:cut])
+            n_heavy = cut
+
+    retire_heavy()
+    absorbed = 0.0
+    victims = None  # the server's ranked swap victims, while still valid
+    while absorbed < target - _TOL and cpu_slack > _TOL:
+        picked = picker.pick()
+        if picked is None:
+            break
+        score, key = picked
+        # accepted or refused, the candidate leaves the set
+        picker.kill(picker.pos[key])
+        w = float(weight[picker.pos[key]])
+        e = key if key < NC else key - NC
+        k = int(m.comp_objects[e] if key < NC else m.opt_objects[e])
+        unmarked: list[int] = []
+        dirty_pages: list[int] = []
+        if k not in replicas:
+            size = float(m.sizes[k])
+            if not allow_new_replicas:
+                continue
+            if size > space + _TOL:
+                if not allow_swap:
+                    continue
+                if victims is None:
+                    victims = _rank_victims(alloc, server_id)
+                    _tally(counters, swap_rankings=1)
+                _tally(counters, swap_attempts=1)
+                remaining = target - absorbed
+                ok, freed_sizes, flip_c, flip_o, flip_pages = _try_make_room(
+                    alloc,
+                    server_id,
+                    victims,
+                    size - space,
+                    min(w, remaining),
+                    LB,
+                    RB,
+                )
+                if not ok:
+                    continue  # a failed swap retires its candidate
+                _tally(counters, swaps=1)
+                for sz in freed_sizes:
+                    space += sz
+                unmarked = flip_c + [NC + e2 for e2 in flip_o]
+                dirty_pages = flip_pages
+            space -= size
+        if key < NC:
+            j = int(m.comp_pages[e])
+            size_k = float(m.sizes[k])
+            alloc.set_comp_local(e, True)
+            LB[j] += size_k
+            RB[j] -= size_k
+            dirty_pages.append(j)
+        else:
+            alloc.set_opt_local(e, True)
+        absorbed += w
+        cpu_slack -= w
+        _tally(counters, absorptions=1)
+        victims = None  # this server's marks (and maybe replicas) moved
+        if decisions is not None:
+            decisions.append((key, score))
+        if unmarked:
+            # absorbed candidates the swap turned remote again are back
+            # in play, unless they no longer fit the slack
+            p = picker.pos[np.asarray(unmarked, dtype=np.intp)]
+            p = p[p < len(weight)]
+            p = p[weight[p] <= cpu_slack + _TOL]
+            picker.revive(p)
+            back_opt = picker.keys[p]
+            back_opt = back_opt[back_opt >= NC]
+            if len(back_opt):
+                picker.set(back_opt, opt_scores(back_opt - NC))
+        retire_heavy()
+        if dirty_pages:
+            # the touched pages' live candidates score against new totals
+            pages = np.asarray(dirty_pages)
+            if len(pages) > 1:
+                pages = np.unique(pages)
+            starts = comp_indptr[pages]
+            ents = picker.live(expand_rows(starts, comp_indptr[pages + 1] - starts)[1])
+            if len(ents):
+                picker.set(ents, comp_scores(ents))
+    _report_absorption(counters)
     return absorbed
 
 
@@ -478,8 +635,8 @@ def offload_repository(
         capacity).  Figure 3 sweeps this as a fraction of the workload
         the pre-offload allocation imposes.
     kernel:
-        Validated policy kernel name.  Every kernel absorbs with the
-        vectorised engine of :mod:`repro.core.fast_restoration`.
+        Validated policy kernel name.  Every kernel absorbs with
+        :func:`absorb_extra_workload`.
     scatter:
         Absorption-round executor with the signature and contract of
         :func:`absorb_round_serial` (the default), called once per

@@ -42,6 +42,7 @@ __all__ = [
     "MODEL_COLUMN_FIELDS",
     "restrict_to_servers",
     "resolve_streams",
+    "expand_rows",
 ]
 
 
@@ -616,6 +617,30 @@ class SystemModel:
             f"SystemModel(servers={self.n_servers}, pages={self.n_pages}, "
             f"objects={self.n_objects})"
         )
+
+
+def expand_rows(starts, counts) -> tuple[np.ndarray, np.ndarray]:
+    """Ragged-expand CSR rows into ``(owner, index)`` pairs.
+
+    Row ``r`` spans the flat positions ``[starts[r], starts[r] +
+    counts[r])``; for rows ``rows`` of a row-pointer array such as
+    :attr:`SystemModel.comp_indptr` that is ``starts = indptr[rows]``,
+    ``counts = indptr[rows + 1] - starts``.  Returns, row after row and
+    ascending within a row, each position's row and the position.
+    """
+    counts = np.asarray(counts, dtype=np.intp)
+    if len(counts) == 1:
+        c0 = int(counts[0])
+        s0 = int(starts[0])
+        return np.zeros(c0, dtype=np.intp), np.arange(s0, s0 + c0, dtype=np.intp)
+    ends = np.cumsum(counts)
+    owner = np.repeat(np.arange(len(counts), dtype=np.intp), counts)
+    if not len(owner):
+        return owner, np.empty(0, dtype=np.intp)
+    # row r's positions are starts[r] + (position - first position of r)
+    index = np.arange(len(owner), dtype=np.intp)
+    index += np.repeat(np.asarray(starts, dtype=np.intp) - (ends - counts), counts)
+    return owner, index
 
 
 #: The flat array attributes that fully determine a model's vectorised

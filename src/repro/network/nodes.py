@@ -93,9 +93,9 @@ class LocalServerNode:
         alloc.set_opt_local_bulk(opt_e[opt_marks[opt_e]], True)
         report = evaluate_constraints(self.alloc)
         if self.server_id in report.violated_servers_storage():
-            restore_storage_capacity(self.alloc, self.cost, self.server_id)
+            restore_storage_capacity(self.alloc, self.cost, servers=self.server_id)
         if self.server_id in report.violated_servers_processing():
-            restore_processing_capacity(self.alloc, self.cost, self.server_id)
+            restore_processing_capacity(self.alloc, self.cost, servers=self.server_id)
 
     def send_status(self) -> None:
         """Report Space(S_i), P(S_i), P(S_i, R) to the repository."""

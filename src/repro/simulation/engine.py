@@ -32,30 +32,7 @@ from repro.simulation.perturbation import PAPER_PERTURBATION, PerturbationModel
 from repro.util.rng import as_generator
 from repro.workload.trace import RequestTrace
 
-__all__ = ["simulate_allocation", "simulate_partition_masks", "expand_ragged"]
-
-
-def expand_ragged(
-    pages: np.ndarray, indptr: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Expand per-request page ids into (owner, flat-entry) pairs.
-
-    ``indptr`` is a CSR row-pointer array mapping page ``j`` to the
-    half-open entry range ``[indptr[j], indptr[j+1])``.  Returns the
-    request index owning each pair and the flat entry index, such that
-    request ``r`` for page ``p`` contributes every entry of ``p`` once.
-    """
-    pages = np.asarray(pages, dtype=np.intp)
-    counts = indptr[pages + 1] - indptr[pages]
-    total = int(counts.sum())
-    owner = np.repeat(np.arange(len(pages), dtype=np.intp), counts)
-    if total == 0:
-        return owner, np.empty(0, dtype=np.intp)
-    starts = indptr[pages]
-    cum = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    within = np.arange(total, dtype=np.intp) - np.repeat(cum, counts)
-    entries = np.repeat(starts, counts) + within
-    return owner, entries
+__all__ = ["simulate_allocation", "simulate_partition_masks"]
 
 
 def simulate_partition_masks(
@@ -81,7 +58,8 @@ def simulate_partition_masks(
         The request trace.
     pair_local:
         Boolean array over the trace's expanded ``(request, compulsory
-        entry)`` pairs (see :func:`expand_ragged` with ``comp_indptr``):
+        entry)`` pairs (:meth:`RequestTrace.comp_expansion` over
+        ``comp_indptr``):
         ``True`` = this download is served by the local server.
     opt_local:
         Boolean array over ``trace.opt_entries``.

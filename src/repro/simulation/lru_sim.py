@@ -35,8 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.types import expand_rows
 from repro.obs.registry import get_registry
-from repro.simulation.engine import expand_ragged, simulate_partition_masks
+from repro.simulation.engine import simulate_partition_masks
 from repro.simulation.metrics import SimulationResult
 from repro.simulation.perturbation import PAPER_PERTURBATION, PerturbationModel
 from repro.util.rng import as_generator
@@ -372,7 +373,8 @@ def simulate_lru(
         for i, cache in enumerate(caches):
             # server i's accesses in trace order: each request's
             # compulsory pairs, then its optional downloads
-            _, pairs = expand_ragged(trace.requests_for_server(i), pair_starts)
+            reqs = trace.requests_for_server(i)
+            _, pairs = expand_rows(pair_starts[reqs], counts[reqs])
             opts = opt_order[opt_bounds[i] : opt_bounds[i + 1]]
             opt_owner = trace.opt_owner[opts]
             at = np.searchsorted(owner[pairs], opt_owner, side="right")

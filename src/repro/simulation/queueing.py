@@ -24,6 +24,7 @@ import numpy as np
 
 from repro.core.allocation import Allocation
 from repro.core.constraints import local_processing_load, repository_load
+from repro.simulation.engine import simulate_partition_masks
 from repro.simulation.metrics import SimulationResult
 from repro.simulation.perturbation import PAPER_PERTURBATION, PerturbationModel
 from repro.workload.trace import RequestTrace
@@ -81,10 +82,7 @@ def simulate_with_queueing(
     local, repo = utilisation_slowdowns(
         alloc, repo_capacity=repo_capacity, max_utilisation=max_utilisation
     )
-    from repro.simulation.engine import expand_ragged, simulate_partition_masks
-
-    m = trace.model
-    _, entries = expand_ragged(trace.page_of_request, m.comp_indptr)
+    _, entries = trace.comp_expansion(trace.model.comp_indptr)
     return simulate_partition_masks(
         trace,
         alloc.comp_local[entries],

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.types import SystemModel
+from repro.core.types import SystemModel, expand_rows
 from repro.util.rng import as_generator
 from repro.workload.params import WorkloadParams
 
@@ -67,7 +67,7 @@ class RequestTrace:
         """Memoised ragged expansion of the trace over ``indptr``.
 
         Returns the ``(owner, entries)`` pairs of
-        :func:`repro.simulation.engine.expand_ragged` for
+        :func:`repro.core.types.expand_rows` over the rows
         ``page_of_request``.  The expansion only depends on the trace and
         the CSR row pointers, and the simulator replays the *same* trace
         against many allocations per experiment — caching it here removes
@@ -78,11 +78,10 @@ class RequestTrace:
         cached = getattr(self, "_comp_expansion_cache", None)
         if cached is not None and cached[0] is indptr:
             return cached[1], cached[2]
-        # local import: trace.py must stay importable without the
-        # simulation package (workload generation is dependency-light)
-        from repro.simulation.engine import expand_ragged
-
-        owner, entries = expand_ragged(self.page_of_request, indptr)
+        starts = indptr[self.page_of_request]
+        owner, entries = expand_rows(
+            starts, indptr[self.page_of_request + 1] - starts
+        )
         # frozen dataclass: the cache is private mutable state, not a field
         object.__setattr__(
             self, "_comp_expansion_cache", (indptr, owner, entries)

@@ -13,7 +13,6 @@ from repro.core.constraints import (
     storage_used,
 )
 from repro.core.cost_model import CostModel
-from repro.core.fast_restoration import absorb_extra_workload_batched
 from repro.core.offload import (
     OffloadConfig,
     ServerStatus,
@@ -313,7 +312,7 @@ class TestAbsorptionRefusals:
         if kernel == "scalar":
             return absorb_scalar(alloc, cost, 0, target), None
         log: list = []
-        got = absorb_extra_workload_batched(alloc, cost, 0, target, decisions=log)
+        got = absorb_extra_workload(alloc, cost, 0, target, decisions=log)
         return got, log
 
     def test_heavier_than_slack_never_absorbed(self, kernel):

@@ -5,8 +5,9 @@ as its only remote stream, so no engine may branch on the stream count.
 This scans every module of ``src/repro/core`` for a comparison of
 ``n_streams``, ``n_rem`` or an attribute ``.k`` against a constant.  The
 only exemptions are the guards that refuse a k>2 mesh outright with
-``NotImplementedError`` (OFF_LOADING's negotiation and its absorption
-engine, the sharded kernel, and the exact ILP and its LP bound), whose
+``NotImplementedError`` (OFF_LOADING's negotiation and its absorption,
+through ``_require_two_streams``; the sharded kernel; and the exact ILP
+and its LP bound), whose
 k-stream forms are planned follow-ups.
 """
 
@@ -26,7 +27,6 @@ _STREAM_ATTRS = {"n_streams", "n_rem", "k"}
 #: (module, function) of each ``NotImplementedError`` k>2 guard
 GUARDS = {
     ("offload.py", "_require_two_streams"),
-    ("fast_restoration.py", "absorb_extra_workload_batched"),
     ("shard.py", "run_shard_fanout"),
     ("ilp.py", "_solve"),
 }

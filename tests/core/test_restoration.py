@@ -12,14 +12,12 @@ from repro.core.constraints import (
     storage_used,
 )
 from repro.core.cost_model import CostModel
-from repro.core.fast_restoration import (
-    restore_processing_batched,
-    restore_storage_batched,
-)
 from repro.core.partition import partition_all
 from repro.core.restoration import (
     InfeasibleError,
+    restore_processing_batched,
     restore_processing_capacity,
+    restore_storage_batched,
     restore_storage_capacity,
 )
 from repro.core.types import (
@@ -77,7 +75,7 @@ class TestStorageRestoration:
     def test_single_server_scope(self):
         m, alloc, cost = _constrained_partition(storage=(700.0, math.inf))
         marks_s1 = [alloc.page_comp_marks(j).copy() for j in m.pages_by_server[1]]
-        restore_storage_capacity(alloc, cost, server_id=0)
+        restore_storage_capacity(alloc, cost, servers=0)
         assert storage_used(alloc)[0] <= 700.0 + 1e-9
         for j, before in zip(m.pages_by_server[1], marks_s1):
             assert np.array_equal(alloc.page_comp_marks(j), before)
@@ -185,14 +183,6 @@ class TestServerSubsets:
         restore(alloc, cost, servers=[0, 1])
         assert evaluate_constraints(alloc).storage_ok
 
-    def test_servers_and_server_id_mutually_exclusive(self, micro_model):
-        alloc = partition_all(micro_model)
-        cost = CostModel(micro_model)
-        with pytest.raises(ValueError, match="not both"):
-            restore_storage_capacity(alloc, cost, server_id=0, servers=[1])
-        with pytest.raises(ValueError, match="not both"):
-            restore_processing_capacity(alloc, cost, server_id=0, servers=[1])
-
     def test_out_of_range_rejected(self, micro_model):
         alloc = partition_all(micro_model)
         cost = CostModel(micro_model)
@@ -264,7 +254,7 @@ class TestProcessingRestoration:
     def test_infinite_capacity_skipped(self, micro_model):
         alloc = partition_all(micro_model)
         cost = CostModel(micro_model)
-        stats = restore_processing_capacity(alloc, cost, server_id=0)
+        stats = restore_processing_capacity(alloc, cost, servers=0)
         assert stats.switches == 0
 
     def test_greedy_prefers_cheap_switches(self):
@@ -292,7 +282,7 @@ class TestProcessingRestoration:
         cheapest = min(cands)
 
         work = alloc.copy()
-        stats = restore_processing_capacity(work, cost, server_id=0)
+        stats = restore_processing_capacity(work, cost, servers=0)
         assert stats.switches >= 1
         # realised amortised cost of the run's first (cheapest) move:
         assert stats.objective_delta / stats.load_shed >= cheapest - 1e-9

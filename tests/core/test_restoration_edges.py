@@ -51,7 +51,7 @@ class TestExactCapacityBoundary:
 
     def _final_load(self, capacity: float) -> tuple[float, int]:
         m, alloc, cost = _partition(processing=(capacity, math.inf))
-        stats = restore_processing_capacity(alloc, cost, server_id=0)
+        stats = restore_processing_capacity(alloc, cost, servers=0)
         return float(local_processing_load(alloc)[0]), stats.switches
 
     @pytest.mark.parametrize("capacity", [5.0, 4.0, 3.5])
@@ -69,7 +69,7 @@ class TestExactCapacityBoundary:
         assert load <= capacity + 1e-9
 
         m2, alloc2, cost2 = _partition(processing=(load, math.inf))
-        stats2 = restore_processing_capacity(alloc2, cost2, server_id=0)
+        stats2 = restore_processing_capacity(alloc2, cost2, servers=0)
         final = float(local_processing_load(alloc2)[0])
         assert final == pytest.approx(load, abs=1e-9)
         assert stats2.switches == switches
@@ -80,7 +80,7 @@ class TestExactCapacityBoundary:
         m, alloc, cost = _partition()
         full = float(local_processing_load(alloc)[0])
         m2, alloc2, cost2 = _partition(processing=(full, math.inf))
-        stats = restore_processing_capacity(alloc2, cost2, server_id=0)
+        stats = restore_processing_capacity(alloc2, cost2, servers=0)
         assert stats.switches == 0
         assert float(local_processing_load(alloc2)[0]) == pytest.approx(full)
 
@@ -114,7 +114,7 @@ class TestOptionalOnlyEviction:
     def test_evicts_optional_only_object(self):
         # HTML (300 B) + object 4 (50 B) > 330 B forces the eviction
         m, alloc, cost, e4 = self._optional_only_alloc(capacity=330.0)
-        stats = restore_storage_capacity(alloc, cost, server_id=0)
+        stats = restore_storage_capacity(alloc, cost, servers=0)
         assert stats.evictions == 1
         assert stats.evicted_objects == [(0, 4)]
         assert stats.bytes_freed == pytest.approx(50.0)
@@ -126,7 +126,7 @@ class TestOptionalOnlyEviction:
 
     def test_optional_only_object_survives_when_it_fits(self):
         m, alloc, cost, e4 = self._optional_only_alloc(capacity=350.0)
-        stats = restore_storage_capacity(alloc, cost, server_id=0)
+        stats = restore_storage_capacity(alloc, cost, servers=0)
         assert stats.evictions == 0
         assert alloc.opt_local[e4]
         assert alloc.replicas[0] == {4}

@@ -2,10 +2,10 @@
 
 Production runs one engine per phase: the vectorised PARTITION of
 :mod:`repro.core.fast_partition` and the batched argmin loops of
-:mod:`repro.core.fast_restoration`.  This module keeps the per-candidate
-Python loops those engines were written against, as the oracle of the
-differential suites, the goldens' ``"scalar"`` arms and the kernel
-benches:
+:mod:`repro.core.restoration` and :mod:`repro.core.offload`.  This module
+keeps the per-candidate Python loops those engines were written against,
+as the oracle of the differential suites, the goldens' ``"scalar"`` arms
+and the kernel benches:
 
 * :func:`partition_all_scalar` — PARTITION page by page through
   :func:`repro.core.partition.partition_page`;
@@ -44,7 +44,6 @@ from repro.core.offload import (
     OffloadConfig,
     OffloadOutcome,
     _rank_victims,
-    _tally,
     _try_make_room,
     offload_repository,
 )
@@ -53,7 +52,8 @@ from repro.core.restoration import (
     InfeasibleError,
     ProcessingRestorationStats,
     StorageRestorationStats,
-    _resolve_servers,
+    _server_ids,
+    _tally,
 )
 from repro.core.types import SystemModel
 from tests.oracles.optional_marks import optional_marks
@@ -472,7 +472,8 @@ def restore_storage_scalar(
     """
     stats = StorageRestorationStats()
     state = _PageState(cost, alloc)
-    for i in _resolve_servers(alloc.model.n_servers, server_id, servers):
+    ids = server_id if servers is None else servers
+    for i in _server_ids(alloc.model.n_servers, ids):
         stats.merge(
             _restore_storage_one_server(
                 alloc, cost, state, i, amortise=amortise, decisions=decisions
@@ -636,7 +637,8 @@ def restore_processing_scalar(
     """
     stats = ProcessingRestorationStats()
     state = _PageState(cost, alloc)
-    for i in _resolve_servers(alloc.model.n_servers, server_id, servers):
+    ids = server_id if servers is None else servers
+    for i in _server_ids(alloc.model.n_servers, ids):
         stats.merge(
             _restore_processing_one_server(alloc, cost, state, i, decisions)
         )
@@ -751,8 +753,8 @@ def absorb_scalar(
                 # against a fresh victim ranking (never cached)
                 if not allow_swap:
                     continue
-                _tally(counters, "swap_rankings")
-                _tally(counters, "swap_attempts")
+                _tally(counters, swap_rankings=1)
+                _tally(counters, swap_attempts=1)
                 ok, freed_sizes, flip_c, flip_o, flip_pages = _try_make_room(
                     alloc,
                     server_id,
@@ -764,7 +766,7 @@ def absorb_scalar(
                 )
                 if not ok:
                     continue
-                _tally(counters, "swaps")
+                _tally(counters, swaps=1)
                 for sz in freed_sizes:
                     space += sz
                 unmarked = flip_c + [nc + e2 for e2 in flip_o]
@@ -781,7 +783,7 @@ def absorb_scalar(
             alloc.set_opt_local(e, True)
         absorbed += w
         cpu_slack -= w
-        _tally(counters, "absorptions")
+        _tally(counters, absorptions=1)
         for key2 in unmarked:
             if candidate[key2]:
                 live[key2] = True

@@ -19,13 +19,13 @@ from hypothesis import strategies as st
 from repro.core.allocation import transplant_allocation
 from repro.core.constraints import local_processing_load
 from repro.core.cost_model import CostModel
-from repro.core.fast_restoration import (
-    absorb_extra_workload_batched,
+from repro.core.offload import absorb_extra_workload
+from repro.core.partition import partition_all
+from repro.core.restoration import (
     restore_processing_batched,
     restore_storage_batched,
+    restore_storage_capacity,
 )
-from repro.core.partition import partition_all
-from repro.core.restoration import restore_storage_capacity
 from repro.core.types import SystemModel
 from repro.experiments.scaling import clone_with_capacities
 from tests.oracles.argmin_greedy import (
@@ -137,7 +137,7 @@ def test_absorption_engine_matches_oracle(
     for i in range(m2.n_servers):
         target = target_frac * remote_w[i]
         got: list = []
-        absorbed = absorb_extra_workload_batched(
+        absorbed = absorb_extra_workload(
             engine, cost, i, target, allow_new_replicas=allow_new, decisions=got
         )
         want_absorbed, want = absorption_oracle(

@@ -2,8 +2,7 @@
 
 The scalar greedy loops of :mod:`tests.oracles.scalar_greedy` are the
 reference oracles; the production engine
-(:mod:`repro.core.fast_restoration`, behind
-:mod:`repro.core.restoration` and :mod:`repro.core.offload`) must
+(:mod:`repro.core.restoration` and :mod:`repro.core.offload`) must
 reproduce their **decision sequences bit-exactly** — same evictions, same comp/opt switches, same
 absorption rounds, in the same order.  Rather than instrumenting the
 loops, the tests compare everything the decisions determine: final
@@ -31,14 +30,12 @@ from repro.core.constraints import (
     repository_load,
 )
 from repro.core.cost_model import CostModel
-from repro.core.fast_restoration import (
-    restore_processing_batched,
-    restore_storage_batched,
-)
 from repro.core.offload import OffloadConfig, offload_repository
 from repro.core.partition import partition_all
 from repro.core.restoration import (
+    restore_processing_batched,
     restore_processing_capacity,
+    restore_storage_batched,
     restore_storage_capacity,
 )
 from repro.experiments.scaling import clone_with_capacities

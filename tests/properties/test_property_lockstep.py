@@ -17,15 +17,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.core.fast_restoration as fr
+import repro.core.restoration as fr
 from repro.core.constraints import local_processing_load
 from repro.core.cost_model import CostModel
-from repro.core.fast_restoration import (
+from repro.core.partition import partition_all
+from repro.core.restoration import (
+    InfeasibleError,
     restore_processing_batched,
     restore_storage_batched,
 )
-from repro.core.partition import partition_all
-from repro.core.restoration import InfeasibleError
 from repro.experiments.scaling import clone_with_capacities
 from repro.workload.generator import generate_workload
 from repro.workload.params import WorkloadParams

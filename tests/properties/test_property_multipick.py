@@ -26,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.core.fast_restoration as fr
+import repro.core.restoration as fr
 from repro.core.constraints import html_request_load, local_processing_load
 from repro.core.cost_model import CostModel
 from repro.core.partition import partition_all

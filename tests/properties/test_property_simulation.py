@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.cost_model import CostModel
-from repro.simulation.engine import expand_ragged, simulate_allocation
+from repro.core.types import expand_rows
+from repro.simulation.engine import simulate_allocation
 from repro.simulation.perturbation import (
     IDENTITY_PERTURBATION,
     PAPER_PERTURBATION,
@@ -53,7 +54,7 @@ def test_perturbed_times_positive_and_finite(mw, seed):
 def test_expand_ragged_structure(pages, counts):
     indptr = np.concatenate(([0], np.cumsum(counts)))
     pages_arr = np.asarray(pages, dtype=np.intp)
-    owner, entries = expand_ragged(pages_arr, indptr)
+    owner, entries = expand_rows(indptr[pages_arr], np.diff(indptr)[pages_arr])
     assert len(owner) == len(entries)
     assert len(owner) == sum(counts[p] for p in pages)
     # each request contributes exactly its page's entry range, in order

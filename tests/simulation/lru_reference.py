@@ -14,7 +14,7 @@ from collections import OrderedDict
 
 import numpy as np
 
-from repro.simulation.engine import expand_ragged, simulate_partition_masks
+from repro.simulation.engine import simulate_partition_masks
 from repro.simulation.lru_sim import LruStats
 from repro.simulation.perturbation import PAPER_PERTURBATION
 from repro.util.rng import as_generator
@@ -78,7 +78,7 @@ def simulate_lru_reference(
     budgets = np.broadcast_to(np.asarray(cache_bytes, dtype=float), (m.n_servers,))
     caches = [cache_factory(budgets[i]) for i in range(m.n_servers)]
 
-    owner, entries = expand_ragged(trace.page_of_request, m.comp_indptr)
+    owner, entries = trace.comp_expansion(m.comp_indptr)
     pair_local = np.zeros(len(entries), dtype=bool)
     opt_local = np.zeros(trace.n_optional_downloads, dtype=bool)
 

@@ -8,11 +8,8 @@ from repro.baselines.remote import RemotePolicy
 from repro.core.allocation import Allocation
 from repro.core.cost_model import CostModel
 from repro.core.partition import partition_all
-from repro.simulation.engine import (
-    expand_ragged,
-    simulate_allocation,
-    simulate_partition_masks,
-)
+from repro.core.types import expand_rows
+from repro.simulation.engine import simulate_allocation, simulate_partition_masks
 from repro.simulation.perturbation import IDENTITY_PERTURBATION, PAPER_PERTURBATION
 from repro.workload.trace import generate_trace
 from repro.workload.params import WorkloadParams
@@ -21,23 +18,26 @@ from repro.workload.params import WorkloadParams
 class TestExpandRagged:
     def test_basic(self):
         indptr = np.array([0, 2, 3, 6])
-        owner, entries = expand_ragged(np.array([1, 0, 2]), indptr)
+        pages = np.array([1, 0, 2])
+        owner, entries = expand_rows(indptr[pages], np.diff(indptr)[pages])
         assert owner.tolist() == [0, 1, 1, 2, 2, 2]
         assert entries.tolist() == [2, 0, 1, 3, 4, 5]
 
     def test_repeated_pages(self):
         indptr = np.array([0, 2])
-        owner, entries = expand_ragged(np.array([0, 0]), indptr)
+        pages = np.array([0, 0])
+        owner, entries = expand_rows(indptr[pages], np.diff(indptr)[pages])
         assert owner.tolist() == [0, 0, 1, 1]
         assert entries.tolist() == [0, 1, 0, 1]
 
     def test_empty_requests(self):
-        owner, entries = expand_ragged(np.array([], dtype=np.intp), np.array([0, 2]))
+        owner, entries = expand_rows(np.array([], dtype=np.intp), [])
         assert len(owner) == 0 and len(entries) == 0
 
     def test_pages_with_no_entries(self):
         indptr = np.array([0, 0, 3])
-        owner, entries = expand_ragged(np.array([0, 1, 0]), indptr)
+        pages = np.array([0, 1, 0])
+        owner, entries = expand_rows(indptr[pages], np.diff(indptr)[pages])
         assert owner.tolist() == [1, 1, 1]
         assert entries.tolist() == [0, 1, 2]
 
@@ -172,7 +172,7 @@ class TestMaskInterface:
 
     def test_extra_remote_overhead_applied(self, micro_model, small_params):
         trace = generate_trace(micro_model, small_params, seed=1, requests_per_server=30)
-        _, entries = expand_ragged(trace.page_of_request, micro_model.comp_indptr)
+        _, entries = trace.comp_expansion(micro_model.comp_indptr)
         masks = np.zeros(len(entries), dtype=bool)
         opt = np.zeros(trace.n_optional_downloads, dtype=bool)
         base = simulate_partition_masks(

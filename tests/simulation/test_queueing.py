@@ -91,15 +91,12 @@ class TestSimulateWithQueueing:
         assert np.allclose(a.page_times, b.page_times)
 
     def test_engine_validates_scale_shape(self, micro_model):
-        from repro.simulation.engine import (
-            expand_ragged,
-            simulate_partition_masks,
-        )
+        from repro.simulation.engine import simulate_partition_masks
 
         trace = generate_trace(
             micro_model, WorkloadParams.tiny(), seed=1, requests_per_server=10
         )
-        _, entries = expand_ragged(trace.page_of_request, micro_model.comp_indptr)
+        _, entries = trace.comp_expansion(micro_model.comp_indptr)
         with pytest.raises(ValueError, match="local_overhead_scale"):
             simulate_partition_masks(
                 trace,
@@ -109,15 +106,12 @@ class TestSimulateWithQueueing:
             )
 
     def test_engine_rejects_sub_one_scale(self, micro_model):
-        from repro.simulation.engine import (
-            expand_ragged,
-            simulate_partition_masks,
-        )
+        from repro.simulation.engine import simulate_partition_masks
 
         trace = generate_trace(
             micro_model, WorkloadParams.tiny(), seed=1, requests_per_server=10
         )
-        _, entries = expand_ragged(trace.page_of_request, micro_model.comp_indptr)
+        _, entries = trace.comp_expansion(micro_model.comp_indptr)
         with pytest.raises(ValueError, match=">= 1"):
             simulate_partition_masks(
                 trace,

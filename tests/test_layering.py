@@ -87,3 +87,29 @@ def test_core_may_import_its_own_private_names(lint, tmp_path):
         "from repro.core.partition import _partition_page\n"
     )
     assert lint.check(tmp_path / "src" / "repro") == []
+
+
+def test_function_local_import_cycle_reported(lint, tmp_path):
+    package = tmp_path / "src" / "repro" / "core"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("from repro.core.engine import run\n")
+    (package / "engine.py").write_text(
+        "from repro.core.stats import Stats\n\ndef run():\n    return Stats()\n"
+    )
+    (package / "stats.py").write_text(
+        "class Stats:\n    def engine(self):\n        from repro.core import engine\n"
+        "        return engine\n"
+    )
+    (violation,) = lint.check(tmp_path / "src" / "repro")
+    assert violation == (
+        "src/repro/core/engine.py:1: import cycle "
+        "repro.core.engine -> repro.core.stats -> repro.core.engine"
+    )
+
+
+def test_package_reexports_are_not_cycles(lint, tmp_path):
+    package = tmp_path / "src" / "repro" / "obs"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("from repro.obs.registry import get\n")
+    (package / "registry.py").write_text("from repro import obs\n\ndef get():\n    pass\n")
+    assert lint.check(tmp_path / "src" / "repro") == []
