@@ -1,6 +1,7 @@
 """Kernel bench — batched vs scalar PARTITION throughput.
 
-Times :func:`repro.core.partition.partition_all` (the batched engine)
+Times :func:`repro.core.partition.partition_all` (the batched kernel,
+:func:`~repro.core.partition.partition_pages_batched`, over every page)
 against the page-by-page reference
 :func:`tests.oracles.scalar_greedy.partition_all_scalar` on the seeded
 Table 1 workload and a 10× variant (pages_per_server scaled

@@ -43,8 +43,9 @@ constraint report, so a number timed on an instance OFF_LOADING cannot
 restore is labelled as such.  Every record also carries a per-layer
 ledger from one more (untimed)
 shared run under a recording registry: each phase's span seconds, the
-greedy actions taken (evictions, switches, absorptions), the candidates
-each restoration loop rescored and the lockstep steps it took
+greedy actions taken (evictions, switches, absorptions, and OFF_LOADING's
+swap attempts, swaps and victim rankings), the candidates each
+restoration loop rescored and the lockstep steps it took
 (``storage_steps``, ``processing_steps``), microseconds per action, and
 ``os.cpu_count()`` of the machine that produced it.
 
@@ -128,9 +129,10 @@ def _phase_ledger(policy, model) -> dict:
     """Where one (untimed) shared run spends its time, layer by layer.
 
     A recording registry supplies each policy phase's span seconds, the
-    greedy actions taken (evictions, switches, absorptions), the
-    candidates each restoration phase rescored, the lockstep steps each
-    restoration took, and microseconds per action.  Keys end in ``_s``/``_us``/counts, never ``_seconds``, so
+    greedy actions taken (evictions, switches, absorptions), OFF_LOADING's
+    swap attempts, swaps and victim rankings, the candidates each
+    restoration phase rescored, the lockstep steps each restoration took,
+    and microseconds per action.  Keys end in ``_s``/``_us``/counts, never ``_seconds``, so
     the trajectory headline keeps them.
     """
     registry = obs.MetricsRegistry()
@@ -146,6 +148,10 @@ def _phase_ledger(policy, model) -> dict:
         out[key] = n
         phase = key.split("_")[0]
         out[f"{phase}_us_per_action"] = 1e6 * out[f"{phase}_s"] / n if n else 0.0
+    # OFF_LOADING's L2 swap work, as plain counts: an _ACTIONS entry
+    # would overwrite offload_us_per_action with its own rate
+    for name in ("swap_attempts", "swaps", "swap_rankings"):
+        out[f"offload_{name}"] = int(counters.get(f"offload.{name}", 0))
     for phase, prefix in (
         ("storage", "restoration.storage"),
         ("processing", "restoration.processing"),

@@ -93,7 +93,7 @@ def main(argv: list[str]) -> int:
             "--cov=repro.obs",
             "--cov=repro.experiments.executor",
             "--cov=repro.experiments.cache",
-            "--cov=repro.core.fast_partition",
+            "--cov=repro.core.partition",
             "--cov=repro.core.restoration",
             "--cov=repro.core.context",
             "--cov=repro.core.shard",

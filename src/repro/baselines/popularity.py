@@ -26,7 +26,7 @@ import numpy as np
 from repro.baselines.base import AllocationPolicy
 from repro.core.allocation import Allocation
 from repro.core.context import EvalContext
-from repro.core.fast_partition import partition_pages_batched
+from repro.core.partition import partition_pages_batched
 from repro.core.types import SystemModel
 
 __all__ = ["PopularityPolicy"]

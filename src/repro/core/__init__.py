@@ -25,11 +25,11 @@ from repro.core.constraints import (
 from repro.core.cost_model import CostModel, PageTimes
 from repro.core.matrices import MatrixSet
 from repro.core.offload import OffloadConfig, OffloadOutcome, offload_repository
-from repro.core.fast_partition import (
-    partition_all_batched,
+from repro.core.partition import (
+    partition_all,
+    partition_page,
     partition_pages_batched,
 )
-from repro.core.partition import partition_page, partition_all
 from repro.core.policy import PolicyResult, RepositoryReplicationPolicy
 from repro.core.restoration import (
     restore_processing_capacity,
@@ -62,7 +62,6 @@ __all__ = [
     "local_processing_load",
     "offload_repository",
     "partition_all",
-    "partition_all_batched",
     "partition_page",
     "partition_pages_batched",
     "repository_load",

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import contextlib
 import copy
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator, Literal
 
 import numpy as np
@@ -90,21 +90,20 @@ def resolve_kernel(value: str | None, default: Kernel = "batched") -> Kernel:
 class ScalarViews:
     """Plain-list per-page attribute views (see :attr:`EvalContext.scalars`).
 
-    NumPy scalar indexing costs ~1 microsecond per access; the greedy
-    restoration loops evaluate millions of single-page times, so they
-    read these plain ``list`` views instead.
+    NumPy scalar indexing costs ~1 microsecond per access; PARTITION's
+    per-page kernel (:func:`repro.core.partition.partition_page`, which
+    storage restoration runs on every page it re-partitions) reads these
+    plain ``list`` views instead.  They hold exactly what that kernel
+    reads, and nothing that depends on page frequencies.
     """
 
     ovhd_local: list[float]
     spb_local: list[float]
-    ovhd_repo: list[float]
-    spb_repo: list[float]
     html: list[float]
-    freq: list[float]
     #: per-page remote-stream views: ``ovhd_streams[j][r-1]`` is page
     #: ``j``'s overhead on remote stream ``r`` (the repository first)
-    ovhd_streams: list[tuple[float, ...]] = ()
-    spb_streams: list[tuple[float, ...]] = ()
+    ovhd_streams: list[tuple[float, ...]]
+    spb_streams: list[tuple[float, ...]]
 
 
 _CACHE_ATTR = "_repro_eval_context_cache"
@@ -307,19 +306,12 @@ class EvalContext:
 
         self.html_bytes_by_server = m.html_bytes_by_server()
 
-        ovhd_repo = self.page_ovhd_repo.tolist()
-        spb_repo = self.page_spb_repo.tolist()
         self.scalars = ScalarViews(
             ovhd_local=self.page_ovhd_local.tolist(),
             spb_local=self.page_spb_local.tolist(),
-            ovhd_repo=ovhd_repo,
-            spb_repo=spb_repo,
             html=m.html_sizes.tolist(),
-            freq=[],  # bound below, with the other frequency columns
-            ovhd_streams=list(
-                zip(ovhd_repo, *(a.tolist() for a in ovhd_rows[1:]))
-            ),
-            spb_streams=list(zip(spb_repo, *(a.tolist() for a in spb_rows[1:]))),
+            ovhd_streams=list(zip(*(a.tolist() for a in ovhd_rows))),
+            spb_streams=list(zip(*(a.tolist() for a in spb_rows))),
         )
         self._bind_frequency_columns(m)
 
@@ -402,7 +394,6 @@ class EvalContext:
         load = np.zeros(self.n_servers)
         np.add.at(load, self.page_server, m.frequencies)
         self.html_request_load = load
-        self.scalars = replace(self.scalars, freq=m.frequencies.tolist())
 
     # ------------------------------------------------------------------
     # access

@@ -58,7 +58,7 @@ from repro.core.constraints import (
 )
 from repro.core.cost_model import CostModel
 from repro.core.partition import Kernel, resolve_kernel
-from repro.core.restoration import _TOL, ArgminPicker, _tally
+from repro.core.restoration import CAPACITY_TOL, ArgminPicker, _tally
 from repro.core.types import expand_rows
 from repro.obs.registry import get_registry
 
@@ -90,9 +90,9 @@ class ServerStatus:
     @property
     def classification(self) -> str:
         """``"L1"``, ``"L2"`` or ``"L3"`` per the paper's partition."""
-        if self.free_capacity > _TOL and self.free_space > _TOL:
+        if self.free_capacity > CAPACITY_TOL and self.free_space > CAPACITY_TOL:
             return "L1"
-        if self.free_capacity > _TOL:
+        if self.free_capacity > CAPACITY_TOL:
             return "L2"
         return "L3"
 
@@ -148,7 +148,7 @@ def plan_offload_round(
     """
     total = sum(s.repo_share for s in statuses)
     excess = total - repo_capacity
-    if excess <= _TOL:
+    if excess <= CAPACITY_TOL:
         return {}
     eligible = [s for s in statuses if s.server_id not in demoted]
     l1 = [s for s in eligible if s.classification == "L1"]
@@ -385,7 +385,7 @@ def absorb_extra_workload(
     """
     _require_two_streams(alloc, "OFF_LOADING absorption")
     counters: dict[str, int] = {}
-    if target <= _TOL:
+    if target <= CAPACITY_TOL:
         _report_absorption(counters)
         return 0.0
     m = alloc.model
@@ -451,7 +451,7 @@ def absorb_extra_workload(
     def retire_heavy() -> None:
         """Retire every candidate heavier than the CPU slack left."""
         nonlocal n_heavy
-        cut = int(neg_weight.searchsorted(-(cpu_slack + _TOL)))
+        cut = int(neg_weight.searchsorted(-(cpu_slack + CAPACITY_TOL)))
         if cut > n_heavy:
             picker.kill(by_weight[n_heavy:cut])
             n_heavy = cut
@@ -459,7 +459,7 @@ def absorb_extra_workload(
     retire_heavy()
     absorbed = 0.0
     victims = None  # the server's ranked swap victims, while still valid
-    while absorbed < target - _TOL and cpu_slack > _TOL:
+    while absorbed < target - CAPACITY_TOL and cpu_slack > CAPACITY_TOL:
         picked = picker.pick()
         if picked is None:
             break
@@ -475,7 +475,7 @@ def absorb_extra_workload(
             size = float(m.sizes[k])
             if not allow_new_replicas:
                 continue
-            if size > space + _TOL:
+            if size > space + CAPACITY_TOL:
                 if not allow_swap:
                     continue
                 if victims is None:
@@ -520,7 +520,7 @@ def absorb_extra_workload(
             # in play, unless they no longer fit the slack
             p = picker.pos[np.asarray(unmarked, dtype=np.intp)]
             p = p[p < len(weight)]
-            p = p[weight[p] <= cpu_slack + _TOL]
+            p = p[weight[p] <= cpu_slack + CAPACITY_TOL]
             picker.revive(p)
             back_opt = picker.keys[p]
             back_opt = back_opt[back_opt >= NC]
@@ -659,7 +659,7 @@ def offload_repository(
         initial_repo_load=float(initial),
         final_repo_load=float(initial),
     )
-    if np.isinf(repo_cap) or initial <= repo_cap + _TOL:
+    if np.isinf(repo_cap) or initial <= repo_cap + CAPACITY_TOL:
         return outcome
     _require_two_streams(alloc, "OFF_LOADING_REPOSITORY")
 
@@ -669,7 +669,7 @@ def offload_repository(
     load = initial
     with reg.span("off-loading"):
         for _ in range(cfg.max_rounds):
-            if load <= repo_cap + _TOL:
+            if load <= repo_cap + CAPACITY_TOL:
                 break
             statuses = compute_all_server_statuses(alloc)
             plan = plan_offload_round(statuses, repo_cap, demoted)
@@ -682,7 +682,7 @@ def offload_repository(
             # constraint slack, so the round-start statuses stay exact
             # for every request and the absorptions commute.
             requests = [
-                (i, req, statuses[i].free_space > _TOL)
+                (i, req, statuses[i].free_space > CAPACITY_TOL)
                 for i, req in plan.items()
             ]
             achieved_by = absorb_round(
@@ -694,13 +694,13 @@ def offload_repository(
                 outcome.absorbed_by_server[i] = (
                     outcome.absorbed_by_server.get(i, 0.0) + achieved
                 )
-                if achieved < req - _TOL:
+                if achieved < req - CAPACITY_TOL:
                     demoted.add(i)  # joins L3 for subsequent rounds
             outcome.messages += len(plan)  # answers
             load = repository_load(alloc)
     outcome.messages += m.n_servers  # Off_Loading_END broadcast
     outcome.final_repo_load = float(load)
-    outcome.restored = bool(load <= repo_cap + _TOL)
+    outcome.restored = bool(load <= repo_cap + CAPACITY_TOL)
     if reg.enabled:
         reg.count("offload.negotiations")
         reg.count("offload.rounds", outcome.rounds)

@@ -23,9 +23,27 @@ optional object locally is beneficial whenever ``B(R,S_i) < B(S_i)``).
   strictly better when some region's repository link beats its local
   link).
 
-Re-partitioning during constraint restoration passes ``allowed`` — the
-set of objects currently stored at the page's server — so the greedy can
-only mark objects that will not grow the replica set.
+Two kernels run the one greedy:
+
+* :func:`partition_pages_batched` runs many pages at once as a
+  **pad-and-mask batch** over the model's flat CSR layout
+  (``comp_sorted`` / ``comp_indptr``).  Pages are ranked by descending
+  compulsory count, so the pages still holding a ``t``-th object form a
+  prefix, and each greedy step is one vectorised compare-and-select over
+  that prefix: ``O(sum_j k_j)`` element operations in ``max_k`` NumPy
+  dispatches.  :func:`partition_all` and the incremental re-planner use
+  it.
+* :func:`partition_page` runs one page in plain Python.  Storage
+  restoration re-partitions the few pages an eviction touches with it,
+  passing ``allowed`` — the set of objects currently stored at the
+  page's server — so the greedy can only mark objects that will not
+  grow the replica set.
+
+Both perform the same IEEE-754 double operations in the same order, so
+their marks, streams and stream times are bit-identical; the
+differential property suite
+(``tests/properties/test_property_fast_partition.py``) asserts it with
+exact ``==`` comparisons.
 """
 
 from __future__ import annotations
@@ -36,12 +54,13 @@ import numpy as np
 
 from repro.core.allocation import Allocation
 from repro.core.context import EvalContext, Kernel, resolve_kernel
-from repro.core.fast_partition import partition_all_batched
 from repro.core.types import SystemModel
 from repro.obs.registry import get_registry
 
 __all__ = [
     "partition_page",
+    "partition_pages_batched",
+    "optional_marks_batched",
     "partition_all",
     "resolve_kernel",
     "OptionalPolicy",
@@ -175,10 +194,166 @@ def _partition_page(s, fast_comp, page_id, allowed=None, order="decreasing"):
     return marks, streams, local_time, [repo_time, *site_times]
 
 
+def _entry_tile_column(
+    model: SystemModel,
+    pages: np.ndarray,
+    counts: np.ndarray,
+    t: int,
+    order: str,
+) -> np.ndarray:
+    """Flat entry index of each page's ``t``-th object in ``order``.
+
+    Only called with pages whose count exceeds ``t`` (the rank-sorted
+    active prefix), so no padding is needed.
+    """
+    starts = model.comp_indptr[pages]
+    if order == "decreasing":
+        return model.comp_sorted[starts + t]
+    if order == "increasing":
+        return model.comp_sorted[starts + counts - 1 - t]
+    return starts + t  # "document"
+
+
+def partition_pages_batched(
+    model: SystemModel,
+    page_ids: np.ndarray | Collection[int] | None = None,
+    allowed_mask: np.ndarray | None = None,
+    order: str = "decreasing",
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Run PARTITION for many pages in one vectorized pass.
+
+    Each greedy step folds the active pages' candidate times over the
+    remote streams — the repository first, a replica site taking over
+    only when strictly shorter — and the best remote stream must then be
+    *strictly* shorter than the local candidate to win the object: the
+    tie rule of :func:`partition_page`.
+
+    Parameters
+    ----------
+    model:
+        The system universe.
+    page_ids:
+        Pages to partition (default: all pages).
+    allowed_mask:
+        Optional boolean array over the model's **flat compulsory
+        entries**: ``False`` entries are forced onto a remote stream
+        (slice-assign it for a single server's replica set).  ``None`` =
+        unrestricted.
+    order:
+        Same iteration orders as :func:`partition_page`.
+
+    Returns
+    -------
+    (marks, streams, local_times, stream_times):
+        ``marks``/``streams`` are flat over **all** of the model's
+        compulsory entries (entries of unselected pages stay unmarked on
+        stream 1; ``streams`` is ``int8``, meaningful where the mark is
+        ``False``); ``local_times`` aligns with ``page_ids`` and
+        ``stream_times`` is ``(n_streams - 1, len(page_ids))``.
+    """
+    if page_ids is None:
+        pages = np.arange(model.n_pages, dtype=np.intp)
+    else:
+        pages = np.asarray(page_ids, dtype=np.intp)
+        if pages.ndim != 1:
+            raise ValueError(
+                f"page_ids must be one-dimensional, got shape {pages.shape}"
+            )
+    if order not in ("decreasing", "increasing", "document"):
+        raise ValueError(f"unknown sort order {order!r}")
+
+    reg = get_registry()
+    if reg.enabled:
+        reg.count("partition.batched_calls")
+        reg.count("partition.batched_pages", len(pages))
+
+    ne = len(model.comp_objects)
+    marks = np.zeros(ne, dtype=bool)
+    streams = np.ones(ne, dtype=np.int8)
+
+    ctx = EvalContext.for_model(model)
+    spb_local = ctx.page_spb_local[pages]
+    local = ctx.page_ovhd_local[pages] + spb_local * ctx.html_sizes[pages]
+    spb_streams = np.stack([col[pages] for col in ctx.page_spb_streams])
+    remote = np.stack([col[pages] for col in ctx.page_ovhd_streams])
+
+    counts = model.comp_indptr[pages + 1] - model.comp_indptr[pages]
+    if len(pages) == 0 or counts.max(initial=0) == 0:
+        return marks, streams, local, remote
+
+    # Rank pages by descending compulsory count so the pages still
+    # holding a t-th object always form a prefix of the batch; undo the
+    # permutation on return.
+    rank = np.argsort(-counts, kind="stable")
+    pages_r = pages[rank]
+    counts_r = counts[rank]
+    local_r = local[rank]
+    remote_r = remote[:, rank]
+    spb_local_r = spb_local[rank]
+    spb_streams_r = spb_streams[:, rank]
+
+    entry_sizes = model.comp_entry_sizes
+    max_k = int(counts_r[0])
+    # Number of active pages at each step: counts_r is descending, so
+    # pages with counts_r > t occupy [0, active_at[t]).
+    active_at = np.searchsorted(-counts_r, -np.arange(max_k), side="left")
+
+    sites = range(1, len(remote_r))
+    for t in range(max_k):
+        a = int(active_at[t])
+        e_t = _entry_tile_column(model, pages_r[:a], counts_r[:a], t, order)
+        size = entry_sizes[e_t]
+        # the shortest remote stream after receiving the object, ties to
+        # the lowest index (site 0 is the repository) ...
+        best = remote_r[0, :a] + spb_streams_r[0, :a] * size
+        site = np.zeros(a, dtype=np.intp)
+        for r in sites:
+            cand = remote_r[r, :a] + spb_streams_r[r, :a] * size
+            win = cand < best
+            best = np.where(win, cand, best)
+            site[win] = r
+        # ... wins it only when STRICTLY shorter than the local stream
+        cand_local = local_r[:a] + spb_local_r[:a] * size
+        go_local = ~(best < cand_local)
+        if allowed_mask is not None:
+            go_local &= allowed_mask[e_t]
+        local_r[:a] = np.where(go_local, cand_local, local_r[:a])
+        won = (~go_local).nonzero()[0]
+        site = site[won]
+        remote_r[site, won] = best[won]
+        marks[e_t[go_local]] = True
+        streams[e_t[won]] = site + 1
+
+    inv = np.empty_like(rank)
+    inv[rank] = np.arange(len(rank))
+    return marks, streams, local_r[inv], remote_r[:, inv]
+
+
+def optional_marks_batched(model: SystemModel, policy: str = "all") -> np.ndarray:
+    """Flat optional-entry marks for every page under ``policy``.
+
+    Vectorized equivalent of the page-by-page reference loop
+    (``tests/oracles/optional_marks.py``): the
+    ``"beneficial"`` predicate ``Ovhd(S_i) + size/B(S_i) <= Ovhd(R, S_i)
+    + size/B(R, S_i)`` is evaluated with the identical arithmetic.
+    """
+    ne = len(model.opt_objects)
+    if ne == 0 or policy == "none":
+        return np.zeros(ne, dtype=bool)
+    if policy == "all":
+        return np.ones(ne, dtype=bool)
+    if policy == "beneficial":
+        # the per-entry single-download times are exactly the predicate's
+        # two sides, precomputed once in the context (opt_time_remote is
+        # the cheapest remote stream, as in the page-by-page reference)
+        ctx = EvalContext.for_model(model)
+        return ctx.opt_time_local <= ctx.opt_time_remote
+    raise ValueError(f"unknown optional policy {policy!r}")
+
+
 def partition_all(
     model: SystemModel,
     optional_policy: OptionalPolicy = "all",
-    allowed_per_server: dict[int, Collection[int]] | None = None,
     order: SortOrder = "decreasing",
     kernel: Kernel = "batched",
 ) -> Allocation:
@@ -195,26 +370,22 @@ def partition_all(
         The system universe.
     optional_policy:
         How optional objects are marked (see module docstring).
-    allowed_per_server:
-        Optional per-server whitelists restricting which objects may be
-        replicated (used by constrained re-partitioning).
     order:
         Greedy iteration order (see :func:`partition_page`).
     kernel:
-        Validated policy kernel name.  Every kernel runs the vectorized
-        pad-and-mask engine of :mod:`repro.core.fast_partition`, which
-        reproduces :func:`partition_page` on every page bit for bit;
-        ``"sharded"`` called directly runs it in-process.
+        Validated policy kernel name.  Every kernel runs
+        :func:`partition_pages_batched` over all pages; ``"sharded"``
+        called directly runs it in-process.
     """
     kernel = resolve_kernel(kernel)
     reg = get_registry()
     with reg.span("partition-all"):
-        alloc = partition_all_batched(
-            model,
-            optional_policy=optional_policy,
-            allowed_per_server=allowed_per_server,
-            order=order,
-        )
+        comp_marks, streams, _, _ = partition_pages_batched(model, order=order)
+        opt_marks = optional_marks_batched(model, optional_policy)
+        alloc = Allocation(model)
+        alloc.set_comp_local_bulk(comp_marks.nonzero()[0], True)
+        alloc.set_opt_local_bulk(opt_marks.nonzero()[0], True)
+        alloc.comp_stream[:] = streams
     if reg.enabled:
         reg.count("partition.runs")
         reg.count(f"partition.kernel.{kernel}")

@@ -79,10 +79,13 @@ __all__ = [
     "ArgminPicker",
     "restore_storage_batched",
     "restore_processing_batched",
+    "CAPACITY_TOL",
 ]
 
-#: slack below which a constraint counts as met (OFF_LOADING's too)
-_TOL = 1e-9
+#: slack below which a capacity constraint counts as met, shared by
+#: restoration and OFF_LOADING (both its engine and the message-passing
+#: actors of ``repro.network``)
+CAPACITY_TOL = 1e-9
 
 #: switches between two exact recomputations of a row's running load
 _RESYNC_EVERY = 4096
@@ -501,9 +504,9 @@ def restore_storage_batched(
         pages = np.asarray(m.pages_by_server[i], dtype=np.intp)
         html_bytes = float(m.html_sizes[pages].sum()) if len(pages) else 0.0
         u = html_bytes + alloc.stored_bytes(i)
-        if u <= capacity + _TOL:
+        if u <= capacity + CAPACITY_TOL:
             continue
-        if html_bytes > capacity + _TOL:
+        if html_bytes > capacity + CAPACITY_TOL:
             failed[i] = (
                 f"server {i}: hosted HTML ({html_bytes:.0f} B) alone "
                 f"exceeds storage capacity ({capacity:.0f} B)"
@@ -578,7 +581,7 @@ def restore_storage_batched(
                 logs[row].append((k, delta))
             picked_rows.append(row)
             picked_keys.append(key)
-            if used[row] > cap[row] + _TOL:
+            if used[row] > cap[row] + CAPACITY_TOL:
                 going.append(row)
         if not picked_keys:
             break
@@ -744,9 +747,9 @@ def restore_processing_batched(
         pages = np.asarray(m.pages_by_server[i], dtype=np.intp)
         html_load = float(m.frequencies[pages].sum()) if len(pages) else 0.0
         ld = float(start_load[i])
-        if ld <= capacity + _TOL:
+        if ld <= capacity + CAPACITY_TOL:
             continue
-        if html_load > capacity + _TOL:
+        if html_load > capacity + CAPACITY_TOL:
             failed[i] = (
                 f"server {i}: HTML request load ({html_load:.2f} req/s) "
                 f"alone exceeds processing capacity ({capacity:.2f} req/s)"
@@ -755,7 +758,7 @@ def restore_processing_batched(
         rows.append(i)
         cap.append(capacity)
         load.append(ld)
-        tol.append(max(_TOL, 1e-9 * max(capacity, html_load, 1.0)))
+        tol.append(max(CAPACITY_TOL, 1e-9 * max(capacity, html_load, 1.0)))
     if not rows:
         return _finish(out, failed, [], decisions)
     stats = [out[i] for i in rows]

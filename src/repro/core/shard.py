@@ -76,7 +76,7 @@ from repro import obs
 from repro.core.allocation import Allocation
 from repro.core.constraints import evaluate_constraints
 from repro.core.cost_model import CostModel
-from repro.core.fast_partition import optional_marks_batched, partition_pages_batched
+from repro.core.partition import partition_all
 from repro.core.restoration import (
     ProcessingRestorationStats,
     StorageRestorationStats,
@@ -330,12 +330,7 @@ def _shard_pipeline(
     phase_seconds: dict[str, float] = {}
 
     t = time.perf_counter()
-    alloc = Allocation(sub)
-    if sub.n_pages:
-        comp_marks, _, _, _ = partition_pages_batched(sub)
-        alloc.set_comp_local_bulk(np.flatnonzero(comp_marks), True)
-    opt_marks = optional_marks_batched(sub, opts.optional_policy)
-    alloc.set_opt_local_bulk(np.flatnonzero(opt_marks), True)
+    alloc = partition_all(sub, optional_policy=opts.optional_policy)
     phase_seconds["partition"] = time.perf_counter() - t
     comp_partition = alloc.comp_local.copy()
     opt_partition = alloc.opt_local.copy()

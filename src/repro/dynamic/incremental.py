@@ -55,7 +55,7 @@ from repro.core.context import (
     adopt_frequency_context,
     is_frequency_clone,
 )
-from repro.core.fast_partition import (
+from repro.core.partition import (
     optional_marks_batched,
     partition_pages_batched,
 )

@@ -24,18 +24,19 @@ import numpy as np
 
 from repro.core.allocation import Allocation
 from repro.core.cost_model import CostModel
-from repro.core.fast_partition import (
-    optional_marks_batched,
-    partition_pages_batched,
-)
 from repro.core.offload import (
     ServerStatus,
     absorb_extra_workload,
     compute_server_status,
     plan_offload_round,
 )
-from repro.core.partition import OptionalPolicy
+from repro.core.partition import (
+    OptionalPolicy,
+    optional_marks_batched,
+    partition_pages_batched,
+)
 from repro.core.restoration import (
+    CAPACITY_TOL,
     restore_processing_capacity,
     restore_storage_capacity,
 )
@@ -52,8 +53,6 @@ from repro.network.messages import (
 )
 
 __all__ = ["LocalServerNode", "RepositoryNode"]
-
-_TOL = 1e-9
 
 
 class LocalServerNode:
@@ -117,10 +116,10 @@ class LocalServerNode:
                 self.cost,
                 self.server_id,
                 msg.amount,
-                allow_new_replicas=st.free_space > _TOL,
+                allow_new_replicas=st.free_space > CAPACITY_TOL,
                 allow_swap=self.allow_swap,
             )
-            exhausted = achieved < msg.amount - _TOL
+            exhausted = achieved < msg.amount - CAPACITY_TOL
             self.bus.send(
                 WorkloadAnswerMessage(
                     sender=self.node_id,
@@ -199,10 +198,12 @@ class RepositoryNode:
         load = self.estimated_load
         if (
             np.isinf(self.capacity)
-            or load <= self.capacity + _TOL
+            or load <= self.capacity + CAPACITY_TOL
             or self.rounds >= self.max_rounds
         ):
-            self._finish(load <= self.capacity + _TOL or np.isinf(self.capacity))
+            self._finish(
+                load <= self.capacity + CAPACITY_TOL or np.isinf(self.capacity)
+            )
             return
         plan = plan_offload_round(
             list(self.statuses.values()), self.capacity, self.demoted

@@ -175,7 +175,6 @@ class TestAdoptFrequencyContext:
             "html_request_load",
         ):
             assert np.array_equal(getattr(ctx_a, col), getattr(ctx_f, col)), col
-        assert ctx_a.scalars.freq == ctx_f.scalars.freq
 
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
@@ -203,7 +202,6 @@ class TestAdoptFrequencyContext:
             "html_request_load",
         ):
             assert np.array_equal(getattr(ctx_a, col), getattr(ctx_f, col)), col
-        assert ctx_a.scalars.freq == ctx_f.scalars.freq
 
     def test_structural_mismatch_rejected(self, micro_model, tiny_model):
         with pytest.raises(ValueError, match="frequency-only clone"):

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.core.context import EvalContext
-from repro.core.fast_partition import optional_marks_batched, partition_pages_batched
+from repro.core.partition import optional_marks_batched, partition_pages_batched
 from repro.core.types import (
     ColumnarModel,
     MODEL_COLUMN_FIELDS,

@@ -7,12 +7,19 @@ Page 3 @ S1 (spb 0.2 / repo 1.0, html 300): objects sorted 3(400),
 (201.5 vs 302.5), 0 -> remote (102.5 vs 221.5).
 """
 
+import re
+
 import numpy as np
 import pytest
 
 from repro.core.allocation import Allocation
 from repro.core.cost_model import CostModel
-from repro.core.partition import partition_all, partition_page
+from repro.core.partition import (
+    optional_marks_batched,
+    partition_all,
+    partition_page,
+    partition_pages_batched,
+)
 
 
 class TestPartitionPage:
@@ -147,17 +154,6 @@ class TestPartitionAll:
             }
             assert alloc.replicas[i] == marked
 
-    def test_allowed_per_server(self, micro_model):
-        alloc = partition_all(
-            micro_model,
-            optional_policy="none",
-            allowed_per_server={0: {0, 1, 2}, 1: set()},
-        )
-        # server 1 pages have nothing marked local
-        for j in micro_model.pages_by_server[1]:
-            assert not alloc.page_comp_marks(j).any()
-        assert alloc.replicas[1] == set()
-
     def test_partition_beats_extremes_on_objective(self, small_model):
         """PARTITION's D must not exceed either all-local or all-remote."""
         from repro.baselines.local import LocalPolicy
@@ -172,3 +168,32 @@ class TestPartitionAll:
         a = partition_all(small_model)
         b = partition_all(small_model)
         assert a == b
+
+
+@pytest.mark.parametrize(
+    "call, bad",
+    [
+        (lambda m: partition_all(m, order="sideways"), "'sideways'"),
+        (lambda m: partition_page(m, 0, order="sideways"), "'sideways'"),
+        (lambda m: partition_pages_batched(m, order="sideways"), "'sideways'"),
+        (lambda m: partition_all(m, optional_policy="some"), "'some'"),
+        (lambda m: optional_marks_batched(m, "some"), "'some'"),
+        (
+            lambda m: partition_pages_batched(m, page_ids=np.zeros((2, 2), int)),
+            "(2, 2)",
+        ),
+    ],
+    ids=[
+        "order-partition_all",
+        "order-partition_page",
+        "order-partition_pages_batched",
+        "policy-partition_all",
+        "policy-optional_marks_batched",
+        "page_ids-2d",
+    ],
+)
+def test_rejects_bad_input(micro_model, call, bad):
+    # an optional policy is only read where there are optional entries
+    assert len(micro_model.opt_objects) > 0
+    with pytest.raises(ValueError, match=re.escape(bad)):
+        call(micro_model)

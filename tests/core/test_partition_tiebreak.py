@@ -15,8 +15,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.fast_partition import partition_pages_batched
-from repro.core.partition import partition_page
+from repro.core.partition import partition_page, partition_pages_batched
 from repro.core.types import (
     ObjectSpec,
     PageSpec,

@@ -5,7 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from repro.core.constraints import repository_load
+from repro.core.cost_model import CostModel
+from repro.core.offload import offload_repository
 from repro.core.policy import RepositoryReplicationPolicy
+from repro.core.restoration import CAPACITY_TOL
 from repro.network import run_distributed_policy
 from repro.network.messages import (
     NewRequirementMessage,
@@ -87,3 +91,31 @@ class TestProtocolBehaviour:
         dist = run_distributed_policy(m, optional_policy="none")
         assert dist.absorbed_by_server
         assert sum(dist.absorbed_by_server.values()) > 0
+
+    def test_excess_within_tolerance_needs_no_round(self):
+        """A repository load above C(R) by less than CAPACITY_TOL counts
+        as met: OFF_LOADING and the repository actor both end restored
+        without a round."""
+        storage = (700.0, 900.0)
+        load = repository_load(
+            RepositoryReplicationPolicy()
+            .run(build_micro_model(storage=storage))
+            .allocation
+        )
+        m = build_micro_model(storage=storage, repo_capacity=load - CAPACITY_TOL / 2)
+        assert m.repository.processing_capacity < load
+
+        result = RepositoryReplicationPolicy().run(m)
+        assert result.phases_run == ["partition", "storage-restoration"]
+        alloc = result.allocation
+        assert repository_load(alloc) == load
+        before = alloc.copy()
+        outcome = offload_repository(alloc, CostModel(m))
+        assert outcome.restored
+        assert outcome.rounds == 0
+        _assert_same_allocation(alloc, before)
+
+        dist = run_distributed_policy(m)
+        assert dist.offload_restored
+        assert dist.offload_rounds == 0
+        _assert_same_allocation(dist.allocation, before)

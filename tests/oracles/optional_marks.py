@@ -4,14 +4,12 @@ After PARTITION the paper "stores all optional objects"; the
 ``"beneficial"`` policy instead marks an optional object local only when
 its single download is no slower locally than over the cheapest remote
 stream.  Production marks every page at once
-(:func:`repro.core.fast_partition.optional_marks_batched`); this loop
+(:func:`repro.core.partition.optional_marks_batched`); this loop
 is the page-by-page reference it is checked against, and the one the
 scalar PARTITION oracle assembles its allocations with.
 """
 
 from __future__ import annotations
-
-from typing import Collection
 
 import numpy as np
 
@@ -24,10 +22,9 @@ def optional_marks(
     model: SystemModel,
     page_id: int,
     policy: OptionalPolicy,
-    allowed: Collection[int] | None,
 ) -> np.ndarray:
     """Marks aligned with ``model.pages[page_id].optional`` under
-    ``policy``; objects outside ``allowed`` (when given) stay remote."""
+    ``policy``."""
     page = model.pages[page_id]
     n = len(page.optional)
     if n == 0 or policy == "none":
@@ -36,11 +33,8 @@ def optional_marks(
     ovhd_local = s.ovhd_local[page_id]
     spb_local = s.spb_local[page_id]
     remote = list(zip(s.ovhd_streams[page_id], s.spb_streams[page_id]))
-    allowed_set = None if allowed is None else set(allowed)
     marks = np.zeros(n, dtype=bool)
     for pos, k in enumerate(page.optional):
-        if allowed_set is not None and k not in allowed_set:
-            continue
         if policy == "all":
             marks[pos] = True
         else:  # "beneficial": against the cheapest remote stream

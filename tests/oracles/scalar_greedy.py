@@ -1,7 +1,7 @@
 """The scalar reference loops of the Section 4.2 greedy phases.
 
 Production runs one engine per phase: the vectorised PARTITION of
-:mod:`repro.core.fast_partition` and the batched argmin loops of
+:mod:`repro.core.partition` and the batched argmin loops of
 :mod:`repro.core.restoration` and :mod:`repro.core.offload`.  This module
 keeps the per-candidate Python loops those engines were written against,
 as the oracle of the differential suites, the goldens' ``"scalar"`` arms
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import contextlib
 import heapq
-from typing import Collection, Iterable, Iterator
+from typing import Iterable, Iterator
 from unittest import mock
 
 import numpy as np
@@ -129,7 +129,6 @@ class ReverseIndex:
 def partition_all_scalar(
     model: SystemModel,
     optional_policy: OptionalPolicy = "all",
-    allowed_per_server: dict[int, Collection[int]] | None = None,
     order: SortOrder = "decreasing",
 ) -> Allocation:
     """PARTITION over every page, one :func:`partition_page` at a time.
@@ -138,18 +137,13 @@ def partition_all_scalar(
     """
     alloc = Allocation(model)
     for j in range(model.n_pages):
-        allowed = (
-            None
-            if allowed_per_server is None
-            else allowed_per_server.get(model.pages[j].server, ())
-        )
         sl = model.comp_slice(j)
-        comp_marks, streams, _, _ = partition_page(model, j, allowed, order=order)
+        comp_marks, streams, _, _ = partition_page(model, j, order=order)
         alloc.comp_stream[sl] = streams
         for off, val in enumerate(comp_marks):
             if val:
                 alloc.set_comp_local(sl.start + off, True)
-        opt_marks = optional_marks(model, j, optional_policy, allowed)
+        opt_marks = optional_marks(model, j, optional_policy)
         slo = model.opt_slice(j)
         for off, val in enumerate(opt_marks):
             if val:
@@ -291,7 +285,7 @@ def _eviction_delta(
     m = alloc.model
     comp_e, opt_e = rev.entries_for(server_id, object_id)
     size = float(m.sizes[object_id])
-    freq = cost.scalars.freq
+    freq = cost.ctx.frequencies
     comp_pages = m.comp_pages
     comp_local = alloc.comp_local
     delta = 0.0
@@ -300,7 +294,7 @@ def _eviction_delta(
             j = int(comp_pages[e])
             old = state.page_time(j)
             new = state.page_time_if_moved_remote(j, size)
-            delta += cost.alpha1 * freq[j] * (new - old)
+            delta += cost.alpha1 * float(freq[j]) * (new - old)
     opt_local = alloc.opt_local
     for e in opt_e:
         if opt_local[e]:

@@ -2,24 +2,23 @@
 
 The scalar greedy (:func:`repro.core.partition.partition_page`) is the
 reference oracle; the batched kernel
-(:mod:`repro.core.fast_partition`) must reproduce its marks, streams and
-stream times **bit-exactly** — assertions below use ``==`` on floats and
-``array_equal`` on marks, no tolerances — for every page, every
-``SortOrder``, arbitrary ``allowed`` whitelists, and every optional
-policy.
+(:func:`repro.core.partition.partition_pages_batched`) must reproduce
+its marks, streams and stream times **bit-exactly** — assertions below
+use ``==`` on floats and ``array_equal`` on marks, no tolerances — for
+every page, every ``SortOrder``, arbitrary ``allowed`` whitelists, and
+every optional policy.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.fast_partition import (
-    comp_allowed_mask,
+from repro.core.partition import (
     optional_marks_batched,
-    partition_all_batched,
+    partition_all,
+    partition_page,
     partition_pages_batched,
 )
-from repro.core.partition import partition_all, partition_page
 from tests.oracles.optional_marks import optional_marks
 from tests.oracles.scalar_greedy import partition_all_scalar
 from tests.properties.strategies import system_models
@@ -28,8 +27,22 @@ ORDERS = ("decreasing", "increasing", "document")
 
 
 def assert_batch_matches_oracle(model, order, allowed_per_server=None):
-    """Bit-exact comparison of the batch kernel against the scalar oracle."""
-    mask = comp_allowed_mask(model, allowed_per_server)
+    """Bit-exact comparison of the batch kernel against the scalar oracle.
+
+    ``allowed_per_server`` whitelists become the kernel's per-entry
+    ``allowed_mask``; a missing server key allows nothing on its pages.
+    """
+    mask = None
+    if allowed_per_server is not None:
+        mask = np.array(
+            [
+                int(k) in allowed_per_server.get(int(i), ())
+                for i, k in zip(
+                    model.page_server[model.comp_pages], model.comp_objects
+                )
+            ],
+            dtype=bool,
+        )
     marks, streams, local_t, stream_t = partition_pages_batched(
         model, allowed_mask=mask, order=order
     )
@@ -61,7 +74,7 @@ def test_batched_matches_scalar_with_whitelists(model, order, data):
     allowed_per_server = {}
     for i in range(model.n_servers):
         # a random subset per server; servers may be missing entirely
-        # (partition_all treats a missing key as "nothing allowed")
+        # (a missing key means "nothing allowed")
         if data.draw(st.booleans(), label=f"server {i} present"):
             allowed_per_server[i] = data.draw(
                 st.sets(st.integers(0, model.n_objects - 1)),
@@ -75,7 +88,7 @@ def test_batched_matches_scalar_with_whitelists(model, order, data):
 def test_optional_marks_batched_matches_scalar(model, policy):
     batched = optional_marks_batched(model, policy)
     for j in range(model.n_pages):
-        ref = optional_marks(model, j, policy, None)
+        ref = optional_marks(model, j, policy)
         assert np.array_equal(batched[model.opt_slice(j)], ref)
 
 
@@ -92,22 +105,6 @@ def test_partition_all_kernels_build_equal_allocations(model, order, policy):
     assert scalar == batched
     assert np.array_equal(scalar._mark_counts, batched._mark_counts)
     batched.check_invariants()
-
-
-@given(system_models(), st.data())
-@settings(max_examples=40, deadline=None)
-def test_partition_all_batched_with_whitelists(model, data):
-    allowed_per_server = {
-        i: data.draw(
-            st.sets(st.integers(0, model.n_objects - 1)), label=f"server {i}"
-        )
-        for i in range(model.n_servers)
-    }
-    scalar = partition_all_scalar(model, allowed_per_server=allowed_per_server)
-    batched = partition_all_batched(
-        model, allowed_per_server=allowed_per_server
-    )
-    assert scalar == batched
 
 
 @given(system_models(), st.data())

@@ -37,11 +37,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.context import EvalContext
-from repro.core.fast_partition import (
+from repro.core.partition import (
     optional_marks_batched,
+    partition_all,
     partition_pages_batched,
 )
-from repro.core.partition import partition_all
 from repro.core.policy import PolicyResult, RepositoryReplicationPolicy
 from repro.core.shard import InlineShardPool, plan_shards
 from repro.core.types import restrict_to_servers

@@ -21,8 +21,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.cost_model import CostModel
-from repro.core.fast_partition import partition_pages_batched
-from repro.core.partition import partition_all, partition_page
+from repro.core.partition import (
+    partition_all,
+    partition_page,
+    partition_pages_batched,
+)
 from tests.oracles.scalar_greedy import partition_all_scalar
 from tests.oracles.two_stream_partition import partition_page_pair
 from tests.properties.strategies import mesh_models, system_models
